@@ -1,8 +1,9 @@
 """Spectral radii of k-uniform supertrees.
 
 Construction of the named supertree families, adjacency-tensor power
-iteration, weighted-incidence certificates with a bisection radius solver,
-and exhaustive desk-scale verification of the radius orderings.
+iteration, weighted-incidence certificates with a certified bracketing
+radius solver, and exhaustive desk-scale verification of the radius
+orderings.
 """
 
 from .certificates import (
@@ -12,6 +13,7 @@ from .certificates import (
     STRICTLY_SUPERNORMAL,
     CertificateVerdict,
     WeightedIncidence,
+    alpha_normal_bracket,
     alpha_normal_radius,
     classify,
     propagate_certificate,

@@ -7,22 +7,26 @@ pair (H, B, alpha) as normal, strictly subnormal, or strictly supernormal;
 the strict cases bound the spectral radius by alpha^(-1/k) from above or
 below.  On supertrees the normality conditions pin B down uniquely once
 alpha is fixed, which turns the spectral radius into the root of a scalar
-monotone function of alpha; ``alpha_normal_radius`` solves it by bisection.
+monotone function of alpha.  ``alpha_normal_bracket`` finds that root with a
+safeguarded Illinois iteration and returns the radius bracket certified by
+the strictly subnormal and strictly supernormal weights at its two ends;
+``alpha_normal_radius`` returns the bracket's midpoint.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 from .constructors import broom
 from .errors import BracketError, IncidenceMismatchError, PositivityError
-from .hypergraph import Hypergraph, incidence_lists, is_supertree, vertex_stats
+from .hypergraph import Hypergraph, incidence_lists, vertex_stats
 
 DEFAULT_CERT_TOL = 1e-9
-ALPHA_BISECT_TOL = 1e-14
-ALPHA_BISECT_MAX_ITER = 200
+#: The radius solver stops once its bracket is this many ulps wide.
+ALPHA_BRACKET_ULPS = 4
+#: Guard on defect evaluations per solve; bisection alone needs about 60.
+ALPHA_MAX_EVALS = 200
 
 NORMAL = "normal"
 STRICTLY_SUBNORMAL = "strictly-subnormal"
@@ -181,64 +185,79 @@ def t11m3_certificate(m: int, k: int, alpha: float) -> WeightedIncidence:
     return WeightedIncidence(host=host, entries=entries)
 
 
-# --- leaf-to-root propagation and the bisection radius solver ---------------
+# --- leaf-to-root propagation and the bracketing radius solver --------------
 
 
-def _propagation_order(h: Hypergraph) -> tuple[int, list[int], list[int]]:
-    """Root the supertree and give edges in leaf-to-root processing order.
+@dataclass(frozen=True)
+class _Plan:
+    """A supertree rooted once, for repeated propagation at different alphas.
 
-    The root is a vertex of maximum degree (every edge of a hyperstar is
-    pendent, so rooting inside a non-pendent edge is not always possible;
-    the scalar equation below has the same unique root either way).
-    Returns (root vertex, parent vertex per edge, edge order deepest first).
+    The root is the first vertex of maximum degree (every edge of a
+    hyperstar is pendent, so rooting inside a non-pendent edge is not always
+    possible; the scalar equation below has the same unique root either
+    way).  ``steps`` lists every edge deepest first as (edge index, parent
+    vertex, child vertices in edge order), so each child's carried sum is
+    complete by the time its parent edge is reached.
     """
+
+    n: int
+    root: int
+    steps: tuple[tuple[int, int, tuple[int, ...]], ...]
+
+
+def _plan(h: Hypergraph, caller: str) -> _Plan:
+    """Root ``h`` and order its edges; raises ValueError naming ``caller``
+    unless ``h`` is a supertree.
+
+    The breadth-first search doubles as the supertree test: with
+    m(k-1) = n-1 it reaches every vertex exactly when ``h`` is connected.
+    """
+    if h.m * (h.k - 1) != h.n - 1:
+        raise ValueError(f"{caller} requires a supertree")
     degrees = vertex_stats(h).degrees
-    root = max(range(h.n), key=lambda v: (degrees[v], -v))
+    root = degrees.index(max(degrees))
     inc = incidence_lists(h)
-    parent = [-1] * h.m
-    bfs_edges: list[int] = []
-    seen_v = {root}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
+    used = [False] * h.m
+    order = [root]
+    steps = []
+    for v in order:
         for i in inc[v]:
-            if parent[i] >= 0:
-                continue
-            parent[i] = v
-            bfs_edges.append(i)
-            for w in h.edges[i]:
-                if w not in seen_v:
-                    seen_v.add(w)
-                    queue.append(w)
-    return root, parent, bfs_edges[::-1]
+            if not used[i]:
+                used[i] = True
+                children = tuple(w for w in h.edges[i] if w != v)
+                steps.append((i, v, children))
+                order.extend(children)
+    if len(set(order)) != h.n:
+        raise ValueError(f"{caller} requires a supertree")
+    steps.reverse()
+    return _Plan(n=h.n, root=root, steps=tuple(steps))
 
 
-def _propagate(h: Hypergraph, alpha: float) -> tuple[float, dict[tuple[int, int], float] | None]:
+def _propagate(
+    plan: _Plan, alpha: float, entries: dict[tuple[int, int], float] | None = None
+) -> float:
     """Force the unique weights meeting all non-root constraints at this alpha.
 
     Away from the root every vertex sum is pinned to 1 and every edge product
-    to alpha; the returned scalar is the root vertex's sum minus 1.  A forced
-    non-positive weight means alpha is already too large, reported as
-    (+inf, None).
+    to alpha; the returned defect is the root vertex's sum minus 1.  A forced
+    non-positive weight means alpha is already too large, reported as +inf.
+    The forced weights are written to ``entries`` when it is given.
     """
-    root, parent, order = _propagation_order(h)
-    entries: dict[tuple[int, int], float] = {}
-    carried = [0.0] * h.n
-    for i in order:
-        p = parent[i]
+    carried = [0.0] * plan.n
+    for i, p, children in plan.steps:
         prod = 1.0
-        for v in h.edges[i]:
-            if v == p:
-                continue
+        for v in children:
             w = 1.0 - carried[v]
             if w <= 0.0:
-                return math.inf, None
-            entries[(v, i)] = w
+                return math.inf
+            if entries is not None:
+                entries[(v, i)] = w
             prod *= w
         bp = alpha / prod
-        entries[(p, i)] = bp
+        if entries is not None:
+            entries[(p, i)] = bp
         carried[p] += bp
-    return carried[root] - 1.0, entries
+    return carried[plan.root] - 1.0
 
 
 def propagate_certificate(h: Hypergraph, alpha: float) -> WeightedIncidence:
@@ -248,51 +267,98 @@ def propagate_certificate(h: Hypergraph, alpha: float) -> WeightedIncidence:
     Raises PositivityError when alpha is large enough to force a
     non-positive weight.
     """
-    if not is_supertree(h):
-        raise ValueError("propagation requires a supertree")
+    plan = _plan(h, "propagation")
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
-    _, entries = _propagate(h, alpha)
-    if entries is None:
+    entries: dict[tuple[int, int], float] = {}
+    if _propagate(plan, alpha, entries) == math.inf:
         raise PositivityError(f"propagation infeasible at alpha = {alpha}")
     return WeightedIncidence(host=h, entries=entries)
 
 
-def alpha_normal_radius(h: Hypergraph, tol: float = DEFAULT_CERT_TOL) -> float:
-    """Spectral radius of a supertree via bisection on the certificate parameter.
+def _strict_end(defect, x: float, end: float, sign: float) -> float:
+    """The first radius, stepping from the zero-defect ``x`` toward ``end``
+    by doubling numbers of ulps, whose defect has the strict sign ``sign``;
+    ``end`` itself (already strict) once the steps reach it."""
+    step = math.ulp(x)
+    while True:
+        y = x + step if end > x else x - step
+        if (y >= end) if end > x else (y <= end):
+            return end
+        if sign * defect(y) > 0.0:
+            return y
+        step *= 2.0
+
+
+def _radius_bracket(h: Hypergraph, caller: str) -> tuple[float, float]:
+    plan = _plan(h, caller)
+    k = h.k
+
+    def defect(r: float) -> float:
+        return _propagate(plan, r**-k)
+
+    low, high = 1.0, (max(vertex_stats(h).degrees) * h.m) ** (1.0 / k)
+    f_low = defect(low)
+    if f_low <= 0.0:
+        # Radius 1 sits exactly at the bracket bottom (the one-edge supertree).
+        return 1.0, 1.0
+    f_high = defect(high)
+    if not f_high < 0.0:
+        raise BracketError(
+            f"no sign change: defect {f_high:.3e} at radius {high}", bracket=(low, high)
+        )
+    kept = 0  # +1 after low moved, -1 after high moved
+    for _ in range(ALPHA_MAX_EVALS):
+        if high - low <= ALPHA_BRACKET_ULPS * math.ulp(high):
+            return low, high
+        a_low, a_high = low**-k, high**-k
+        if f_low == math.inf:
+            alpha = 0.5 * (a_low + a_high)
+        else:
+            alpha = a_high + (a_low - a_high) * (f_high / (f_high - f_low))
+        # The trial radius, kept at least one ulp inside the bracket.
+        x = min(max(alpha ** (-1.0 / k), low + math.ulp(high)), high - math.ulp(high))
+        fx = defect(x)
+        if fx > 0.0:
+            low, f_low = x, fx
+            if kept > 0:
+                f_high *= 0.5
+            kept = 1
+        elif fx < 0.0:
+            high, f_high = x, fx
+            if kept < 0:
+                f_low *= 0.5
+            kept = -1
+        else:
+            return _strict_end(defect, x, low, 1.0), _strict_end(defect, x, high, -1.0)
+    raise BracketError(
+        f"radius bracket [{low!r}, {high!r}] still open after {ALPHA_MAX_EVALS} evaluations",
+        bracket=(low, high),
+    )
+
+
+def alpha_normal_bracket(h: Hypergraph) -> tuple[float, float]:
+    """Certified bracket ``(low, high)`` on the spectral radius of a supertree.
 
     The propagated root-sum defect is strictly increasing in alpha, negative
     below the normal point and positive (or infeasible) above it, exactly the
-    two directions in which strict sub/supernormality bound the radius.
-    Bisection therefore converges to the alpha at which the supertree is
-    alpha-normal, and the radius is alpha^(-1/k).  The propagated certificate
-    at the final alpha satisfies all constraints within ``tol``.
+    two directions in which strict sub/supernormality bound the radius.  An
+    Illinois (modified regula falsi) iteration on alpha narrows a bracket
+    with defect(low^(-k)) > 0 > defect(high^(-k)), bisecting while the low
+    end is infeasible, until the radius bracket is ALPHA_BRACKET_ULPS ulps
+    wide.  Every trial alpha is rounded to r^(-k) for a float radius r, so
+    both returned ends were evaluated: ``propagate_certificate(h, low ** -k)``
+    puts the root's weight sum strictly above 1 (or is infeasible) and
+    ``propagate_certificate(h, high ** -k)`` strictly below 1.  A radius
+    whose defect rounds to exactly zero is normal to rounding; the nearest
+    strict radii on either side of it become the ends.
     """
-    if not is_supertree(h):
-        raise ValueError("alpha_normal_radius requires a supertree")
-    degrees = vertex_stats(h).degrees
-    lo = 1.0 / (max(degrees) * h.m)
-    hi = 1.0
-    f_hi, _ = _propagate(h, hi)
-    if f_hi <= 0.0:
-        # Radius 1 sits exactly at the bracket top (the one-edge supertree).
-        return 1.0
-    f_lo, _ = _propagate(h, lo)
-    if not f_lo < 0.0:
-        raise BracketError(f"no sign change: defect {f_lo:.3e} at alpha = {lo}", alpha=lo)
-    for _ in range(ALPHA_BISECT_MAX_ITER):
-        if hi - lo <= ALPHA_BISECT_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        f_mid, _ = _propagate(h, mid)
-        if f_mid > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    alpha = 0.5 * (lo + hi)
-    f_final, _ = _propagate(h, alpha)
-    if not abs(f_final) <= tol:
-        raise BracketError(
-            f"bisection stalled: defect {f_final:.3e} at alpha = {alpha}", alpha=alpha
-        )
-    return alpha ** (-1.0 / h.k)
+    return _radius_bracket(h, "alpha_normal_bracket")
+
+
+def alpha_normal_radius(h: Hypergraph) -> float:
+    """Spectral radius of a supertree: the midpoint of ``alpha_normal_bracket``."""
+    # The private solver, not alpha_normal_bracket, so that a profile charges
+    # the solve to the public function that was called.
+    low, high = _radius_bracket(h, "alpha_normal_radius")
+    return 0.5 * (low + high)

@@ -34,11 +34,12 @@ class IncidenceMismatchError(SupertreeError):
 
 
 class BracketError(SupertreeError):
-    """Bisection bracket failure; carries the infeasible alpha."""
+    """The radius solver found no sign change or did not close its bracket;
+    ``bracket`` is the last (low, high) radius bracket."""
 
-    def __init__(self, message: str, alpha: float | None = None):
+    def __init__(self, message: str, bracket: tuple[float, float] | None = None):
         super().__init__(message)
-        self.alpha = alpha
+        self.bracket = bracket
 
 
 class SizeLimitError(SupertreeError):

@@ -109,10 +109,12 @@ def enumerate_supertrees(m: int, k: int, limit: int = DEFAULT_ENUM_LIMIT) -> lis
 
 def random_supertree(m: int, k: int, rng: random.Random) -> Hypergraph:
     """Uniform-attachment growth: each new pendent edge lands on a random vertex."""
-    h = single_edge(k)
+    edges = [tuple(range(k))]
+    n = k
     for _ in range(m - 1):
-        h = _attach_pendent_edge(h, rng.randrange(h.n))
-    return h
+        edges.append((rng.randrange(n),) + tuple(range(n, n + k - 1)))
+        n += k - 1
+    return Hypergraph(k=k, n=n, edges=tuple(edges))
 
 
 def _class_radius(

@@ -1,11 +1,13 @@
 """Certificate classification, the explicit broom certificate, and the
-bisection radius solver."""
+bracketing radius solver."""
 
 import math
+import random
 
 import pytest
 
 from supertrees import (
+    BracketError,
     Hypergraph,
     IncidenceMismatchError,
     PositivityError,
@@ -14,17 +16,27 @@ from supertrees import (
     NORMAL,
     NEITHER,
     WeightedIncidence,
+    alpha_normal_bracket,
     alpha_normal_radius,
     broom,
+    certificates,
     classify,
     double_star_power_radius,
     enumerate_supertrees,
     f_tree_power_radius,
     hyperstar,
+    path,
     power_iteration,
     propagate_certificate,
+    random_supertree,
     t11m3_certificate,
+    tensor_apply,
+    tree_power,
+    vertex_stats,
 )
+
+#: Float rounding allowed when testing that a bracket contains a closed form.
+ROUNDING_REL = 1e-15
 
 
 def uniform_certificate(h: Hypergraph, w: float) -> WeightedIncidence:
@@ -142,7 +154,7 @@ def test_consistency_detects_cyclic_imbalance():
     assert not verdict.consistent
 
 
-# --- propagation and the bisection solver ------------------------------------------
+# --- propagation and the bracketing solver ----------------------------------------
 
 
 def test_propagated_certificate_is_normal_at_solution():
@@ -204,3 +216,68 @@ def test_alpha_radius_agrees_with_power_iteration():
     for m, k in ((4, 2), (5, 3), (4, 4)):
         for h in enumerate_supertrees(m, k):
             assert abs(alpha_normal_radius(h) - power_iteration(h).rho) <= 1e-8
+
+
+# --- long paths and large random supertrees ------------------------------------------
+
+
+def path_power_radius(m: int, k: int) -> float:
+    """Radius of the kth power of the path with m edges."""
+    return (2.0 * math.cos(math.pi / (m + 2))) ** (2.0 / k)
+
+
+def large_random(k: int) -> Hypergraph:
+    return random_supertree(1000, k, random.Random(2015))
+
+
+@pytest.mark.parametrize("m", (250, 300, 350, 400, 600, 1000))
+def test_long_path_radius_and_bracket(m):
+    # these paths made the former bisection solver stall
+    h = tree_power(path(m + 1), 3)
+    ref = path_power_radius(m, 3)
+    assert abs(alpha_normal_radius(h) - ref) <= 1e-9 * ref
+    low, high = alpha_normal_bracket(h)
+    assert high - low <= 1e-12 * high
+    assert low * (1.0 - ROUNDING_REL) <= ref <= high * (1.0 + ROUNDING_REL)
+
+
+@pytest.mark.parametrize("k", (3, 5))
+def test_bracket_overlaps_collatz_wielandt_bracket(k):
+    h = large_random(k)
+    low, high = alpha_normal_bracket(h)
+    pair = power_iteration(h)
+    ratios = [a / x ** (k - 1) for a, x in zip(tensor_apply(h, pair.x), pair.x)]
+    assert low <= max(ratios) and min(ratios) <= high
+
+
+def test_bracket_ends_carry_certified_signs():
+    # propagation roots at the first vertex of maximum degree, the only
+    # vertex whose sum is not forced to 1
+    hosts = [tree_power(path(m + 1), 3) for m in (250, 1000)]
+    hosts += [large_random(3), large_random(5), hyperstar(300, 3), broom(1, 1, 297, 4)]
+    # small classes whose defect rounds to exactly zero at some trial radius
+    hosts += enumerate_supertrees(6, 3)
+    for h in hosts:
+        degrees = vertex_stats(h).degrees
+        root = degrees.index(max(degrees))
+        low, high = alpha_normal_bracket(h)
+        sub = high**-h.k
+        assert classify(h, propagate_certificate(h, sub), sub).vertex_slacks[root] > 0.0
+        sup = low**-h.k
+        try:
+            cert = propagate_certificate(h, sup)
+        except PositivityError:
+            continue
+        assert classify(h, cert, sup).vertex_slacks[root] < 0.0
+
+
+def test_single_edge_bracket_is_exact():
+    assert alpha_normal_bracket(Hypergraph(k=3, n=3, edges=((0, 1, 2),))) == (1.0, 1.0)
+
+
+def test_evaluation_cap_raises_with_last_bracket(monkeypatch):
+    monkeypatch.setattr(certificates, "ALPHA_MAX_EVALS", 3)
+    with pytest.raises(BracketError) as info:
+        alpha_normal_bracket(tree_power(path(101), 3))
+    low, high = info.value.bracket
+    assert 1.0 <= low < path_power_radius(100, 3) < high

@@ -7,6 +7,7 @@ import pytest
 
 from supertrees import (
     EnumerationLimitError,
+    Hypergraph,
     are_isomorphic,
     broom,
     canonical_key,
@@ -24,6 +25,7 @@ from supertrees import (
     reduce_non_pendent,
     report_to_csv,
     report_to_dict,
+    single_edge,
     tree_power,
     verify_moving_edges,
     verify_partition_lemma,
@@ -95,6 +97,17 @@ def test_random_supertree_is_supertree():
     for _ in range(10):
         h = random_supertree(rng.randint(1, 6), rng.choice((2, 3, 4)), rng)
         assert is_supertree(h)
+
+
+def test_random_supertree_matches_attach_loop():
+    # one hypergraph rebuilt after every attach, drawing the same vertices
+    for k in (2, 3, 5):
+        rng = random.Random(k)
+        grown = single_edge(k)
+        for _ in range(59):
+            edge = (rng.randrange(grown.n),) + tuple(range(grown.n, grown.n + k - 1))
+            grown = Hypergraph(k=k, n=grown.n + k - 1, edges=grown.edges + (edge,))
+        assert random_supertree(60, k, random.Random(k)) == grown
 
 
 def test_non_pendent_classification_of_classes():
