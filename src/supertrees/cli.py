@@ -310,7 +310,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    method = "power" if args.method == "auto" else args.method
+    method = "alpha" if args.method == "auto" else args.method
     report = rank_spectra(
         args.m,
         args.k,
@@ -383,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("enumerate", help="rank all classes at (k, m) by spectral radius")
     e.add_argument("--k", type=int, required=True)
     e.add_argument("--m", type=int, required=True)
-    e.add_argument("--method", choices=["power", "alpha", "formula", "auto"], default="power")
+    e.add_argument("--method", choices=["power", "alpha", "formula", "auto"], default="auto")
     e.add_argument("--tol", type=float, default=DEFAULT_TOL)
     e.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     e.add_argument("--output", choices=["human", "json", "csv"], default="human")

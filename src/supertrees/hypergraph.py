@@ -137,44 +137,105 @@ def is_supertree(h: Hypergraph) -> bool:
 # m + n nodes.  Dropping the pendent vertices (leaves interchangeable under
 # isomorphism; their count per edge is implied by k) leaves a smaller tree
 # whose nodes are the edges and the non-pendent vertices.  That typed tree is
-# a complete isomorphism invariant, so a canonical rooted encoding of it,
-# minimized over all roots, is a canonical key.
+# a complete isomorphism invariant.  Every isomorphism maps its centre (the
+# node or two adjacent nodes left after stripping leaves layer by layer) onto
+# the centre, so a canonical encoding of the tree rooted at a centre, the
+# smaller one if there are two, is a canonical key.  Every leaf is an edge
+# node and the tree is bipartite, so its diameter is even and the centre is
+# in fact one node; taking the smaller encoding does not rely on that.
+#
+# The rooted encoding follows Aho, Hopcroft and Ullman: working up from the
+# deepest level, each node's signature is its type plus the sorted labels of
+# its children, and its label is the rank of that signature among the
+# distinct signatures of its level (labels are decimal strings and sort as
+# strings; any fixed order will do).  The encoding lists those per-level
+# signature tables, deepest first.  Expanding the root's signature through
+# the tables rebuilds the rooted tree, so the encoding is complete.  A rank
+# depends on the tree alone, not on the order nodes were visited, so two
+# trees have equal encodings exactly when they are isomorphic as rooted trees.
 
 
 def _reduced_tree(h: Hypergraph) -> tuple[list[str], list[list[int]]]:
     """Typed adjacency of the reduced incidence tree (edges + non-pendent)."""
-    stats = vertex_stats(h)
-    nonpend = sorted(set(range(h.n)) - stats.pendent_vertices)
-    vnode = {v: h.m + j for j, v in enumerate(nonpend)}
+    nonpend = [v for v, d in enumerate(vertex_stats(h).degrees) if d != 1]
+    node = [-1] * h.n
+    for j, v in enumerate(nonpend, start=h.m):
+        node[v] = j
     types = ["E"] * h.m + ["V"] * len(nonpend)
     adj: list[list[int]] = [[] for _ in types]
     for i, e in enumerate(h.edges):
         for v in e:
-            if v in vnode:
-                adj[i].append(vnode[v])
-                adj[vnode[v]].append(i)
+            j = node[v]
+            if j >= 0:
+                adj[i].append(j)
+                adj[j].append(i)
     return types, adj
 
 
-def _rooted_code(root: int, types: list[str], adj: list[list[int]]) -> str:
-    def code(node: int, parent: int) -> str:
-        children = sorted(code(c, node) for c in adj[node] if c != parent)
-        return types[node] + "(" + "".join(children) + ")"
+def _centres(adj: list[list[int]]) -> list[int]:
+    """The one or two nodes of a tree left after peeling leaves layer by layer."""
+    degree = [len(a) for a in adj]
+    layer = [v for v, d in enumerate(degree) if d <= 1]
+    left = len(adj)
+    while left > 2:
+        left -= len(layer)
+        inner = []
+        for v in layer:
+            for w in adj[v]:
+                degree[w] -= 1
+                if degree[w] == 1:
+                    inner.append(w)
+        layer = inner
+    return layer
 
-    return code(root, -1)
+
+def _centred_code(root: int, types: list[str], adj: list[list[int]]) -> str:
+    """AHU encoding of the tree rooted at ``root``, in one pass up its BFS levels."""
+    parent = [-1] * len(adj)
+    parent[root] = root
+    levels = []
+    level = [root]
+    while level:
+        levels.append(level)
+        below = []
+        for v in level:
+            for c in adj[v]:
+                if parent[c] < 0:
+                    parent[c] = v
+                    below.append(c)
+        level = below
+    label = [""] * len(adj)
+    tables = []
+    for level in reversed(levels):
+        sigs = [
+            types[v] + ".".join(sorted([label[c] for c in adj[v] if c != parent[v]]))
+            for v in level
+        ]
+        table = sorted(set(sigs))
+        if len(table) == 1:
+            for v in level:
+                label[v] = "0"
+        else:
+            rank = {s: str(i) for i, s in enumerate(table)}
+            for v, s in zip(level, sigs):
+                label[v] = rank[s]
+        tables.append(" ".join(table))
+    return "/".join(tables)
 
 
 @lru_cache(maxsize=None)
 def canonical_key(h: Hypergraph) -> bytes:
     """Canonical byte-string: equal for two supertrees iff isomorphic.
 
+    The reduced incidence tree is encoded from its centre, in time
+    O(N log N) for N = m + (non-pendent vertices) and without recursion.
     Rejects non-supertrees, since the reduced incidence tree only exists in
     the acyclic case.
     """
     if not is_supertree(h):
         raise ValueError("canonical_key requires a supertree")
     types, adj = _reduced_tree(h)
-    best = min(_rooted_code(r, types, adj) for r in range(len(types)))
+    best = min(_centred_code(c, types, adj) for c in _centres(adj))
     return f"{h.k}|{best}".encode("ascii")
 
 
@@ -272,12 +333,23 @@ def to_interchange(h: Hypergraph) -> dict:
     return {"k": h.k, "n": h.n, "edges": [list(e) for e in h.edges]}
 
 
+def _strict_int(value, what: str) -> int:
+    # bool is a subclass of int, and int() would truncate floats silently
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def from_interchange(obj: dict) -> Hypergraph:
-    """Inverse of to_interchange; validates through the Hypergraph constructor."""
+    """Inverse of to_interchange; validates through the Hypergraph constructor.
+
+    ``k``, ``n`` and every edge vertex must be ints (bools and floats are
+    rejected, not coerced); anything else raises ValueError.
+    """
     try:
-        k = int(obj["k"])
-        n = int(obj["n"])
-        edges = tuple(tuple(int(v) for v in e) for e in obj["edges"])
+        k = _strict_int(obj["k"], "k")
+        n = _strict_int(obj["n"], "n")
+        edges = tuple(tuple(_strict_int(v, "edge vertex") for v in e) for e in obj["edges"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed hypergraph object: {exc}") from exc
     return Hypergraph(k=k, n=n, edges=edges)

@@ -14,7 +14,6 @@ import csv
 import io
 import random
 from dataclasses import dataclass
-from datetime import datetime, timezone
 
 from .certificates import (
     STRICTLY_SUBNORMAL,
@@ -64,7 +63,6 @@ class SpectraReport:
     k: int
     m: int
     entries: tuple[ReportEntry, ...]
-    generated_at: str
 
 
 @dataclass(frozen=True)
@@ -134,17 +132,20 @@ def _class_radius(
 def rank_spectra(
     m: int,
     k: int,
-    method: str = "power",
+    method: str = "alpha",
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     limit: int = DEFAULT_ENUM_LIMIT,
 ) -> SpectraReport:
     """Rank all classes at (k, m) by spectral radius, descending.
 
-    ``method`` is one of power, alpha, or formula; formula applies to powers
-    of ordinary trees and falls back to power iteration elsewhere, with the
-    method actually used recorded per entry.  Ties within the tie tolerance
-    are flagged on the higher-ranked entry.
+    ``method`` is one of alpha (the default: the certified certificate
+    solver, ``alpha_normal_radius``), power (cold-start power iteration, kept
+    as the independent oracle; ``tol`` and ``max_iter`` apply to it), or
+    formula; formula applies to powers of ordinary trees and falls back to
+    power iteration elsewhere, with the method actually used recorded per
+    entry.  Equal radii are ordered by canonical key.  Ties within the tie
+    tolerance are flagged on the higher-ranked entry.
     """
     rows = []
     for h in enumerate_supertrees(m, k, limit=limit):
@@ -157,17 +158,11 @@ def rank_spectra(
         entries.append(
             ReportEntry(key=key, hypergraph=h, rho=rho, method=tag, rank=i + 1, tie_with_next=tie)
         )
-    return SpectraReport(
-        k=k,
-        m=m,
-        entries=tuple(entries),
-        generated_at=datetime.now(timezone.utc).isoformat(),
-    )
+    return SpectraReport(k=k, m=m, entries=tuple(entries))
 
 
 def report_to_dict(report: SpectraReport) -> dict:
-    """Serializable form; the timestamp is deliberately left out so reports
-    over identical inputs are byte-stable."""
+    """Serializable form; reports over identical inputs are byte-stable."""
     return {
         "k": report.k,
         "m": report.m,
@@ -224,7 +219,7 @@ def _expected_top(m: int, k: int) -> list[tuple[str, Hypergraph]]:
 def verify_top_four(
     m: int,
     k: int,
-    method: str = "power",
+    method: str = "alpha",
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     limit: int = DEFAULT_ENUM_LIMIT,
@@ -234,7 +229,8 @@ def verify_top_four(
 
     For m >= 5 the expected head has four entries; at m = 4 two of the
     families coincide and the collapsed three- or four-class order is checked
-    instead.  Raises CounterexampleFound on any mismatch.
+    instead.  The classes are ranked by ``rank_spectra`` with ``method``
+    (alpha by default).  Raises CounterexampleFound on any mismatch.
     """
     if m < 4:
         raise ValueError("ordering verification needs m >= 4")

@@ -212,6 +212,27 @@ def test_enumerate_limit_env_override(monkeypatch, capsys):
     assert len(stdout.strip().split("\n")) == 48  # header + the 47 trees on 9 vertices
 
 
+def test_enumerate_ranks_with_alpha_unless_power_asked(capsys):
+    for argv, method in (((), "alpha"), (("--method", "auto"), "alpha"), (("--method", "power"), "power")):
+        code, stdout, _ = run_cli(capsys, "enumerate", "--k", "3", "--m", "4", "--output", "csv", *argv)
+        assert code == 0
+        assert {row.split(",")[3] for row in stdout.strip().split("\n")[1:]} == {method}
+
+
+def test_verify_main2_past_default_cap(monkeypatch, capsys):
+    monkeypatch.setenv("SUPERTREE_ENUM_LIMIT", "8")
+    code, stdout, _ = run_cli(capsys, "verify", "main2", "--k", "3", "--m", "8")
+    assert code == 0
+    assert "k = 3  m = 8  classes = 126" in stdout
+
+
+def test_rho_rejects_non_integer_file(tmp_path, capsys):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps({"k": 3.7, "n": 3, "edges": [[0, 1, 2.9]]}))
+    code, _, stderr = run_cli(capsys, "rho", str(f))
+    assert code == 1 and "integer" in stderr
+
+
 def test_missing_file_reports_error(capsys):
     code, _, stderr = run_cli(capsys, "rho", "/nonexistent/file.json")
     assert code == 1 and "error" in stderr

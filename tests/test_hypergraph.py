@@ -167,6 +167,15 @@ def test_four_classes_distinct_keys_against_brute_oracle():
             assert not brute_isomorphic(reps[i], reps[j])
 
 
+@pytest.mark.parametrize("m", [400, 10_000])
+def test_key_of_long_path_power_needs_no_recursion(m):
+    # the recursive encoder raised RecursionError from m = 400 on
+    h = tree_power(path(m + 1), 3)
+    key = canonical_key(h)
+    assert canonical_key(shuffled(h, random.Random(m))) == key
+    assert canonical_key(broom(1, 1, m - 3, 3)) != key
+
+
 def test_keys_differ_across_k():
     e3 = Hypergraph(k=3, n=3, edges=((0, 1, 2),))
     e4 = Hypergraph(k=4, n=4, edges=((0, 1, 2, 3),))
@@ -245,3 +254,20 @@ def test_interchange_round_trip():
 def test_interchange_rejects_malformed():
     with pytest.raises(ValueError):
         from_interchange({"k": 3, "edges": [[0, 1, 2]]})
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"k": 3.7, "n": 3, "edges": [[0, 1, 2.9]]},
+        {"k": 3.0, "n": 3, "edges": [[0, 1, 2]]},
+        {"k": 3, "n": "3", "edges": [[0, 1, 2]]},
+        {"k": 3, "n": 3, "edges": [[0, 1, 2.0]]},
+        {"k": 3, "n": 3, "edges": [[0, True, 2]]},
+        {"k": 2, "n": 2, "edges": [[False, True]]},
+        {"k": 3, "n": 3, "edges": ["012"]},
+    ],
+)
+def test_interchange_rejects_non_integers(obj):
+    with pytest.raises(ValueError):
+        from_interchange(obj)

@@ -183,6 +183,31 @@ def test_rank_methods_agree():
         assert e.method == ("formula" if is_hypertree(e.hypergraph) else "power")
 
 
+def _tie_groups(report):
+    groups, group = [], set()
+    for e in report.entries:
+        group.add(e.key)
+        if not e.tie_with_next:
+            groups.append(group)
+            group = set()
+    return groups
+
+
+def test_rank_defaults_to_alpha_in_power_order():
+    # Tied classes (at k = 3 and 4, m = 6) get bitwise equal alpha radii and
+    # are ordered by key; power iteration orders them by its own rounding, so
+    # the orders are compared tie group by tie group.
+    for k in (2, 3, 4):
+        for m in range(1, 7):
+            a = rank_spectra(m, k)
+            p = rank_spectra(m, k, method="power")
+            assert {e.method for e in a.entries} == {"alpha"}
+            assert _tie_groups(a) == _tie_groups(p)
+            rho_p = {e.key: e.rho for e in p.entries}
+            for e in a.entries:
+                assert abs(e.rho - rho_p[e.key]) <= 1e-8
+
+
 def test_report_serialization():
     report = rank_spectra(4, 3)
     obj = report_to_dict(report)
