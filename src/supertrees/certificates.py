@@ -197,11 +197,13 @@ class _Plan:
     possible; the scalar equation below has the same unique root either
     way).  ``steps`` lists every edge deepest first as (edge index, parent
     vertex, child vertices in edge order), so each child's carried sum is
-    complete by the time its parent edge is reached.
+    complete by the time its parent edge is reached.  ``max_degree`` is the
+    root's degree; the radius bracket starts below (max_degree * m)^(1/k).
     """
 
     n: int
     root: int
+    max_degree: int
     steps: tuple[tuple[int, int, tuple[int, ...]], ...]
 
 
@@ -214,9 +216,10 @@ def _plan(h: Hypergraph, caller: str) -> _Plan:
     """
     if h.m * (h.k - 1) != h.n - 1:
         raise ValueError(f"{caller} requires a supertree")
-    degrees = vertex_stats(h).degrees
-    root = degrees.index(max(degrees))
     inc = incidence_lists(h)
+    degrees = list(map(len, inc))
+    max_degree = max(degrees)
+    root = degrees.index(max_degree)
     used = [False] * h.m
     order = [root]
     steps = []
@@ -230,7 +233,7 @@ def _plan(h: Hypergraph, caller: str) -> _Plan:
     if len(set(order)) != h.n:
         raise ValueError(f"{caller} requires a supertree")
     steps.reverse()
-    return _Plan(n=h.n, root=root, steps=tuple(steps))
+    return _Plan(n=h.n, root=root, max_degree=max_degree, steps=tuple(steps))
 
 
 def _propagate(
@@ -297,7 +300,7 @@ def _radius_bracket(h: Hypergraph, caller: str) -> tuple[float, float]:
     def defect(r: float) -> float:
         return _propagate(plan, r**-k)
 
-    low, high = 1.0, (max(vertex_stats(h).degrees) * h.m) ** (1.0 / k)
+    low, high = 1.0, (plan.max_degree * h.m) ** (1.0 / k)
     f_low = defect(low)
     if f_low <= 0.0:
         # Radius 1 sits exactly at the bracket bottom (the one-edge supertree).

@@ -195,6 +195,15 @@ def _implication(verdict, k: int) -> str:
     return "no bound implied"
 
 
+def _index(triple: dict, name: str) -> int:
+    """Vertex or edge index of a certificate weight triple; bools and floats
+    are rejected, not truncated."""
+    value = triple[name]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SupertreeError(f"certificate weight {name!r} must be an integer, got {value!r}")
+    return value
+
+
 def _cmd_certify(args) -> int:
     h = _load_hypergraph(args.file)
     if args.construct == "t11m3":
@@ -217,7 +226,10 @@ def _cmd_certify(args) -> int:
             raise SupertreeError("certificate file describes a different hypergraph")
         if "B" not in obj:
             raise SupertreeError('certificate file is missing the "B" weight triples')
-        entries = {(int(t["v"]), int(t["e"])): float(t["w"]) for t in obj["B"]}
+        try:
+            entries = {(_index(t, "v"), _index(t, "e")): float(t["w"]) for t in obj["B"]}
+        except (KeyError, TypeError) as exc:
+            raise SupertreeError(f"malformed certificate weight triple: {exc!r}") from exc
         cert = WeightedIncidence(host=h, entries=entries)
         if args.alpha is not None:
             alpha = args.alpha

@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import MultipleEdgeError, SizeLimitError
 
@@ -69,7 +68,6 @@ class VertexStats:
     non_pendent_count: int
 
 
-@lru_cache(maxsize=None)
 def vertex_stats(h: Hypergraph) -> VertexStats:
     """Compute per-vertex degrees and the pendent vertex/edge sets.
 
@@ -223,7 +221,6 @@ def _centred_code(root: int, types: list[str], adj: list[list[int]]) -> str:
     return "/".join(tables)
 
 
-@lru_cache(maxsize=None)
 def canonical_key(h: Hypergraph) -> bytes:
     """Canonical byte-string: equal for two supertrees iff isomorphic.
 

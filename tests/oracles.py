@@ -2,7 +2,8 @@
 
 Nothing here shares code with the package's own algorithms: eigenvalues come
 from dense numpy decompositions, isomorphism from edge-bijection brute force,
-and class counts from labeled enumeration over all edge subsets.
+class counts from labeled enumeration over all edge subsets, and the tensor
+and the power method from loops written one edge and one coordinate at a time.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import random
 
 import numpy as np
 
-from supertrees import Hypergraph, OrdinaryTree
+from supertrees import Hypergraph, OrdinaryTree, PrincipalPair
 
 
 def adjacency_matrix(t: OrdinaryTree) -> np.ndarray:
@@ -137,3 +138,45 @@ def count_classes_brute(m: int, k: int, iso=brute_isomorphic) -> int:
         if not any(iso(h, r) for r in reps):
             reps.append(h)
     return sum(len(reps) for reps in buckets.values())
+
+
+def reference_tensor_apply(h: Hypergraph, x) -> list[float]:
+    """The adjacency tensor by a per-edge loop: prefix and suffix products
+    within each edge, each leave-one-out product added to its vertex in
+    edge order.  ``tensor_apply`` must match it bit for bit."""
+    out = [0.0] * h.n
+    for e in h.edges:
+        vals = [x[v] for v in e]
+        kk = len(vals)
+        pre = [1.0] * (kk + 1)
+        for i in range(kk):
+            pre[i + 1] = pre[i] * vals[i]
+        suf = [1.0] * (kk + 1)
+        for i in range(kk - 1, -1, -1):
+            suf[i] = suf[i + 1] * vals[i]
+        for i, v in enumerate(e):
+            out[v] += pre[i] * suf[i + 1]
+    return out
+
+
+def reference_power_iteration(h: Hypergraph, tol: float = 1e-10, max_iter: int = 100_000) -> PrincipalPair:
+    """The shifted power method of ``power_iteration``, one coordinate at a
+    time on ``reference_tensor_apply``; for connected input that converges."""
+    k = h.k
+    km1 = k - 1
+    x = [h.n ** (-1.0 / k)] * h.n
+    for it in range(1, max_iter + 1):
+        ax = reference_tensor_apply(h, x)
+        pw = [xi**km1 for xi in x]
+        ratios = [a / p for a, p in zip(ax, pw)]
+        lam_lo = min(ratios)
+        lam_hi = max(ratios)
+        if lam_hi - lam_lo <= tol * max(1.0, lam_lo):
+            rho = 0.5 * (lam_lo + lam_hi)
+            residual = max(abs(a - rho * p) for a, p in zip(ax, pw))
+            return PrincipalPair(rho=rho, x=tuple(x), residual=residual, iterations=it)
+        y = [a + p for a, p in zip(ax, pw)]
+        x = [yi ** (1.0 / km1) for yi in y]
+        norm = sum(xi**k for xi in x) ** (1.0 / k)
+        x = [xi / norm for xi in x]
+    raise AssertionError(f"reference power iteration did not converge in {max_iter} steps")

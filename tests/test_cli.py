@@ -128,6 +128,37 @@ def test_certify_explicit_certificate_normal(tmp_path, capsys):
     assert "consistent = True" in stdout
 
 
+@pytest.mark.parametrize("bad", [0.9, 1.9, True, "0"])
+def test_certify_rejects_non_integer_indices(tmp_path, capsys, bad):
+    h = single_edge(3)
+    hfile = tmp_path / "e.json"
+    hfile.write_text(json.dumps(to_interchange(h)))
+    for field in ("v", "e"):
+        cert = dict(to_interchange(h))
+        cert["alpha"] = 1.0
+        cert["B"] = [{"v": v, "e": 0, "w": 1.0} for v in range(3)]
+        cert["B"][0][field] = bad
+        cfile = tmp_path / "cert.json"
+        cfile.write_text(json.dumps(cert))
+        code, stdout, stderr = run_cli(capsys, "certify", str(hfile), "--certificate", str(cfile))
+        assert code == 1 and stdout == ""
+        assert "must be an integer" in stderr
+
+
+@pytest.mark.parametrize("triple", [{"v": 0, "e": 0}, {"v": 0, "w": 1.0}, [0, 0, 1.0]])
+def test_certify_rejects_malformed_triples(tmp_path, capsys, triple):
+    h = single_edge(3)
+    hfile = tmp_path / "e.json"
+    hfile.write_text(json.dumps(to_interchange(h)))
+    cert = dict(to_interchange(h))
+    cert["alpha"] = 1.0
+    cert["B"] = [triple] + [{"v": v, "e": 0, "w": 1.0} for v in (1, 2)]
+    cfile = tmp_path / "cert.json"
+    cfile.write_text(json.dumps(cert))
+    code, _, stderr = run_cli(capsys, "certify", str(hfile), "--certificate", str(cfile))
+    assert code == 1 and "malformed certificate weight triple" in stderr
+
+
 def test_certify_construct_requires_canonical_broom(tmp_path, capsys):
     out = tmp_path / "h.json"
     run_cli(capsys, "gen", "hyperstar", "--k", "3", "--m", "5", "--out", str(out))

@@ -7,8 +7,11 @@ of the defining quartics.
 
 import math
 import random
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from supertrees import (
     DisconnectedInputError,
@@ -25,12 +28,20 @@ from supertrees import (
     path,
     power_formula_radius,
     power_iteration,
+    random_supertree,
     star,
     tensor_apply,
     tree_power,
 )
 
-from oracles import eig_tree_radius, path_radius, random_tree, star_radius
+from oracles import (
+    eig_tree_radius,
+    path_radius,
+    random_tree,
+    reference_power_iteration,
+    reference_tensor_apply,
+    star_radius,
+)
 
 
 def test_tensor_apply_single_edge():
@@ -65,6 +76,65 @@ def test_tensor_apply_scale_invariance():
 def test_tensor_apply_handles_zero_coordinates():
     h = Hypergraph(k=3, n=3, edges=((0, 1, 2),))
     assert tensor_apply(h, [0.0, 2.0, 3.0]) == [6.0, 0.0, 0.0]
+
+
+def bits(xs) -> list[bytes]:
+    return [struct.pack("<d", v) for v in xs]
+
+
+@hs.composite
+def supertrees_relabelled(draw) -> Hypergraph:
+    k, m = draw(hs.integers(2, 8)), draw(hs.integers(1, 60))
+    rng = random.Random(draw(hs.integers(0, 2**32)))
+    h = random_supertree(m, k, rng)
+    perm = list(range(h.n))
+    rng.shuffle(perm)
+    return Hypergraph(k=k, n=h.n, edges=tuple(tuple(perm[v] for v in e) for e in h.edges))
+
+
+@hs.composite
+def cyclic_hypergraphs(draw) -> Hypergraph:
+    """Random distinct k-sets on n vertices: cycles, repeated degrees and
+    isolated vertices all occur."""
+    k = draw(hs.integers(2, 6))
+    n = draw(hs.integers(k + 1, 16))
+    rng = random.Random(draw(hs.integers(0, 2**32)))
+    edges = {tuple(sorted(rng.sample(range(n), k))) for _ in range(draw(hs.integers(1, 3 * n)))}
+    return Hypergraph(k=k, n=n, edges=tuple(edges))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    hs.one_of(supertrees_relabelled(), cyclic_hypergraphs()),
+    hs.integers(0, 2**32),
+    hs.sampled_from([0.0, 0.2, 0.6]),
+)
+def test_tensor_apply_is_bitwise_the_per_edge_loop(h, seed, zeros):
+    rng = random.Random(seed)
+    x = [0.0 if rng.random() < zeros else rng.uniform(0.0, 4.0) for _ in range(h.n)]
+    assert bits(tensor_apply(h, x)) == bits(reference_tensor_apply(h, x))
+    # With signs, only the sign of a zero output may differ (see tensor_apply).
+    x = [0.0 if rng.random() < zeros else rng.uniform(-4.0, 4.0) for _ in range(h.n)]
+    assert tensor_apply(h, x) == reference_tensor_apply(h, x)
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        tree_power(path(21), 3),
+        random_supertree(60, 5, random.Random(7)),
+        hyperstar(50, 3),
+        tree_power(path(12), 2),
+        tree_power(star(9), 2),
+        Hypergraph(k=3, n=6, edges=((0, 1, 2), (2, 3, 4), (4, 5, 0))),
+    ],
+    ids=["path3-m20", "random-k5-m60", "hyperstar-m50", "path-k2", "star-k2", "cycle-k3"],
+)
+def test_power_iteration_is_bitwise_the_reference_loop(h):
+    pair = power_iteration(h)
+    ref = reference_power_iteration(h)
+    assert pair == ref
+    assert bits((pair.rho, pair.residual, *pair.x)) == bits((ref.rho, ref.residual, *ref.x))
 
 
 # --- power iteration -------------------------------------------------------------
