@@ -43,13 +43,11 @@ from .errors import (
     NonConvergenceError,
     PositivityError,
     SearchExhaustedError,
-    SizeLimitError,
     SupertreeError,
 )
 from .hypergraph import (
     Hypergraph,
     VertexStats,
-    are_isomorphic,
     canonical_key,
     from_interchange,
     is_connected,

@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .certificates import (
     DEFAULT_CERT_TOL,
@@ -49,21 +48,6 @@ from .ordering import (
 from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, power_formula_radius, power_iteration
 
 DEFAULT_SEED = 1729
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    tol: float = DEFAULT_TOL
-    max_iter: int = DEFAULT_MAX_ITER
-    method: str = "auto"
-    output: str = "human"
-    seed: int = DEFAULT_SEED
-
-    def __post_init__(self):
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
 
 
 def _enum_limit() -> int:
@@ -151,31 +135,35 @@ def _cmd_gen(args) -> int:
 
 def _cmd_rho(args) -> int:
     h = _load_hypergraph(args.file)
-    cfg = CliConfig(tol=args.tol, max_iter=args.max_iter, method=args.method, output=args.output)
+    # input checks, made under every --method even where tol and max_iter go unused
+    if args.tol <= 0.0:
+        raise ValueError("tol must be positive")
+    if args.max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     payload: dict = {}
     lines: list[str] = []
-    if cfg.method in ("power", "auto"):
-        pair = power_iteration(h, tol=cfg.tol, max_iter=cfg.max_iter)
+    if args.method in ("power", "auto"):
+        pair = power_iteration(h, tol=args.tol, max_iter=args.max_iter)
         payload["power"] = {"rho": pair.rho, "residual": pair.residual, "iterations": pair.iterations}
         lines.append(
             f"rho = {_fmt(pair.rho)}  method = power  "
             f"residual = {pair.residual:.3e}  iterations = {pair.iterations}"
         )
-    if cfg.method in ("alpha", "auto"):
+    if args.method in ("alpha", "auto"):
         rho_a = alpha_normal_radius(h)
         payload["alpha"] = {"rho": rho_a}
         lines.append(f"rho = {_fmt(rho_a)}  method = alpha")
-    if cfg.method == "formula":
+    if args.method == "formula":
         if not is_hypertree(h):
             raise SupertreeError("formula method applies only to powers of ordinary trees")
-        rho_f = power_formula_radius(base_tree(h), h.k, tol=cfg.tol)
+        rho_f = power_formula_radius(base_tree(h), h.k, tol=args.tol)
         payload["formula"] = {"rho": rho_f}
         lines.append(f"rho = {_fmt(rho_f)}  method = formula")
-    if cfg.method == "auto":
+    if args.method == "auto":
         gap = abs(payload["power"]["rho"] - payload["alpha"]["rho"])
         payload["gap"] = gap
         lines.append(f"method gap = {gap:.3e}")
-    if cfg.output == "json":
+    if args.output == "json":
         print(json.dumps(payload, sort_keys=True))
     else:
         print("\n".join(lines))
@@ -195,12 +183,14 @@ def _implication(verdict, k: int) -> str:
     return "no bound implied"
 
 
-def _index(triple: dict, name: str) -> int:
-    """Vertex or edge index of a certificate weight triple; bools and floats
-    are rejected, not truncated."""
-    value = triple[name]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SupertreeError(f"certificate weight {name!r} must be an integer, got {value!r}")
+def _field(obj: dict, name: str, kind=int):
+    """A certificate field that must be a JSON integer (``kind=int``) or any
+    JSON number (``kind=(int, float)``); bools, strings and, for integers,
+    floats are rejected, not coerced."""
+    value = obj[name]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an integer" if kind is int else "a number"
+        raise SupertreeError(f"certificate {name!r} must be {noun}, got {value!r}")
     return value
 
 
@@ -227,14 +217,17 @@ def _cmd_certify(args) -> int:
         if "B" not in obj:
             raise SupertreeError('certificate file is missing the "B" weight triples')
         try:
-            entries = {(_index(t, "v"), _index(t, "e")): float(t["w"]) for t in obj["B"]}
+            entries = {
+                (_field(t, "v"), _field(t, "e")): float(_field(t, "w", (int, float)))
+                for t in obj["B"]
+            }
         except (KeyError, TypeError) as exc:
             raise SupertreeError(f"malformed certificate weight triple: {exc!r}") from exc
         cert = WeightedIncidence(host=h, entries=entries)
         if args.alpha is not None:
             alpha = args.alpha
         elif "alpha" in obj:
-            alpha = float(obj["alpha"])
+            alpha = float(_field(obj, "alpha", (int, float)))
         else:
             raise SupertreeError("no alpha given on the command line or in the certificate file")
     else:
@@ -279,17 +272,13 @@ def _cmd_verify(args) -> int:
         if name in ("main1", "main2"):
             if args.k is None or args.m is None:
                 raise SupertreeError(f"verify {name} needs --k and --m")
-            rec = verify_top_four(
-                args.m, args.k, tol=args.tol, max_iter=args.max_iter, limit=_enum_limit()
-            )
+            rec = verify_top_four(args.m, args.k, limit=_enum_limit())
         elif name == "hofmeister":
             if args.k not in (None, 2):
                 raise SupertreeError("hofmeister ordering is the k=2 case")
             if args.m is None:
                 raise SupertreeError("verify hofmeister needs --m")
-            rec = verify_top_four(
-                args.m, 2, tol=args.tol, max_iter=args.max_iter, limit=_enum_limit()
-            )
+            rec = verify_top_four(args.m, 2, limit=_enum_limit())
         elif name == "partition":
             if args.k is None or args.m is None:
                 raise SupertreeError("verify partition needs --k and --m")
@@ -342,6 +331,14 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+def _add_power_flags(p: argparse.ArgumentParser, tol_where: str, iter_where: str) -> None:
+    """--tol and --max-iter steer power iteration and nothing else."""
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                   help=f"power-iteration tolerance; used only by {tol_where}")
+    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER,
+                   help=f"power-iteration step cap; used only by {iter_where}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="supertrees",
@@ -365,8 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("rho", help="compute the spectral radius of a hypergraph file")
     r.add_argument("file")
     r.add_argument("--method", choices=["power", "alpha", "formula", "auto"], default="auto")
-    r.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    r.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
+    _add_power_flags(r, "--method power, auto and formula", "--method power and auto")
     r.add_argument("--output", choices=["human", "json"], default="human")
     r.set_defaults(func=_cmd_rho)
 
@@ -388,16 +384,15 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--m", type=int)
     v.add_argument("--trials", type=int, default=50)
     v.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    v.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    v.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
+    verifiers = "partition, sandwich and moving-edges"
+    _add_power_flags(v, verifiers, verifiers)
     v.set_defaults(func=_cmd_verify)
 
     e = sub.add_parser("enumerate", help="rank all classes at (k, m) by spectral radius")
     e.add_argument("--k", type=int, required=True)
     e.add_argument("--m", type=int, required=True)
     e.add_argument("--method", choices=["power", "alpha", "formula", "auto"], default="auto")
-    e.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    e.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
+    _add_power_flags(e, "--method power and formula", "--method power, and formula off tree powers")
     e.add_argument("--output", choices=["human", "json", "csv"], default="human")
     e.add_argument("--out", type=str)
     e.set_defaults(func=_cmd_enumerate)

@@ -7,7 +7,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import DanglingVertexWarning, MultipleEdgeError
-from .hypergraph import Hypergraph, vertex_stats
+from .hypergraph import Hypergraph, is_supertree, vertex_stats
 
 
 @dataclass(frozen=True)
@@ -170,8 +170,6 @@ def is_hypertree(h: Hypergraph) -> bool:
     Equivalent, for supertrees, to every edge containing at most two
     non-pendent vertices.
     """
-    from .hypergraph import is_supertree
-
     if not is_supertree(h):
         return False
     pend = vertex_stats(h).pendent_vertices

@@ -42,10 +42,6 @@ class BracketError(SupertreeError):
         self.bracket = bracket
 
 
-class SizeLimitError(SupertreeError):
-    """Input exceeds the configured size guard for exhaustive search."""
-
-
 class EnumerationLimitError(SupertreeError):
     """Requested edge count exceeds the enumeration cap."""
 

@@ -7,14 +7,10 @@ when their edge sets are equal.  All operations here are pure.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import MultipleEdgeError, SizeLimitError
-
-#: Backtracking isomorphism is exhaustive; refuse inputs beyond this size.
-ISO_VERTEX_LIMIT = 20
+from .errors import MultipleEdgeError
 
 
 @dataclass(frozen=True)
@@ -234,92 +230,6 @@ def canonical_key(h: Hypergraph) -> bytes:
     types, adj = _reduced_tree(h)
     best = min(_centred_code(c, types, adj) for c in _centres(adj))
     return f"{h.k}|{best}".encode("ascii")
-
-
-# --- exhaustive isomorphism -------------------------------------------------
-
-
-def _edge_profiles(h: Hypergraph, degrees: tuple[int, ...]) -> list[tuple[int, ...]]:
-    return [tuple(sorted(degrees[v] for v in e)) for e in h.edges]
-
-
-def _edge_search_order(h: Hypergraph) -> list[int]:
-    """Edges ordered so each one shares a vertex with an earlier one when possible."""
-    order: list[int] = []
-    placed: set[int] = set()
-    covered: set[int] = set()
-    while len(order) < h.m:
-        pick = None
-        for i in range(h.m):
-            if i in placed:
-                continue
-            if pick is None:
-                pick = i
-            if covered & set(h.edges[i]):
-                pick = i
-                break
-        order.append(pick)
-        placed.add(pick)
-        covered |= set(h.edges[pick])
-    return order
-
-
-def are_isomorphic(h1: Hypergraph, h2: Hypergraph, max_vertices: int = ISO_VERTEX_LIMIT) -> bool:
-    """Exhaustive backtracking test for a vertex bijection mapping edges onto edges.
-
-    Intended for small instances only; raises SizeLimitError beyond
-    ``max_vertices``.  Used as the validation oracle for canonical_key.
-    """
-    if h1.k != h2.k or h1.n != h2.n or h1.m != h2.m:
-        return False
-    if max(h1.n, h2.n) > max_vertices:
-        raise SizeLimitError(
-            f"isomorphism backtracking limited to {max_vertices} vertices, got {max(h1.n, h2.n)}"
-        )
-    d1 = vertex_stats(h1).degrees
-    d2 = vertex_stats(h2).degrees
-    if sorted(d1) != sorted(d2):
-        return False
-    prof1 = _edge_profiles(h1, d1)
-    prof2 = _edge_profiles(h2, d2)
-    if sorted(prof1) != sorted(prof2):
-        return False
-
-    order = _edge_search_order(h1)
-    vmap: dict[int, int] = {}
-    images: set[int] = set()
-    used: set[int] = set()
-
-    def extend(pos: int) -> bool:
-        if pos == h1.m:
-            return True
-        e1 = h1.edges[order[pos]]
-        p1 = prof1[order[pos]]
-        mapped_images = sorted(vmap[v] for v in e1 if v in vmap)
-        free1 = [v for v in e1 if v not in vmap]
-        for j, e2 in enumerate(h2.edges):
-            if j in used or prof2[j] != p1:
-                continue
-            hit = sorted(w for w in e2 if w in images)
-            if hit != mapped_images:
-                continue
-            free2 = [w for w in e2 if w not in images]
-            for perm in itertools.permutations(free2):
-                if any(d1[a] != d2[b] for a, b in zip(free1, perm)):
-                    continue
-                for a, b in zip(free1, perm):
-                    vmap[a] = b
-                    images.add(b)
-                used.add(j)
-                if extend(pos + 1):
-                    return True
-                used.discard(j)
-                for a, b in zip(free1, perm):
-                    del vmap[a]
-                    images.discard(b)
-        return False
-
-    return extend(0)
 
 
 # --- interchange format -----------------------------------------------------

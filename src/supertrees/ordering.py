@@ -42,9 +42,6 @@ from .spectral import (
 
 DEFAULT_ENUM_LIMIT = 7
 
-#: Safe margin for "strictly larger" radius comparisons between two solver runs.
-GAP_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class ReportEntry:
@@ -70,7 +67,6 @@ class VerificationRecord:
     """Outcome of one theorem verifier; failures raise CounterexampleFound instead."""
 
     name: str
-    passed: bool
     details: tuple[str, ...]
     data: dict
 
@@ -216,25 +212,18 @@ def _expected_top(m: int, k: int) -> list[tuple[str, Hypergraph]]:
     return top
 
 
-def verify_top_four(
-    m: int,
-    k: int,
-    method: str = "alpha",
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    limit: int = DEFAULT_ENUM_LIMIT,
-) -> VerificationRecord:
+def verify_top_four(m: int, k: int, limit: int = DEFAULT_ENUM_LIMIT) -> VerificationRecord:
     """Check that the ranked enumeration starts with exactly the expected
     families, in order, with every consecutive gap above the tie tolerance.
 
     For m >= 5 the expected head has four entries; at m = 4 two of the
     families coincide and the collapsed three- or four-class order is checked
-    instead.  The classes are ranked by ``rank_spectra`` with ``method``
-    (alpha by default).  Raises CounterexampleFound on any mismatch.
+    instead.  The classes are ranked by ``rank_spectra`` with the certificate
+    solver (its default).  Raises CounterexampleFound on any mismatch.
     """
     if m < 4:
         raise ValueError("ordering verification needs m >= 4")
-    report = rank_spectra(m, k, method=method, tol=tol, max_iter=max_iter, limit=limit)
+    report = rank_spectra(m, k, limit=limit)
     expected = _expected_top(m, k)
     details = []
     for pos, (label, ref) in enumerate(expected):
@@ -257,7 +246,6 @@ def verify_top_four(
             )
     return VerificationRecord(
         name="top-four ordering",
-        passed=True,
         details=tuple(details),
         data={"k": k, "m": m, "report": report},
     )
@@ -302,7 +290,6 @@ def verify_partition_lemma(
             details.append(f"broom{t}: rho = {rho_t:.9g} (strictly below)")
     return VerificationRecord(
         name="partition ordering",
-        passed=True,
         details=tuple(details),
         data={"k": k, "m": m, "rho_ref": rho_ref, "partitions": partitions},
     )
@@ -335,7 +322,6 @@ def verify_moving_edges(
         x = pair.x
         edge_ids = list(range(g.m))
         rng.shuffle(edge_ids)
-        performed = False
         for ei in edge_ids:
             e = g.edges[ei]
             u = rng.choice(e)
@@ -366,13 +352,9 @@ def verify_moving_edges(
                     offending=(g, u, tuple(moves)),
                 )
             gaps.append(rho2 - pair.rho)
-            performed = True
             break
-        if not performed:
-            continue
     return VerificationRecord(
         name="moving edges",
-        passed=True,
         details=(
             f"{trials} trials at k={k}, m <= {m_max}, seed {seed}",
             f"radius gaps in [{min(gaps):.9g}, {max(gaps):.9g}]",
@@ -386,7 +368,6 @@ def verify_sandwich(
     k: int,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    margin: float = 1e-6,
 ) -> VerificationRecord:
     """The broom(1,1,m-3) radius sits strictly between the f-tree power and
     double-star power closed forms, and the explicit certificates built at
@@ -398,7 +379,8 @@ def verify_sandwich(
     lower = f_tree_power_radius(m, k)
     upper = double_star_power_radius(m, k)
     mid = power_iteration(broom(1, 1, m - 3, k), tol=tol, max_iter=max_iter).rho
-    if not (lower + margin < mid < upper - margin):
+    # a fixed margin, stricter than TIE_TOL on purpose
+    if not (lower + 1e-6 < mid < upper - 1e-6):
         raise CounterexampleFound(
             f"sandwich violated at k={k}, m={m}: {lower:.9g} < {mid:.9g} < {upper:.9g} fails",
             offending=(lower, mid, upper),
@@ -421,7 +403,6 @@ def verify_sandwich(
         )
     return VerificationRecord(
         name="radius sandwich",
-        passed=True,
         details=(
             f"{lower:.9g} < rho(broom(1,1,{m - 3})) = {mid:.9g} < {upper:.9g}",
             f"certificate at alpha = {alpha_sub:.9g}: {verdict_sub.classification}",
@@ -431,12 +412,10 @@ def verify_sandwich(
     )
 
 
-def reduce_non_pendent(
-    t: Hypergraph,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> Hypergraph:
-    """Produce a supertree with one fewer non-pendent vertex and a larger radius.
+def reduce_non_pendent(t: Hypergraph) -> Hypergraph:
+    """Produce a supertree with one fewer non-pendent vertex and a radius
+    larger by more than ``TIE_TOL`` (both radii from power iteration
+    with its default settings).
 
     Guided by the principal eigenvector: take a non-pendent vertex w of
     minimal weight, a non-pendent vertex u of maximal weight sharing an edge
@@ -449,7 +428,7 @@ def reduce_non_pendent(
     stats = vertex_stats(t)
     if stats.non_pendent_count < 2:
         raise ValueError("need at least two non-pendent vertices to reduce")
-    pair = power_iteration(t, tol=tol, max_iter=max_iter)
+    pair = power_iteration(t)
     x = pair.x
     inc = incidence_lists(t)
     nonpend = sorted(
@@ -471,7 +450,7 @@ def reduce_non_pendent(
                 continue
             if vertex_stats(t2).non_pendent_count != stats.non_pendent_count - 1:
                 continue
-            rho2 = power_iteration(t2, tol=tol, max_iter=max_iter).rho
-            if rho2 > pair.rho + GAP_TOL:
+            rho2 = power_iteration(t2).rho
+            if rho2 > pair.rho + TIE_TOL:
                 return t2
     raise SearchExhaustedError("no eigenvector-guided move reduced the non-pendent count")

@@ -12,7 +12,6 @@ from supertrees import (
     STRICTLY_SUBNORMAL,
     STRICTLY_SUPERNORMAL,
     alpha_normal_radius,
-    are_isomorphic,
     broom,
     canonical_key,
     classify,
@@ -32,7 +31,7 @@ from supertrees import (
     vertex_stats,
 )
 
-from oracles import count_classes_brute, random_tree, eig_tree_radius
+from oracles import are_isomorphic, count_classes_brute, random_tree, eig_tree_radius
 
 
 def _criterion(num: int, label: str, failures: list[str]) -> None:
@@ -101,7 +100,7 @@ def test_criterion_04_dual_oracle_agreement():
                 gap = abs(power_iteration(h).rho - alpha_normal_radius(h))
                 if gap > 1e-8:
                     failures.append(f"k={k} m={m} {canonical_key(h)!r}: gap {gap:.3e}")
-    _criterion(4, "power iteration vs certificate bisection on all classes", failures)
+    _criterion(4, "power iteration vs Illinois certificate solver on all classes", failures)
 
 
 def test_criterion_05_top_four_ordering():

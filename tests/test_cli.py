@@ -74,6 +74,16 @@ def test_rho_auto_reports_both_and_gap(tmp_path, capsys):
     assert payload["gap"] <= 1e-8
 
 
+@pytest.mark.parametrize("method", ["power", "alpha", "formula", "auto"])
+def test_rho_rejects_non_positive_tol_and_max_iter(tmp_path, capsys, method):
+    out = tmp_path / "p.json"
+    run_cli(capsys, "gen", "path-power", "--k", "3", "--m", "4", "--out", str(out))
+    for flag, value, message in (("--tol", "0", "tol must be positive"), ("--max-iter", "0", "max_iter must be >= 1")):
+        code, stdout, stderr = run_cli(capsys, "rho", str(out), "--method", method, flag, value)
+        assert code == 1 and stdout == ""
+        assert message in stderr
+
+
 def test_rho_formula_only_for_tree_powers(tmp_path, capsys):
     out = tmp_path / "b.json"
     run_cli(capsys, "gen", "broom", "--k", "3", "--t", "1,1,2", "--out", str(out))
@@ -143,6 +153,25 @@ def test_certify_rejects_non_integer_indices(tmp_path, capsys, bad):
         code, stdout, stderr = run_cli(capsys, "certify", str(hfile), "--certificate", str(cfile))
         assert code == 1 and stdout == ""
         assert "must be an integer" in stderr
+
+
+@pytest.mark.parametrize("field, bad", [("w", True), ("w", "1"), ("alpha", "1"), ("alpha", True)])
+def test_certify_rejects_non_numeric_weight_and_alpha(tmp_path, capsys, field, bad):
+    h = single_edge(3)
+    hfile = tmp_path / "e.json"
+    hfile.write_text(json.dumps(to_interchange(h)))
+    cert = dict(to_interchange(h))
+    cert["alpha"] = 1.0
+    cert["B"] = [{"v": v, "e": 0, "w": 1.0} for v in range(3)]
+    if field == "w":
+        cert["B"][0]["w"] = bad
+    else:
+        cert["alpha"] = bad
+    cfile = tmp_path / "cert.json"
+    cfile.write_text(json.dumps(cert))
+    code, stdout, stderr = run_cli(capsys, "certify", str(hfile), "--certificate", str(cfile))
+    assert code == 1 and stdout == ""
+    assert "must be a number" in stderr
 
 
 @pytest.mark.parametrize("triple", [{"v": 0, "e": 0}, {"v": 0, "w": 1.0}, [0, 0, 1.0]])

@@ -9,7 +9,6 @@ from supertrees import (
     Hypergraph,
     MultipleEdgeError,
     OrdinaryTree,
-    are_isomorphic,
     base_tree,
     broom,
     canonical_key,
@@ -24,6 +23,8 @@ from supertrees import (
     tree_power,
     vertex_stats,
 )
+
+from oracles import are_isomorphic
 
 
 def test_ordinary_tree_validation():

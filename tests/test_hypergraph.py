@@ -7,8 +7,6 @@ import pytest
 from supertrees import (
     Hypergraph,
     MultipleEdgeError,
-    SizeLimitError,
-    are_isomorphic,
     broom,
     canonical_key,
     from_interchange,
@@ -21,7 +19,7 @@ from supertrees import (
     vertex_stats,
 )
 
-from oracles import brute_isomorphic
+from oracles import SizeLimitError, are_isomorphic, brute_isomorphic
 
 
 def relabel(h: Hypergraph, perm: list[int]) -> Hypergraph:
