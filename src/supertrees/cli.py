@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -136,8 +137,8 @@ def _cmd_gen(args) -> int:
 def _cmd_rho(args) -> int:
     h = _load_hypergraph(args.file)
     # input checks, made under every --method even where tol and max_iter go unused
-    if args.tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < args.tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {args.tol!r}")
     if args.max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     payload: dict = {}
@@ -156,7 +157,7 @@ def _cmd_rho(args) -> int:
     if args.method == "formula":
         if not is_hypertree(h):
             raise SupertreeError("formula method applies only to powers of ordinary trees")
-        rho_f = power_formula_radius(base_tree(h), h.k, tol=args.tol)
+        rho_f = power_formula_radius(base_tree(h), h.k, tol=args.tol, max_iter=args.max_iter)
         payload["formula"] = {"rho": rho_f}
         lines.append(f"rho = {_fmt(rho_f)}  method = formula")
     if args.method == "auto":
@@ -184,17 +185,28 @@ def _implication(verdict, k: int) -> str:
 
 
 def _field(obj: dict, name: str, kind=int):
-    """A certificate field that must be a JSON integer (``kind=int``) or any
-    JSON number (``kind=(int, float)``); bools, strings and, for integers,
-    floats are rejected, not coerced."""
+    """A certificate field that must be a JSON integer (``kind=int``) or a
+    finite JSON number (``kind=(int, float)``, returned as a float); bools,
+    strings, NaN, infinities and, for integers, floats are rejected, not
+    coerced."""
     value = obj[name]
     if isinstance(value, bool) or not isinstance(value, kind):
         noun = "an integer" if kind is int else "a number"
         raise SupertreeError(f"certificate {name!r} must be {noun}, got {value!r}")
+    if kind is int:
+        return value
+    try:
+        value = float(value)
+    except OverflowError:  # an integer too large for a float
+        value = math.inf
+    if not math.isfinite(value):
+        raise SupertreeError(f"certificate {name!r} must be a finite number, got {value!r}")
     return value
 
 
 def _cmd_certify(args) -> int:
+    if args.alpha is not None and not math.isfinite(args.alpha):
+        raise SupertreeError(f"--alpha must be a finite number, got {args.alpha!r}")
     h = _load_hypergraph(args.file)
     if args.construct == "t11m3":
         if args.alpha is None:
@@ -218,7 +230,7 @@ def _cmd_certify(args) -> int:
             raise SupertreeError('certificate file is missing the "B" weight triples')
         try:
             entries = {
-                (_field(t, "v"), _field(t, "e")): float(_field(t, "w", (int, float)))
+                (_field(t, "v"), _field(t, "e")): _field(t, "w", (int, float))
                 for t in obj["B"]
             }
         except (KeyError, TypeError) as exc:
@@ -227,7 +239,7 @@ def _cmd_certify(args) -> int:
         if args.alpha is not None:
             alpha = args.alpha
         elif "alpha" in obj:
-            alpha = float(_field(obj, "alpha", (int, float)))
+            alpha = _field(obj, "alpha", (int, float))
         else:
             raise SupertreeError("no alpha given on the command line or in the certificate file")
     else:
@@ -331,12 +343,12 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def _add_power_flags(p: argparse.ArgumentParser, tol_where: str, iter_where: str) -> None:
+def _add_power_flags(p: argparse.ArgumentParser, where: str) -> None:
     """--tol and --max-iter steer power iteration and nothing else."""
     p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                   help=f"power-iteration tolerance; used only by {tol_where}")
+                   help=f"power-iteration tolerance; used only by {where}")
     p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER,
-                   help=f"power-iteration step cap; used only by {iter_where}")
+                   help=f"power-iteration step cap; used only by {where}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -362,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("rho", help="compute the spectral radius of a hypergraph file")
     r.add_argument("file")
     r.add_argument("--method", choices=["power", "alpha", "formula", "auto"], default="auto")
-    _add_power_flags(r, "--method power, auto and formula", "--method power and auto")
+    _add_power_flags(r, "--method power, auto and formula")
     r.add_argument("--output", choices=["human", "json"], default="human")
     r.set_defaults(func=_cmd_rho)
 
@@ -384,15 +396,14 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--m", type=int)
     v.add_argument("--trials", type=int, default=50)
     v.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    verifiers = "partition, sandwich and moving-edges"
-    _add_power_flags(v, verifiers, verifiers)
+    _add_power_flags(v, "partition, sandwich and moving-edges")
     v.set_defaults(func=_cmd_verify)
 
     e = sub.add_parser("enumerate", help="rank all classes at (k, m) by spectral radius")
     e.add_argument("--k", type=int, required=True)
     e.add_argument("--m", type=int, required=True)
     e.add_argument("--method", choices=["power", "alpha", "formula", "auto"], default="auto")
-    _add_power_flags(e, "--method power and formula", "--method power, and formula off tree powers")
+    _add_power_flags(e, "--method power and formula")
     e.add_argument("--output", choices=["human", "json", "csv"], default="human")
     e.add_argument("--out", type=str)
     e.set_defaults(func=_cmd_enumerate)

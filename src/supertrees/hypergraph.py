@@ -138,6 +138,17 @@ def is_supertree(h: Hypergraph) -> bool:
 # node and the tree is bipartite, so its diameter is even and the centre is
 # in fact one node; taking the smaller encoding does not rely on that.
 #
+# Rejection needs no separate supertree test.  The incidence graph has
+# m + n nodes and mk arcs, so it has one arc fewer than nodes exactly when
+# m(k-1) = n-1, and a graph with that count is a tree exactly when it has
+# no cycle.  Dropping a pendent vertex removes one node and one arc, so the
+# reduced graph keeps the count and the cycles.  A cycle's nodes never
+# become leaves, so on a cyclic graph the peel runs out of leaves while more
+# than two nodes are left.  An isolated vertex is a node of degree 0: it is
+# peeled at once, but a second component under that count must hold a cycle,
+# so the peel stalls all the same.  ``canonical_key`` therefore checks the
+# count and then rejects a stalled peel.
+#
 # The rooted encoding follows Aho, Hopcroft and Ullman: working up from the
 # deepest level, each node's signature is its type plus the sorted labels of
 # its children, and its label is the rank of that signature among the
@@ -150,12 +161,22 @@ def is_supertree(h: Hypergraph) -> bool:
 
 
 def _reduced_tree(h: Hypergraph) -> tuple[list[str], list[list[int]]]:
-    """Typed adjacency of the reduced incidence tree (edges + non-pendent)."""
-    nonpend = [v for v, d in enumerate(vertex_stats(h).degrees) if d != 1]
+    """Typed adjacency of the reduced incidence graph (edges + non-pendent).
+
+    Counts the degrees itself from the edges.  The graph is a tree exactly
+    when ``h`` is a supertree.
+    """
+    degree = [0] * h.n
+    for e in h.edges:
+        for v in e:
+            degree[v] += 1
     node = [-1] * h.n
-    for j, v in enumerate(nonpend, start=h.m):
-        node[v] = j
-    types = ["E"] * h.m + ["V"] * len(nonpend)
+    size = h.m
+    for v, d in enumerate(degree):
+        if d != 1:
+            node[v] = size
+            size += 1
+    types = ["E"] * h.m + ["V"] * (size - h.m)
     adj: list[list[int]] = [[] for _ in types]
     for i, e in enumerate(h.edges):
         for v in e:
@@ -167,11 +188,18 @@ def _reduced_tree(h: Hypergraph) -> tuple[list[str], list[list[int]]]:
 
 
 def _centres(adj: list[list[int]]) -> list[int]:
-    """The one or two nodes of a tree left after peeling leaves layer by layer."""
+    """The one or two nodes of a tree left after peeling leaves layer by layer.
+
+    Returns an empty list when the peel stalls, that is when a layer is
+    empty while more than two nodes are left.  On a graph with one arc fewer
+    than nodes that happens exactly when the graph has a cycle.
+    """
     degree = [len(a) for a in adj]
     layer = [v for v, d in enumerate(degree) if d <= 1]
     left = len(adj)
     while left > 2:
+        if not layer:
+            return []
         left -= len(layer)
         inner = []
         for v in layer:
@@ -222,13 +250,17 @@ def canonical_key(h: Hypergraph) -> bytes:
 
     The reduced incidence tree is encoded from its centre, in time
     O(N log N) for N = m + (non-pendent vertices) and without recursion.
-    Rejects non-supertrees, since the reduced incidence tree only exists in
-    the acyclic case.
+    Raises ValueError for a non-supertree, found without a separate
+    connectivity test: first by the edge count m(k-1) = n-1, then by the
+    centre peel stalling on a cycle (see the comment above ``_reduced_tree``).
     """
-    if not is_supertree(h):
+    if h.m * (h.k - 1) != h.n - 1:
         raise ValueError("canonical_key requires a supertree")
     types, adj = _reduced_tree(h)
-    best = min(_centred_code(c, types, adj) for c in _centres(adj))
+    centres = _centres(adj)
+    if not centres:
+        raise ValueError("canonical_key requires a supertree")
+    best = min(_centred_code(c, types, adj) for c in centres)
     return f"{h.k}|{best}".encode("ascii")
 
 

@@ -120,7 +120,7 @@ def _class_radius(
         return alpha_normal_radius(h), "alpha"
     if method == "formula":
         if is_hypertree(h):
-            return power_formula_radius(base_tree(h), h.k, tol=tol), "formula"
+            return power_formula_radius(base_tree(h), h.k, tol=tol, max_iter=max_iter), "formula"
         return power_iteration(h, tol=tol, max_iter=max_iter).rho, "power"
     raise ValueError(f"unknown method {method!r}")
 
@@ -138,10 +138,12 @@ def rank_spectra(
     ``method`` is one of alpha (the default: the certified certificate
     solver, ``alpha_normal_radius``), power (cold-start power iteration, kept
     as the independent oracle; ``tol`` and ``max_iter`` apply to it), or
-    formula; formula applies to powers of ordinary trees and falls back to
-    power iteration elsewhere, with the method actually used recorded per
-    entry.  Equal radii are ordered by canonical key.  Ties within the tie
-    tolerance are flagged on the higher-ranked entry.
+    formula; formula applies to powers of ordinary trees, whose base-tree
+    radius it takes by power iteration under the same ``tol`` and
+    ``max_iter``, and falls back to power iteration elsewhere, with the
+    method actually used recorded per entry.  Equal radii are ordered by
+    canonical key.  Ties within the tie tolerance are flagged on the
+    higher-ranked entry.
     """
     rows = []
     for h in enumerate_supertrees(m, k, limit=limit):

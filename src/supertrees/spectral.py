@@ -172,8 +172,8 @@ def power_iteration(
     Raises DisconnectedInputError for disconnected input and
     NonConvergenceError (carrying the final bracket) past ``max_iter``.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     if not is_connected(h):
@@ -207,11 +207,16 @@ def graph_spectral_radius(t: OrdinaryTree, tol: float = DEFAULT_TOL, max_iter: i
     return power_iteration(tree_power(t, 2), tol=tol, max_iter=max_iter).rho
 
 
-def power_formula_radius(t: OrdinaryTree, k: int, tol: float = DEFAULT_TOL) -> float:
-    """Radius of the kth power of a tree: the tree's radius raised to 2/k."""
+def power_formula_radius(
+    t: OrdinaryTree, k: int, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
+) -> float:
+    """Radius of the kth power of a tree: the tree's radius raised to 2/k.
+
+    The tree's radius comes from power iteration under ``tol`` and ``max_iter``.
+    """
     if k < 2:
         raise ValueError("power_formula_radius needs k >= 2")
-    return graph_spectral_radius(t, tol=tol) ** (2.0 / k)
+    return graph_spectral_radius(t, tol=tol, max_iter=max_iter) ** (2.0 / k)
 
 
 def double_star_power_radius(m: int, k: int) -> float:

@@ -78,10 +78,23 @@ def test_rho_auto_reports_both_and_gap(tmp_path, capsys):
 def test_rho_rejects_non_positive_tol_and_max_iter(tmp_path, capsys, method):
     out = tmp_path / "p.json"
     run_cli(capsys, "gen", "path-power", "--k", "3", "--m", "4", "--out", str(out))
-    for flag, value, message in (("--tol", "0", "tol must be positive"), ("--max-iter", "0", "max_iter must be >= 1")):
+    for flag, value, message in (
+        ("--tol", "0", "tol must be positive"),
+        ("--tol", "inf", "tol must be positive"),
+        ("--tol", "nan", "tol must be positive"),
+        ("--max-iter", "0", "max_iter must be >= 1"),
+    ):
         code, stdout, stderr = run_cli(capsys, "rho", str(out), "--method", method, flag, value)
         assert code == 1 and stdout == ""
         assert message in stderr
+
+
+def test_rho_formula_honours_max_iter(tmp_path, capsys):
+    out = tmp_path / "p.json"
+    run_cli(capsys, "gen", "path-power", "--k", "3", "--m", "30", "--out", str(out))
+    code, stdout, stderr = run_cli(capsys, "rho", str(out), "--method", "formula", "--max-iter", "1")
+    assert code == 1 and stdout == ""
+    assert "no convergence" in stderr
 
 
 def test_rho_formula_only_for_tree_powers(tmp_path, capsys):
@@ -172,6 +185,47 @@ def test_certify_rejects_non_numeric_weight_and_alpha(tmp_path, capsys, field, b
     code, stdout, stderr = run_cli(capsys, "certify", str(hfile), "--certificate", str(cfile))
     assert code == 1 and stdout == ""
     assert "must be a number" in stderr
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [("w", math.nan), ("w", math.inf), ("w", -math.inf), ("alpha", math.nan), ("alpha", math.inf),
+     ("alpha", 10**400)],
+    ids=["w-nan", "w-inf", "w--inf", "alpha-nan", "alpha-inf", "alpha-int-overflow"],
+)
+def test_certify_rejects_non_finite_weight_and_alpha(tmp_path, capsys, field, bad):
+    # json writes NaN and Infinity and reads them back as floats; 10**400 overflows a float
+    h = single_edge(3)
+    hfile = tmp_path / "e.json"
+    hfile.write_text(json.dumps(to_interchange(h)))
+    cert = dict(to_interchange(h))
+    cert["alpha"] = 1.0
+    cert["B"] = [{"v": v, "e": 0, "w": 1.0} for v in range(3)]
+    if field == "w":
+        cert["B"][0]["w"] = bad
+    else:
+        cert["alpha"] = bad
+    cfile = tmp_path / "cert.json"
+    cfile.write_text(json.dumps(cert))
+    code, stdout, stderr = run_cli(capsys, "certify", str(hfile), "--certificate", str(cfile))
+    assert code == 1 and stdout == ""
+    assert "must be a finite number" in stderr
+
+
+@pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+def test_certify_rejects_non_finite_alpha_flag(tmp_path, capsys, bad):
+    h = single_edge(3)
+    hfile = tmp_path / "e.json"
+    hfile.write_text(json.dumps(to_interchange(h)))
+    cert = dict(to_interchange(h))
+    cert["B"] = [{"v": v, "e": 0, "w": 1.0} for v in range(3)]
+    cfile = tmp_path / "cert.json"
+    cfile.write_text(json.dumps(cert))
+    code, stdout, stderr = run_cli(
+        capsys, "certify", str(hfile), "--certificate", str(cfile), f"--alpha={bad}"
+    )
+    assert code == 1 and stdout == ""
+    assert "--alpha must be a finite number" in stderr
 
 
 @pytest.mark.parametrize("triple", [{"v": 0, "e": 0}, {"v": 0, "w": 1.0}, [0, 0, 1.0]])

@@ -1,14 +1,19 @@
 """Structure, predicates, canonical keys, and the isomorphism oracle."""
 
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from supertrees import (
     Hypergraph,
     MultipleEdgeError,
     broom,
     canonical_key,
+    double_star,
     from_interchange,
     hyperstar,
     is_connected,
@@ -140,8 +145,6 @@ def test_key_relabeling_invariance():
 
 
 def test_key_double_star_symmetry():
-    from supertrees import double_star
-
     a = tree_power(double_star(1, 2), 3)
     b = tree_power(double_star(2, 1), 3)
     assert canonical_key(a) == canonical_key(b)
@@ -150,6 +153,84 @@ def test_key_double_star_symmetry():
 def test_key_rejects_non_supertree():
     with pytest.raises(ValueError):
         canonical_key(Hypergraph(k=3, n=4, edges=((0, 1, 2), (0, 1, 3))))
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the body once ``seconds`` of wall time pass."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# Each meets the supertree edge count m(k-1) = n-1, so only the stalled
+# centre peel can reject it.
+COUNT_ONLY_NON_SUPERTREES = {
+    "triangle+isolated,k=2": Hypergraph(k=2, n=4, edges=((0, 1), (1, 2), (0, 2))),
+    "berge-3-cycle+isolated,k=3": Hypergraph(
+        k=3, n=7, edges=((0, 1, 2), (2, 3, 4), (4, 5, 0))
+    ),
+    "triangle+separate-edge,k=2": Hypergraph(k=2, n=5, edges=((0, 1), (1, 2), (0, 2), (3, 4))),
+    "berge-2-cycle+separate-edge,k=3": Hypergraph(
+        k=3, n=7, edges=((0, 1, 2), (0, 1, 3), (4, 5, 6))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_ONLY_NON_SUPERTREES))
+def test_key_rejects_cycles_that_meet_the_edge_count(name):
+    h = COUNT_ONLY_NON_SUPERTREES[name]
+    assert h.m * (h.k - 1) == h.n - 1 and not is_supertree(h)
+    with time_limit(5.0), pytest.raises(ValueError, match="requires a supertree"):
+        canonical_key(h)
+
+
+@hs.composite
+def edge_sets(draw):
+    """m distinct k-edges on about m(k-1)+1 vertices, so most meet the
+    supertree count; many are cyclic, disconnected or have isolated vertices."""
+    k = draw(hs.integers(2, 4))
+    m = draw(hs.integers(1, 6))
+    n = m * (k - 1) + 1
+    edge = hs.frozensets(hs.integers(0, n - 1), min_size=k, max_size=k)
+    edges = draw(hs.lists(edge, min_size=m, max_size=m, unique=True))
+    top = max(max(e) for e in edges)
+    n = max(n + draw(hs.sampled_from((-1, 0, 0, 0, 1))), top + 1)
+    return Hypergraph(k=k, n=n, edges=tuple(tuple(e) for e in edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_sets())
+def test_key_rejects_exactly_the_non_supertrees(h):
+    try:
+        with time_limit(5.0):
+            canonical_key(h)
+    except ValueError:
+        assert not is_supertree(h)
+    else:
+        assert is_supertree(h)
+
+
+@pytest.mark.parametrize(
+    "h, key",
+    [
+        (broom(1, 1, 2, 3), b"3|E/V0 V0.0/E0.0.1"),
+        (hyperstar(4, 3), b"3|E/V0.0.0.0"),
+        (tree_power(path(5), 2), b"2|E/V0/E0/V0.0"),
+        (tree_power(double_star(2, 3), 4), b"4|E/V0.0 V0.0.0/E0.1"),
+    ],
+)
+def test_key_bytes_are_pinned(h, key):
+    # the CLI prints these keys, so a faster encoder must reproduce them exactly
+    assert canonical_key(h) == key
 
 
 def test_four_classes_distinct_keys_against_brute_oracle():

@@ -8,6 +8,7 @@ import pytest
 from supertrees import (
     EnumerationLimitError,
     Hypergraph,
+    NonConvergenceError,
     broom,
     canonical_key,
     double_star,
@@ -180,6 +181,12 @@ def test_rank_methods_agree():
     # formula applies exactly to the tree powers
     for e in f.entries:
         assert e.method == ("formula" if is_hypertree(e.hypergraph) else "power")
+
+
+def test_rank_formula_honours_max_iter():
+    # every class at k=2 is a tree power, so each radius comes from the formula
+    with pytest.raises(NonConvergenceError):
+        rank_spectra(4, 2, method="formula", max_iter=1)
 
 
 def _tie_groups(report):

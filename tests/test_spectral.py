@@ -209,8 +209,9 @@ def test_non_convergence_reports_bracket():
 
 def test_invalid_parameters():
     h = hyperstar(2, 3)
-    with pytest.raises(ValueError):
-        power_iteration(h, tol=0.0)
+    for tol in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            power_iteration(h, tol=tol)
     with pytest.raises(ValueError):
         power_iteration(h, max_iter=0)
 
@@ -262,6 +263,11 @@ def test_power_formula_k2_is_identity():
 
 def test_power_formula_star_example():
     assert power_formula_radius(star(5), 3) == pytest.approx(2 ** (2 / 3), abs=1e-9)
+
+
+def test_power_formula_honours_max_iter():
+    with pytest.raises(NonConvergenceError):
+        power_formula_radius(path(31), 3, max_iter=1)
 
 
 def test_power_formula_agrees_with_tensor_iteration():
