@@ -107,6 +107,11 @@ def _consistent(h: Hypergraph, b: WeightedIncidence, tol: float) -> bool:
     return True
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
+
+
 def classify(
     h: Hypergraph,
     b: WeightedIncidence,
@@ -116,10 +121,13 @@ def classify(
     """Evaluate vertex sums and edge products and assign the strongest class.
 
     A slack within ``tol`` of zero counts as an equality; "strict" means at
-    least one slack lies beyond ``tol`` on the permitted side.
+    least one slack lies beyond ``tol`` on the permitted side.  ``tol = 0``
+    compares exactly.  Raises ValueError for an alpha that is not positive
+    and finite or a tol that is negative, infinite or NaN.
     """
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    _check_alpha(alpha)
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be non-negative and finite, got {tol!r}")
     if b.host != h:
         raise IncidenceMismatchError("weighted incidence was built for a different hypergraph")
     sums = [0.0] * h.n
@@ -196,9 +204,17 @@ class _Plan:
     hyperstar is pendent, so rooting inside a non-pendent edge is not always
     possible; the scalar equation below has the same unique root either
     way).  ``steps`` lists every edge deepest first as (edge index, parent
-    vertex, child vertices in edge order), so each child's carried sum is
-    complete by the time its parent edge is reached.  ``max_degree`` is the
-    root's degree; the radius bracket starts below (max_degree * m)^(1/k).
+    vertex, non-pendent child vertices in edge order), so each child's
+    carried sum is complete by the time its parent edge is reached.
+
+    Pendent children are left out because they cannot change a bit: a
+    pendent vertex is never a parent (except the root of the one-edge
+    tree), so it carries 0.0 and its forced weight is 1.0 - 0.0 == 1.0
+    exactly.  That weight is never <= 0, a factor of exactly 1.0 leaves a
+    float product unchanged wherever it stands, and alpha / 1.0 == alpha,
+    so every defect is the one the full propagation gives, bit for bit.
+    ``max_degree`` is the root's degree; the radius bracket starts below
+    (max_degree * m)^(1/k).
     """
 
     n: int
@@ -211,15 +227,30 @@ def _plan(h: Hypergraph, caller: str) -> _Plan:
     """Root ``h`` and order its edges; raises ValueError naming ``caller``
     unless ``h`` is a supertree.
 
-    The breadth-first search doubles as the supertree test: with
-    m(k-1) = n-1 it reaches every vertex exactly when ``h`` is connected.
+    Degrees come from one pass over the edges, and only non-pendent
+    vertices get incidence lists and enter the breadth-first search: a
+    pendent vertex's one edge is already used when the search reaches it.
+    The search doubles as the supertree test.  With m(k-1) = n-1 it uses
+    every edge and enqueues no vertex twice exactly when ``h`` is a
+    supertree: a pendent vertex is a child only of its one edge, so the
+    m(k-1) children and the root are then n distinct vertices.
     """
     if h.m * (h.k - 1) != h.n - 1:
         raise ValueError(f"{caller} requires a supertree")
-    inc = incidence_lists(h)
-    degrees = list(map(len, inc))
+    edges = h.edges
+    degrees = [0] * h.n
+    for e in edges:
+        for v in e:
+            degrees[v] += 1
     max_degree = max(degrees)
     root = degrees.index(max_degree)
+    inc: list[list[int]] = [[] for _ in range(h.n)]
+    for i, e in enumerate(edges):
+        for v in e:
+            if degrees[v] > 1:
+                inc[v].append(i)
+    if max_degree == 1:  # the one-edge tree, rooted at a pendent vertex
+        inc[root].append(0)
     used = [False] * h.m
     order = [root]
     steps = []
@@ -227,10 +258,10 @@ def _plan(h: Hypergraph, caller: str) -> _Plan:
         for i in inc[v]:
             if not used[i]:
                 used[i] = True
-                children = tuple(w for w in h.edges[i] if w != v)
+                children = tuple([w for w in edges[i] if w != v and degrees[w] > 1])
                 steps.append((i, v, children))
                 order.extend(children)
-    if len(set(order)) != h.n:
+    if len(steps) != h.m or len(set(order)) != len(order):
         raise ValueError(f"{caller} requires a supertree")
     steps.reverse()
     return _Plan(n=h.n, root=root, max_degree=max_degree, steps=tuple(steps))
@@ -244,7 +275,11 @@ def _propagate(
     Away from the root every vertex sum is pinned to 1 and every edge product
     to alpha; the returned defect is the root vertex's sum minus 1.  A forced
     non-positive weight means alpha is already too large, reported as +inf.
-    The forced weights are written to ``entries`` when it is given.
+    Only the non-pendent children of ``plan.steps`` enter an edge's product;
+    each pendent weight would be exactly 1.0 (see ``_Plan``), so the defect
+    and every weight written are the full propagation's, bit for bit.  The
+    forced weights are written to ``entries`` when it is given; the pendent
+    ones are not.
     """
     carried = [0.0] * plan.n
     for i, p, children in plan.steps:
@@ -267,15 +302,21 @@ def propagate_certificate(h: Hypergraph, alpha: float) -> WeightedIncidence:
     """The propagated weights as a certificate; everything but the root's
     vertex sum holds with equality, so its sign decides sub vs supernormal.
 
-    Raises PositivityError when alpha is large enough to force a
+    The kernel ``_propagate`` records the weights it forces; every incidence
+    it leaves out is a pendent vertex's, whose weight is exactly 1.0.  These
+    are the weights of the full leaf-to-root propagation, bit for bit.
+    Raises ValueError for an alpha that is not positive and finite, before
+    any planning, and PositivityError when alpha is large enough to force a
     non-positive weight.
     """
+    _check_alpha(alpha)
     plan = _plan(h, "propagation")
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
     entries: dict[tuple[int, int], float] = {}
     if _propagate(plan, alpha, entries) == math.inf:
         raise PositivityError(f"propagation infeasible at alpha = {alpha}")
+    for i, e in enumerate(h.edges):
+        for v in e:
+            entries.setdefault((v, i), 1.0)
     return WeightedIncidence(host=h, entries=entries)
 
 

@@ -3,8 +3,11 @@
 Nothing here shares code with the package's own algorithms: eigenvalues come
 from dense numpy decompositions, isomorphism from edge-bijection brute force
 and from degree-guided backtracking, class counts from labeled enumeration
-over all edge subsets, and the tensor and the power method from loops written
-one edge and one coordinate at a time.
+over all edge subsets, the tensor and the power method from loops written
+one edge and one coordinate at a time, and the certificate propagation from
+a loop that visits every child vertex, pendent ones included.  The
+count-meeting non-supertrees and the ``edge_sets`` strategy feed the
+rejection tests of every module that demands a supertree.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import math
 import random
 
 import numpy as np
+from hypothesis import strategies as hs
 
 from supertrees import Hypergraph, OrdinaryTree, PrincipalPair
 
@@ -281,3 +285,77 @@ def reference_power_iteration(h: Hypergraph, tol: float = 1e-10, max_iter: int =
         norm = sum(xi**k for xi in x) ** (1.0 / k)
         x = [xi / norm for xi in x]
     raise AssertionError(f"reference power iteration did not converge in {max_iter} steps")
+
+
+def reference_propagate(h: Hypergraph, alpha: float) -> tuple[float, dict[tuple[int, int], float]]:
+    """The leaf-to-root propagation over every child vertex, pendent ones
+    included, rooted at the first vertex of maximum degree and breadth first
+    from it.  Returns the root's weight sum minus 1 (+inf once a forced
+    weight is not positive) and the weights forced so far.  ``h`` must be a
+    supertree.  ``_propagate`` and ``propagate_certificate`` must match it
+    bit for bit."""
+    inc: list[list[int]] = [[] for _ in range(h.n)]
+    for i, e in enumerate(h.edges):
+        for v in e:
+            inc[v].append(i)
+    degrees = [len(ix) for ix in inc]
+    root = degrees.index(max(degrees))
+    used = [False] * h.m
+    order = [root]
+    steps = []
+    for v in order:
+        for i in inc[v]:
+            if not used[i]:
+                used[i] = True
+                children = [w for w in h.edges[i] if w != v]
+                steps.append((i, v, children))
+                order.extend(children)
+    carried = [0.0] * h.n
+    entries: dict[tuple[int, int], float] = {}
+    for i, p, children in reversed(steps):
+        prod = 1.0
+        for v in children:
+            w = 1.0 - carried[v]
+            if w <= 0.0:
+                return math.inf, entries
+            entries[(v, i)] = w
+            prod *= w
+        bp = alpha / prod
+        entries[(p, i)] = bp
+        carried[p] += bp
+    return carried[root] - 1.0, entries
+
+
+# Each meets the supertree edge count m(k-1) = n-1, so only a later check
+# (a stalled centre peel, a revisited or unreached vertex) can reject it.
+COUNT_ONLY_NON_SUPERTREES = {
+    "triangle+isolated,k=2": Hypergraph(k=2, n=4, edges=((0, 1), (1, 2), (0, 2))),
+    "berge-3-cycle+isolated,k=3": Hypergraph(
+        k=3, n=7, edges=((0, 1, 2), (2, 3, 4), (4, 5, 0))
+    ),
+    "triangle+separate-edge,k=2": Hypergraph(k=2, n=5, edges=((0, 1), (1, 2), (0, 2), (3, 4))),
+    "berge-2-cycle+separate-edge,k=3": Hypergraph(
+        k=3, n=7, edges=((0, 1, 2), (0, 1, 3), (4, 5, 6))
+    ),
+    # the cycle lies away from the first vertex of maximum degree, vertex 0
+    "star+separate-triangle,k=2": Hypergraph(
+        k=2, n=7, edges=((0, 1), (0, 2), (0, 3), (4, 5), (5, 6), (4, 6))
+    ),
+    "hyperstar+separate-berge-2-cycle,k=3": Hypergraph(
+        k=3, n=11, edges=((0, 1, 2), (0, 3, 4), (0, 5, 6), (7, 8, 9), (7, 8, 10))
+    ),
+}
+
+
+@hs.composite
+def edge_sets(draw):
+    """m distinct k-edges on about m(k-1)+1 vertices, so most meet the
+    supertree count; many are cyclic, disconnected or have isolated vertices."""
+    k = draw(hs.integers(2, 4))
+    m = draw(hs.integers(1, 6))
+    n = m * (k - 1) + 1
+    edge = hs.frozensets(hs.integers(0, n - 1), min_size=k, max_size=k)
+    edges = draw(hs.lists(edge, min_size=m, max_size=m, unique=True))
+    top = max(max(e) for e in edges)
+    n = max(n + draw(hs.sampled_from((-1, 0, 0, 0, 1))), top + 1)
+    return Hypergraph(k=k, n=n, edges=tuple(tuple(e) for e in edges))

@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from supertrees import (
     BracketError,
@@ -21,10 +23,12 @@ from supertrees import (
     broom,
     certificates,
     classify,
+    double_star,
     double_star_power_radius,
     enumerate_supertrees,
     f_tree_power_radius,
     hyperstar,
+    is_supertree,
     path,
     power_iteration,
     propagate_certificate,
@@ -34,6 +38,8 @@ from supertrees import (
     tree_power,
     vertex_stats,
 )
+
+from oracles import COUNT_ONLY_NON_SUPERTREES, edge_sets, reference_propagate
 
 #: Float rounding allowed when testing that a bracket contains a closed form.
 ROUNDING_REL = 1e-15
@@ -72,6 +78,36 @@ def test_classify_neither():
     h = Hypergraph(k=2, n=2, edges=((0, 1),))
     verdict = classify(h, uniform_certificate(h, 1.5), 1.0)
     assert verdict.classification == NEITHER
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, -math.inf])
+def test_classify_rejects_tol_that_is_negative_or_not_finite(tol):
+    h = Hypergraph(k=3, n=3, edges=((0, 1, 2),))
+    with pytest.raises(ValueError, match="tol must be non-negative and finite"):
+        classify(h, uniform_certificate(h, 1.0), 1.0, tol=tol)
+
+
+def test_classify_zero_tol_compares_exactly():
+    h = Hypergraph(k=3, n=3, edges=((0, 1, 2),))
+    cert = uniform_certificate(h, 1.0)
+    assert classify(h, cert, 1.0, tol=0.0).classification == NORMAL
+    # the edge product exceeds alpha by one ulp, which only tol = 0 sees
+    alpha = math.nextafter(1.0, 0.0)
+    assert classify(h, cert, alpha).classification == NORMAL
+    assert classify(h, cert, alpha, tol=0.0).classification == STRICTLY_SUBNORMAL
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.0, -1.0])
+def test_classify_and_propagation_reject_alpha_that_is_not_positive_and_finite(alpha):
+    h = Hypergraph(k=3, n=3, edges=((0, 1, 2),))
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        classify(h, uniform_certificate(h, 1.0), alpha)
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        propagate_certificate(h, alpha)
+    # checked before any planning, so it is reported even for a non-supertree
+    cyclic = Hypergraph(k=2, n=3, edges=((0, 1), (0, 2), (1, 2)))
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        propagate_certificate(cyclic, alpha)
 
 
 def test_classify_requires_matching_host():
@@ -195,6 +231,73 @@ def test_propagation_rejects_non_supertree():
         propagate_certificate(cyclic, 0.3)
     with pytest.raises(ValueError):
         alpha_normal_radius(cyclic)
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_ONLY_NON_SUPERTREES))
+@pytest.mark.parametrize(
+    "solve",
+    [alpha_normal_bracket, alpha_normal_radius, lambda h: propagate_certificate(h, 0.1)],
+    ids=["alpha_normal_bracket", "alpha_normal_radius", "propagate_certificate"],
+)
+def test_solvers_reject_cycles_that_meet_the_edge_count(name, solve):
+    with pytest.raises(ValueError, match="requires a supertree"):
+        solve(COUNT_ONLY_NON_SUPERTREES[name])
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_sets())
+def test_bracket_rejects_exactly_the_non_supertrees(h):
+    try:
+        alpha_normal_bracket(h)
+    except ValueError:
+        assert not is_supertree(h)
+    else:
+        assert is_supertree(h)
+
+
+@hs.composite
+def relabelled_supertrees(draw):
+    k = draw(hs.integers(2, 6))
+    m = draw(hs.integers(1, 80))
+    h = random_supertree(m, k, random.Random(draw(hs.integers(0, 2**32))))
+    perm = draw(hs.permutations(range(h.n)))
+    return Hypergraph(k=k, n=h.n, edges=tuple(tuple(perm[v] for v in e) for e in h.edges))
+
+
+@settings(max_examples=150, deadline=None)
+@given(relabelled_supertrees())
+def test_propagation_matches_the_full_children_oracle_bit_for_bit(h):
+    low, high = alpha_normal_bracket(h)
+    radii = [low, high, 0.5 * (low + high)]
+    radii += [r * f for r in radii for f in (1.0 - 1e-3, 1.0 + 1e-3)]
+    alphas = [r**-h.k for r in radii] + [1.0]
+    plan = certificates._plan(h, "test")
+    for alpha in alphas:
+        defect, entries = reference_propagate(h, alpha)
+        assert certificates._propagate(plan, alpha).hex() == defect.hex()
+        if defect == math.inf:
+            with pytest.raises(PositivityError):
+                propagate_certificate(h, alpha)
+            continue
+        got = propagate_certificate(h, alpha).entries
+        assert got == entries
+        assert all(got[pair].hex() == w.hex() for pair, w in entries.items())
+
+
+@pytest.mark.parametrize(
+    "h, low, high",
+    [
+        (broom(1, 1, 5, 3), "0x1.db67cbf4d5219p+0", "0x1.db67cbf4d521ap+0"),
+        (hyperstar(6, 3), "0x1.d12ed0af1a27ep+0", "0x1.d12ed0af1a27fp+0"),
+        (tree_power(path(11), 3), "0x1.8d171613d86d9p+0", "0x1.8d171613d86dap+0"),
+        (tree_power(double_star(2, 3), 4), "0x1.7992ff022195fp+0", "0x1.7992ff0221961p+0"),
+        (random_supertree(30, 5, random.Random(30)), "0x1.72ba5599d6811p+0", "0x1.72ba5599d6812p+0"),
+    ],
+    ids=["broom", "hyperstar", "path-power", "double-star-power", "random"],
+)
+def test_bracket_bits_are_pinned(h, low, high):
+    # a faster propagation must reproduce every bracket end exactly
+    assert alpha_normal_bracket(h) == (float.fromhex(low), float.fromhex(high))
 
 
 def test_alpha_radius_single_edge_exact():

@@ -151,6 +151,23 @@ def test_certify_explicit_certificate_normal(tmp_path, capsys):
     assert "consistent = True" in stdout
 
 
+@pytest.mark.parametrize("bad", ["nan", "-1", "inf"])
+def test_certify_rejects_tol_that_is_negative_or_not_finite(tmp_path, capsys, bad):
+    h = single_edge(3)
+    hfile = tmp_path / "e.json"
+    hfile.write_text(json.dumps(to_interchange(h)))
+    cert = dict(to_interchange(h))
+    cert["alpha"] = 1.0
+    cert["B"] = [{"v": v, "e": 0, "w": 1.0} for v in range(3)]
+    cfile = tmp_path / "cert.json"
+    cfile.write_text(json.dumps(cert))
+    code, stdout, stderr = run_cli(
+        capsys, "certify", str(hfile), "--certificate", str(cfile), f"--tol={bad}"
+    )
+    assert code == 1 and stdout == ""
+    assert "tol must be non-negative and finite" in stderr
+
+
 @pytest.mark.parametrize("bad", [0.9, 1.9, True, "0"])
 def test_certify_rejects_non_integer_indices(tmp_path, capsys, bad):
     h = single_edge(3)

@@ -6,7 +6,6 @@ from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as hs
 
 from supertrees import (
     Hypergraph,
@@ -24,7 +23,13 @@ from supertrees import (
     vertex_stats,
 )
 
-from oracles import SizeLimitError, are_isomorphic, brute_isomorphic
+from oracles import (
+    COUNT_ONLY_NON_SUPERTREES,
+    SizeLimitError,
+    are_isomorphic,
+    brute_isomorphic,
+    edge_sets,
+)
 
 
 def relabel(h: Hypergraph, perm: list[int]) -> Hypergraph:
@@ -171,40 +176,12 @@ def time_limit(seconds: float):
         signal.signal(signal.SIGALRM, previous)
 
 
-# Each meets the supertree edge count m(k-1) = n-1, so only the stalled
-# centre peel can reject it.
-COUNT_ONLY_NON_SUPERTREES = {
-    "triangle+isolated,k=2": Hypergraph(k=2, n=4, edges=((0, 1), (1, 2), (0, 2))),
-    "berge-3-cycle+isolated,k=3": Hypergraph(
-        k=3, n=7, edges=((0, 1, 2), (2, 3, 4), (4, 5, 0))
-    ),
-    "triangle+separate-edge,k=2": Hypergraph(k=2, n=5, edges=((0, 1), (1, 2), (0, 2), (3, 4))),
-    "berge-2-cycle+separate-edge,k=3": Hypergraph(
-        k=3, n=7, edges=((0, 1, 2), (0, 1, 3), (4, 5, 6))
-    ),
-}
-
-
 @pytest.mark.parametrize("name", sorted(COUNT_ONLY_NON_SUPERTREES))
 def test_key_rejects_cycles_that_meet_the_edge_count(name):
     h = COUNT_ONLY_NON_SUPERTREES[name]
     assert h.m * (h.k - 1) == h.n - 1 and not is_supertree(h)
     with time_limit(5.0), pytest.raises(ValueError, match="requires a supertree"):
         canonical_key(h)
-
-
-@hs.composite
-def edge_sets(draw):
-    """m distinct k-edges on about m(k-1)+1 vertices, so most meet the
-    supertree count; many are cyclic, disconnected or have isolated vertices."""
-    k = draw(hs.integers(2, 4))
-    m = draw(hs.integers(1, 6))
-    n = m * (k - 1) + 1
-    edge = hs.frozensets(hs.integers(0, n - 1), min_size=k, max_size=k)
-    edges = draw(hs.lists(edge, min_size=m, max_size=m, unique=True))
-    top = max(max(e) for e in edges)
-    n = max(n + draw(hs.sampled_from((-1, 0, 0, 0, 1))), top + 1)
-    return Hypergraph(k=k, n=n, edges=tuple(tuple(e) for e in edges))
 
 
 @settings(max_examples=300, deadline=None)
