@@ -6,37 +6,51 @@ The adjacency tensor of a k-uniform hypergraph acts on a vector by
 
 and the spectral radius is the largest eigenvalue of ``Ax = rho * x^[k-1]``.
 For a connected hypergraph it carries a unique positive eigenvector with
-k-norm 1 (the principal pair).  This module computes it by a shifted power
+k-norm 1 (the principal pair).  This module computes it by the power
 method with Collatz-Wielandt bracketing, plus closed forms for the families
 whose radii reduce to quartic equations.
 
+The power step is ``y = Ax`` for k >= 3 and the shifted ``y = Ax + x^[k-1]``
+only for k = 2.  At k >= 3 every edge gives the tensor's digraph both
+2-cycles and 3-cycles, so the tensor of a connected hypergraph is weakly
+primitive and the unshifted iteration of Ng, Qi and Zhou (2009) converges
+from any positive start (Friedland, Gaubert and Han, 2013); only a bipartite
+2-graph needs the shift.  The shift would slow the slowest error mode from
+mu to (rho*mu + 1)/(rho + 1), about (rho + 1)/rho times the steps: on
+path^3 with m edges the shifted method takes about 1.3*m^2 steps (75,465 at
+m = 240) and the unshifted one about 0.8*m^2 (46,295 at m = 240, 70,054 at
+m = 300), so ``DEFAULT_MAX_ITER`` runs out near m = 355 rather than
+m = 275.
+
 One kernel applies the tensor.  Its plan is built once per hypergraph: the
 k vertex columns of the edge list, each vertex's leave-one-out product
-slots in edge order, and where each vertex's value lands.  Applying it is a
-few C-level ``map`` passes per column instead of Python bytecode per edge,
-yet it performs the multiplications and additions of a per-edge
-prefix/suffix loop in the same order, so every power iterate is bitwise
-equal to that loop's (``tests/oracles.py`` keeps the loop as the reference;
-``tensor_apply`` states the one exception, the sign of a zero).
+slots in edge order, and where each vertex's value lands, all as C-level
+``itemgetter`` gathers.  Applying it is a few gathers and ``map`` passes
+per column instead of Python bytecode per edge, yet it performs the
+multiplications and additions of a per-edge prefix/suffix loop in the same
+order, so every power iterate is bitwise equal to that loop's
+(``tests/oracles.py`` keeps the loop as the reference; ``tensor_apply``
+states the one exception, the sign of a zero).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import reduce
 from itertools import repeat
-from operator import add, mul, sub, truediv
+from operator import add, itemgetter, mul, sub, truediv
 
 from .constructors import OrdinaryTree, tree_power
 from .errors import DisconnectedInputError, NonConvergenceError
-from .hypergraph import Hypergraph, is_connected
+from .hypergraph import Hypergraph, _strict_int, is_connected
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
 
-#: Radius comparisons downstream treat gaps below this as ties (10x solver tol
-#: with margin, so numerical noise never masquerades as a genuine tie).
+#: Radius comparisons downstream treat gaps below this as ties (1000x
+#: ``DEFAULT_TOL``, so numerical noise never masquerades as a genuine tie).
 TIE_TOL = 1e-7
 
 
@@ -54,24 +68,34 @@ class PrincipalPair:
     iterations: int
 
 
+def _gather(idx: tuple[int, ...]) -> Callable:
+    """A C-level gather: called on a sequence x, it returns the tuple of
+    x[i] for i in ``idx``.  ``itemgetter`` returns a bare value for one index
+    and needs at least one, so those two lengths get a Python fallback."""
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    return lambda x: tuple(x[i] for i in idx)
+
+
 @dataclass(frozen=True)
 class _TensorPlan:
     """The tensor of one hypergraph, laid out for ``_apply``.
 
-    ``columns[i]`` lists the vertex at position i of each edge, in edge
-    order.  Term slot ``i*m + e`` holds the product of edge e's coordinates
-    other than the one at position i.  Each degree-2 vertex adds its slots
-    ``firsts[j] + seconds[j]``; each vertex of degree 0 or at least 3 adds
-    its slots ``others[j]`` from 0.0, in edge order.  ``index[v]`` is where
-    vertex v's value sits in the term slots followed by those two groups of
-    sums; for a degree-1 vertex it is the vertex's one term slot.
+    ``columns[i]`` gathers the coordinates at position i of each edge, in
+    edge order.  Term slot ``i*m + e`` holds the product of edge e's
+    coordinates other than the one at position i.  Each degree-2 vertex adds
+    its slots ``firsts[j] + seconds[j]``; each vertex of degree 0 or at least
+    3 adds its slots ``others[j]`` from 0.0, in edge order.  ``index``
+    gathers each vertex's value from the term slots followed by those two
+    groups of sums; for a degree-1 vertex it is the vertex's one term slot.
+    Every field is a ``_gather`` of those positions.
     """
 
-    columns: tuple[tuple[int, ...], ...]
-    firsts: tuple[int, ...]
-    seconds: tuple[int, ...]
-    others: tuple[tuple[int, ...], ...]
-    index: tuple[int, ...]
+    columns: tuple[Callable, ...]
+    firsts: Callable
+    seconds: Callable
+    others: tuple[Callable, ...]
+    index: Callable
 
 
 def _tensor_plan(h: Hypergraph) -> _TensorPlan:
@@ -86,16 +110,16 @@ def _tensor_plan(h: Hypergraph) -> _TensorPlan:
     for j, v in enumerate(pairs + others, start=h.k * m):
         index[v] = j
     return _TensorPlan(
-        columns=tuple(zip(*h.edges)),
-        firsts=tuple(slots[v][0] for v in pairs),
-        seconds=tuple(slots[v][1] for v in pairs),
-        others=tuple(tuple(slots[v]) for v in others),
-        index=tuple(index),
+        columns=tuple(map(_gather, zip(*h.edges))),
+        firsts=_gather(tuple(slots[v][0] for v in pairs)),
+        seconds=_gather(tuple(slots[v][1] for v in pairs)),
+        others=tuple(_gather(tuple(slots[v])) for v in others),
+        index=_gather(tuple(index)),
     )
 
 
 def _apply(plan: _TensorPlan, x: list[float] | tuple[float, ...]) -> list[float]:
-    cols = [list(map(x.__getitem__, c)) for c in plan.columns]
+    cols = [gather(x) for gather in plan.columns]
     # prefixes[i] = x_0 * ... * x_i and suffixes[i] = x_(i+1) * ... * x_(k-1)
     # over each edge, multiplied in the order of a prefix/suffix sweep.
     prefixes = [cols[0]]
@@ -105,14 +129,13 @@ def _apply(plan: _TensorPlan, x: list[float] | tuple[float, ...]) -> list[float]
     for col in reversed(cols[1:-1]):
         suffixes.append(list(map(mul, suffixes[-1], col)))
     suffixes.reverse()
-    terms = suffixes[0]
+    terms = list(suffixes[0])  # at k = 2 a gathered tuple, which cannot grow
     for pre, suf in zip(prefixes, suffixes[1:]):
         terms += map(mul, pre, suf)
     terms += prefixes[-1]
-    get = terms.__getitem__
-    terms += map(add, map(get, plan.firsts), map(get, plan.seconds))
-    terms += [reduce(add, map(get, s), 0.0) for s in plan.others]
-    return list(map(get, plan.index))
+    terms += map(add, plan.firsts(terms), plan.seconds(terms))
+    terms += [reduce(add, gather(terms), 0.0) for gather in plan.others]
+    return list(plan.index(terms))
 
 
 def tensor_apply(
@@ -151,36 +174,42 @@ def power_iteration(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> PrincipalPair:
-    """Shifted power method for the spectral radius of a connected hypergraph.
+    """Power method for the spectral radius of a connected hypergraph.
 
-    Starting from the uniform positive vector, each step computes
-    ``y = Ax + x^[k-1]`` (the unit shift makes the iteration converge for any
-    connected input, bipartite 2-graphs included) and renormalizes
-    ``x = y^[1/(k-1)]`` to k-norm 1.  For positive x the Collatz-Wielandt
-    ratios ``(Ax)_i / x_i^(k-1)`` bracket the true radius at every iterate;
-    iteration stops once the bracket width drops below ``tol`` relative to
-    the bracket, and the returned rho is the bracket midpoint.
+    Starting from the uniform positive vector, each step computes ``y = Ax``
+    and renormalizes ``x = y^[1/(k-1)]`` to k-norm 1.  At k = 2 the step is
+    ``y = Ax + x`` instead: the unit shift makes it converge on bipartite
+    graphs.  At k >= 3 the tensor of a connected hypergraph is weakly
+    primitive, so no shift is needed, and it would cost about (rho + 1)/rho
+    times the steps (see the module docstring).  For positive x the
+    Collatz-Wielandt ratios ``(Ax)_i / x_i^(k-1)`` bracket the true radius at
+    every iterate; iteration stops once the bracket width drops below ``tol``
+    relative to the bracket, and the returned rho is the bracket midpoint.
 
     The tensor plan is built once per call and every step applies it through
-    ``tensor_apply``.  The powers, ratios, shift, root, k-norm and rescale
-    are each one ``map`` pass over the coordinates, with the formulas
-    ``x_i**(k-1)``, ``a / p``, ``a + p``, ``y_i**(1/(k-1))``,
+    ``tensor_apply``.  The powers, ratios, shift (k = 2 only), root, k-norm
+    and rescale are each one ``map`` pass over the coordinates, with the
+    formulas ``x_i**(k-1)``, ``a / p``, ``a + p``, ``y_i**(1/(k-1))``,
     ``sum(x_i**k)**(1/k)`` and ``x_i / norm`` in vertex order, so every
     iterate, and the returned pair, is bitwise that of the same loop written
-    element by element.
+    element by element.  The exponents are passed as floats; Python converts
+    an int exponent to that same float, so this changes no bit.
 
-    Raises DisconnectedInputError for disconnected input and
-    NonConvergenceError (carrying the final bracket) past ``max_iter``.
+    Raises ValueError unless ``tol`` is positive and finite and ``max_iter``
+    is an int (not a bool) of at least 1, DisconnectedInputError for
+    disconnected input and NonConvergenceError (carrying the final bracket)
+    past ``max_iter``.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    if max_iter < 1:
+    if _strict_int(max_iter, "max_iter") < 1:
         raise ValueError("max_iter must be >= 1")
     if not is_connected(h):
         raise DisconnectedInputError("power iteration requires a connected hypergraph")
     plan = _tensor_plan(h)
-    k = h.k
-    km1 = k - 1
+    k = float(h.k)
+    km1 = k - 1.0
+    shift = h.k == 2
     x = [h.n ** (-1.0 / k)] * h.n
     lam_lo = lam_hi = 0.0
     for it in range(1, max_iter + 1):
@@ -193,7 +222,7 @@ def power_iteration(
             rho = 0.5 * (lam_lo + lam_hi)
             residual = max(map(abs, map(sub, ax, map(mul, repeat(rho), pw))))
             return PrincipalPair(rho=rho, x=tuple(x), residual=residual, iterations=it)
-        x = list(map(pow, map(add, ax, pw), repeat(1.0 / km1)))
+        x = list(map(pow, map(add, ax, pw) if shift else ax, repeat(1.0 / km1)))
         norm = sum(map(pow, x, repeat(k))) ** (1.0 / k)
         x = list(map(truediv, x, repeat(norm)))
     raise NonConvergenceError(

@@ -265,8 +265,10 @@ def reference_tensor_apply(h: Hypergraph, x) -> list[float]:
 
 
 def reference_power_iteration(h: Hypergraph, tol: float = 1e-10, max_iter: int = 100_000) -> PrincipalPair:
-    """The shifted power method of ``power_iteration``, one coordinate at a
-    time on ``reference_tensor_apply``; for connected input that converges."""
+    """The power method of ``power_iteration``, one coordinate at a time on
+    ``reference_tensor_apply``: the step is ``y = Ax + x^[k-1]`` at k = 2
+    and ``y = Ax`` at k >= 3, where the tensor of a connected hypergraph is
+    weakly primitive, so for connected input it converges."""
     k = h.k
     km1 = k - 1
     x = [h.n ** (-1.0 / k)] * h.n
@@ -280,7 +282,7 @@ def reference_power_iteration(h: Hypergraph, tol: float = 1e-10, max_iter: int =
             rho = 0.5 * (lam_lo + lam_hi)
             residual = max(abs(a - rho * p) for a, p in zip(ax, pw))
             return PrincipalPair(rho=rho, x=tuple(x), residual=residual, iterations=it)
-        y = [a + p for a, p in zip(ax, pw)]
+        y = [a + p for a, p in zip(ax, pw)] if k == 2 else ax
         x = [yi ** (1.0 / km1) for yi in y]
         norm = sum(xi**k for xi in x) ** (1.0 / k)
         x = [xi / norm for xi in x]

@@ -8,6 +8,7 @@ of the defining quartics.
 import math
 import random
 import struct
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from supertrees import (
     DisconnectedInputError,
     Hypergraph,
     NonConvergenceError,
+    alpha_normal_bracket,
     broom,
     double_star,
     double_star_power_radius,
@@ -25,6 +27,8 @@ from supertrees import (
     f_tree_power_radius,
     graph_spectral_radius,
     hyperstar,
+    is_connected,
+    is_supertree,
     path,
     power_formula_radius,
     power_iteration,
@@ -33,6 +37,7 @@ from supertrees import (
     tensor_apply,
     tree_power,
 )
+from supertrees.spectral import DEFAULT_MAX_ITER
 
 from oracles import (
     eig_tree_radius,
@@ -83,8 +88,8 @@ def bits(xs) -> list[bytes]:
 
 
 @hs.composite
-def supertrees_relabelled(draw) -> Hypergraph:
-    k, m = draw(hs.integers(2, 8)), draw(hs.integers(1, 60))
+def supertrees_relabelled(draw, min_k: int = 2, max_k: int = 8) -> Hypergraph:
+    k, m = draw(hs.integers(min_k, max_k)), draw(hs.integers(1, 60))
     rng = random.Random(draw(hs.integers(0, 2**32)))
     h = random_supertree(m, k, rng)
     perm = list(range(h.n))
@@ -127,14 +132,59 @@ def test_tensor_apply_is_bitwise_the_per_edge_loop(h, seed, zeros):
         tree_power(path(12), 2),
         tree_power(star(9), 2),
         Hypergraph(k=3, n=6, edges=((0, 1, 2), (2, 3, 4), (4, 5, 0))),
+        broom(1, 2, 3, 4),
+        Hypergraph(k=2, n=3, edges=((0, 1), (1, 2), (0, 2))),
+        # regular, so the uniform start is already the eigenvector; the tail
+        # makes the shifted k = 2 step do work on a non-bipartite graph
+        Hypergraph(k=2, n=4, edges=((0, 1), (1, 2), (0, 2), (2, 3))),
     ],
-    ids=["path3-m20", "random-k5-m60", "hyperstar-m50", "path-k2", "star-k2", "cycle-k3"],
+    ids=[
+        "path3-m20",
+        "random-k5-m60",
+        "hyperstar-m50",
+        "path-k2",
+        "star-k2",
+        "cycle-k3",
+        "broom-k4",
+        "triangle-k2",
+        "triangle-tail-k2",
+    ],
 )
 def test_power_iteration_is_bitwise_the_reference_loop(h):
     pair = power_iteration(h)
     ref = reference_power_iteration(h)
     assert pair == ref
     assert bits((pair.rho, pair.residual, *pair.x)) == bits((ref.rho, ref.residual, *ref.x))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    hs.one_of(
+        cyclic_hypergraphs().filter(lambda h: h.k >= 3 and is_connected(h)),
+        supertrees_relabelled(min_k=3, max_k=6),
+    )
+)
+def test_unshifted_iteration_converges_at_k_above_two(h):
+    # k >= 3 drops the shift: the tensor of a connected hypergraph is weakly
+    # primitive, so the plain power step must converge on cyclic input too
+    pair = power_iteration(h, max_iter=DEFAULT_MAX_ITER)
+    ref = reference_power_iteration(h, max_iter=DEFAULT_MAX_ITER)
+    assert bits((pair.rho, pair.residual, *pair.x)) == bits((ref.rho, ref.residual, *ref.x))
+    assert pair.iterations == ref.iterations
+    if is_supertree(h):
+        km1 = h.k - 1
+        ratios = [a / xi**km1 for a, xi in zip(tensor_apply(h, pair.x), pair.x)]
+        low, high = alpha_normal_bracket(h)
+        # each ratio takes k roundings: on one edge, where both brackets sit
+        # at 1.0, the Collatz-Wielandt one ends an ulp below it
+        slack = h.k * sys.float_info.epsilon
+        assert low * (1.0 - slack) <= max(ratios) and min(ratios) <= high * (1.0 + slack)
+
+
+def test_step_counts_are_pinned():
+    # exact counts of the unshifted step at k >= 3, so a slower step rule shows
+    assert power_iteration(tree_power(path(21), 3)).iterations == 493
+    assert power_iteration(hyperstar(1000, 3)).iterations == 38
 
 
 # --- power iteration -------------------------------------------------------------
@@ -168,10 +218,11 @@ def test_eigenvector_contract():
 
 
 def test_bracket_contains_converged_radius():
-    # drive a few iterations by hand; the ratio bracket must contain the
-    # converged value at every positive iterate
+    # drive a few iterations by hand, with the step power_iteration takes
+    # (shifted only at k = 2); the ratio bracket must contain the converged
+    # value at every positive iterate
     # rho itself carries the solver tolerance, so allow that much slop
-    for h in (hyperstar(3, 3), tree_power(path(5), 3), broom(1, 1, 2, 3)):
+    for h in (hyperstar(3, 3), tree_power(path(5), 3), broom(1, 1, 2, 3), tree_power(path(6), 2)):
         rho = power_iteration(h).rho
         km1 = h.k - 1
         x = [h.n ** (-1.0 / h.k)] * h.n
@@ -180,7 +231,7 @@ def test_bracket_contains_converged_radius():
             ratios = [a / xi**km1 for a, xi in zip(ax, x)]
             assert min(ratios) <= rho + 1e-9
             assert max(ratios) >= rho - 1e-9
-            y = [a + xi**km1 for a, xi in zip(ax, x)]
+            y = [a + xi**km1 for a, xi in zip(ax, x)] if h.k == 2 else ax
             x = [yi ** (1.0 / km1) for yi in y]
             norm = sum(xi**h.k for xi in x) ** (1.0 / h.k)
             x = [xi / norm for xi in x]
@@ -214,6 +265,9 @@ def test_invalid_parameters():
             power_iteration(h, tol=tol)
     with pytest.raises(ValueError):
         power_iteration(h, max_iter=0)
+    for max_iter in (True, 2.5):
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            power_iteration(h, max_iter=max_iter)
 
 
 # --- residual --------------------------------------------------------------------
