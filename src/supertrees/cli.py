@@ -275,7 +275,7 @@ def _print_report_table(report) -> None:
     print(f"k = {report.k}  m = {report.m}  classes = {len(report.entries)}")
     for e in report.entries:
         tie = "  (tie)" if e.tie_with_next else ""
-        print(f"  rank {e.rank:2d}  rho = {_fmt(e.rho):<12}  method = {e.method}{tie}  {e.key}")
+        print(f"  rank {e.rank:2d}  rho = {_fmt(e.rho):<12}  method = alpha{tie}  {e.key}")
 
 
 def _cmd_verify(args) -> int:
@@ -298,7 +298,7 @@ def _cmd_verify(args) -> int:
         elif name == "sandwich":
             if args.k is None or args.m is None:
                 raise SupertreeError("verify sandwich needs --k and --m")
-            rec = verify_sandwich(args.m, args.k, tol=args.tol, max_iter=args.max_iter)
+            rec = verify_sandwich(args.m, args.k)
         else:  # moving-edges
             rec = verify_moving_edges(
                 trials=args.trials,
@@ -323,15 +323,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    method = "alpha" if args.method == "auto" else args.method
-    report = rank_spectra(
-        args.m,
-        args.k,
-        method=method,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        limit=_enum_limit(),
-    )
+    report = rank_spectra(args.m, args.k, limit=_enum_limit())
     if args.output == "json":
         _emit(json.dumps(report_to_dict(report), sort_keys=True, indent=2), args.out)
     elif args.output == "csv":
@@ -396,14 +388,12 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--m", type=int)
     v.add_argument("--trials", type=int, default=50)
     v.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    _add_power_flags(v, "partition, sandwich and moving-edges")
+    _add_power_flags(v, "partition and moving-edges")
     v.set_defaults(func=_cmd_verify)
 
     e = sub.add_parser("enumerate", help="rank all classes at (k, m) by spectral radius")
     e.add_argument("--k", type=int, required=True)
     e.add_argument("--m", type=int, required=True)
-    e.add_argument("--method", choices=["power", "alpha", "formula", "auto"], default="auto")
-    _add_power_flags(e, "--method power and formula")
     e.add_argument("--output", choices=["human", "json", "csv"], default="human")
     e.add_argument("--out", type=str)
     e.set_defaults(func=_cmd_enumerate)

@@ -13,10 +13,19 @@ from dataclasses import dataclass
 from .errors import MultipleEdgeError
 
 
+def _strict_int(value, what: str) -> int:
+    # bool is a subclass of int, and int() would truncate floats silently
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """A k-uniform hypergraph on vertices ``0..n-1`` with at least one edge.
 
+    ``k`` and ``n`` must be ints (bools and floats are rejected, not
+    coerced: ``k=3.0`` would compare equal to ``k=3`` yet key differently).
     Every edge must contain exactly ``k`` distinct vertices and no two edges
     may coincide.  Isolated vertices are tolerated (they can appear
     transiently after edge moves) but never produced by the constructors.
@@ -27,9 +36,9 @@ class Hypergraph:
     edges: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.k < 2:
+        if _strict_int(self.k, "k") < 2:
             raise ValueError(f"edge cardinality k must be >= 2, got {self.k}")
-        if self.n < 1:
+        if _strict_int(self.n, "n") < 1:
             raise ValueError(f"vertex count n must be >= 1, got {self.n}")
         norm = tuple(sorted(tuple(sorted(e)) for e in self.edges))
         object.__setattr__(self, "edges", norm)
@@ -60,30 +69,22 @@ class VertexStats:
 
     degrees: tuple[int, ...]
     pendent_vertices: frozenset[int]
-    pendent_edges: frozenset[int]
     non_pendent_count: int
 
 
 def vertex_stats(h: Hypergraph) -> VertexStats:
-    """Compute per-vertex degrees and the pendent vertex/edge sets.
+    """Compute per-vertex degrees and the pendent vertex set.
 
-    A vertex is pendent when its degree is one.  An edge is pendent when all
-    but at most one of its vertices are pendent; this covers the one-edge
-    hypergraph, whose single edge counts as pendent.
+    A vertex is pendent when its degree is one.
     """
     degrees = [0] * h.n
     for e in h.edges:
         for v in e:
             degrees[v] += 1
     pendent = frozenset(v for v in range(h.n) if degrees[v] == 1)
-    pendent_edges = frozenset(
-        i for i, e in enumerate(h.edges)
-        if sum(1 for v in e if v in pendent) >= h.k - 1
-    )
     return VertexStats(
         degrees=tuple(degrees),
         pendent_vertices=pendent,
-        pendent_edges=pendent_edges,
         non_pendent_count=h.n - len(pendent),
     )
 
@@ -272,13 +273,6 @@ def to_interchange(h: Hypergraph) -> dict:
     return {"k": h.k, "n": h.n, "edges": [list(e) for e in h.edges]}
 
 
-def _strict_int(value, what: str) -> int:
-    # bool is a subclass of int, and int() would truncate floats silently
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def from_interchange(obj: dict) -> Hypergraph:
     """Inverse of to_interchange; validates through the Hypergraph constructor.
 
@@ -286,8 +280,7 @@ def from_interchange(obj: dict) -> Hypergraph:
     rejected, not coerced); anything else raises ValueError.
     """
     try:
-        k = _strict_int(obj["k"], "k")
-        n = _strict_int(obj["n"], "n")
+        k, n = obj["k"], obj["n"]
         edges = tuple(tuple(_strict_int(v, "edge vertex") for v in e) for e in obj["edges"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed hypergraph object: {exc}") from exc

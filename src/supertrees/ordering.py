@@ -12,17 +12,19 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import random
 from dataclasses import dataclass
 
 from .certificates import (
     STRICTLY_SUBNORMAL,
     STRICTLY_SUPERNORMAL,
+    alpha_normal_bracket,
     alpha_normal_radius,
     classify,
     t11m3_certificate,
 )
-from .constructors import broom, double_star, f_tree, hyperstar, is_hypertree, base_tree, move_edges, path, tree_power
+from .constructors import broom, double_star, f_tree, hyperstar, move_edges, path, tree_power
 from .errors import (
     CounterexampleFound,
     EnumerationLimitError,
@@ -36,7 +38,6 @@ from .spectral import (
     TIE_TOL,
     double_star_power_radius,
     f_tree_power_radius,
-    power_formula_radius,
     power_iteration,
 )
 
@@ -48,7 +49,6 @@ class ReportEntry:
     key: str
     hypergraph: Hypergraph
     rho: float
-    method: str
     rank: int
     tie_with_next: bool
 
@@ -103,6 +103,8 @@ def enumerate_supertrees(m: int, k: int, limit: int = DEFAULT_ENUM_LIMIT) -> lis
 
 def random_supertree(m: int, k: int, rng: random.Random) -> Hypergraph:
     """Uniform-attachment growth: each new pendent edge lands on a random vertex."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
     edges = [tuple(range(k))]
     n = k
     for _ in range(m - 1):
@@ -111,51 +113,23 @@ def random_supertree(m: int, k: int, rng: random.Random) -> Hypergraph:
     return Hypergraph(k=k, n=n, edges=tuple(edges))
 
 
-def _class_radius(
-    h: Hypergraph, method: str, tol: float, max_iter: int
-) -> tuple[float, str]:
-    if method == "power":
-        return power_iteration(h, tol=tol, max_iter=max_iter).rho, "power"
-    if method == "alpha":
-        return alpha_normal_radius(h), "alpha"
-    if method == "formula":
-        if is_hypertree(h):
-            return power_formula_radius(base_tree(h), h.k, tol=tol, max_iter=max_iter), "formula"
-        return power_iteration(h, tol=tol, max_iter=max_iter).rho, "power"
-    raise ValueError(f"unknown method {method!r}")
-
-
-def rank_spectra(
-    m: int,
-    k: int,
-    method: str = "alpha",
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    limit: int = DEFAULT_ENUM_LIMIT,
-) -> SpectraReport:
+def rank_spectra(m: int, k: int, limit: int = DEFAULT_ENUM_LIMIT) -> SpectraReport:
     """Rank all classes at (k, m) by spectral radius, descending.
 
-    ``method`` is one of alpha (the default: the certified certificate
-    solver, ``alpha_normal_radius``), power (cold-start power iteration, kept
-    as the independent oracle; ``tol`` and ``max_iter`` apply to it), or
-    formula; formula applies to powers of ordinary trees, whose base-tree
-    radius it takes by power iteration under the same ``tol`` and
-    ``max_iter``, and falls back to power iteration elsewhere, with the
-    method actually used recorded per entry.  Equal radii are ordered by
-    canonical key.  Ties within the tie tolerance are flagged on the
-    higher-ranked entry.
+    Each radius is ``alpha_normal_radius``, the midpoint of the certified
+    certificate-solver bracket; power iteration stays the independent
+    oracle the tests compare it with.  Equal radii are ordered by canonical
+    key.  Ties within the tie tolerance are flagged on the higher-ranked
+    entry.
     """
     rows = []
     for h in enumerate_supertrees(m, k, limit=limit):
-        rho, tag = _class_radius(h, method, tol, max_iter)
-        rows.append((canonical_key(h).decode("ascii"), h, rho, tag))
+        rows.append((canonical_key(h).decode("ascii"), h, alpha_normal_radius(h)))
     rows.sort(key=lambda r: (-r[2], r[0]))
     entries = []
-    for i, (key, h, rho, tag) in enumerate(rows):
+    for i, (key, h, rho) in enumerate(rows):
         tie = i + 1 < len(rows) and rho - rows[i + 1][2] <= TIE_TOL
-        entries.append(
-            ReportEntry(key=key, hypergraph=h, rho=rho, method=tag, rank=i + 1, tie_with_next=tie)
-        )
+        entries.append(ReportEntry(key=key, hypergraph=h, rho=rho, rank=i + 1, tie_with_next=tie))
     return SpectraReport(k=k, m=m, entries=tuple(entries))
 
 
@@ -169,7 +143,7 @@ def report_to_dict(report: SpectraReport) -> dict:
                 "key": e.key,
                 "edges": [list(t) for t in e.hypergraph.edges],
                 "rho": e.rho,
-                "method": e.method,
+                "method": "alpha",
                 "rank": e.rank,
             }
             for e in report.entries
@@ -182,7 +156,7 @@ def report_to_csv(report: SpectraReport) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["rank", "key", "rho", "method"])
     for e in report.entries:
-        writer.writerow([e.rank, e.key, repr(e.rho), e.method])
+        writer.writerow([e.rank, e.key, repr(e.rho), "alpha"])
     return buf.getvalue()
 
 
@@ -220,8 +194,8 @@ def verify_top_four(m: int, k: int, limit: int = DEFAULT_ENUM_LIMIT) -> Verifica
 
     For m >= 5 the expected head has four entries; at m = 4 two of the
     families coincide and the collapsed three- or four-class order is checked
-    instead.  The classes are ranked by ``rank_spectra`` with the certificate
-    solver (its default).  Raises CounterexampleFound on any mismatch.
+    instead.  The classes are ranked by ``rank_spectra``, that is by the
+    certificate solver.  Raises CounterexampleFound on any mismatch.
     """
     if m < 4:
         raise ValueError("ordering verification needs m >= 4")
@@ -311,7 +285,16 @@ def verify_moving_edges(
     it, and a nonempty set of adjacent edges whose shared vertices all carry
     eigenvector weight at most x_u, then moves them onto u.  Anchoring inside
     one edge keeps the result a supertree and free of multiple edges.
+
+    The lemma allows x_v = x_u, and symmetric vertices carry weights equal
+    up to rounding noise, so a weight within a relative 1e-8 of x_u counts
+    as at most x_u: the choices do not hang on the last bits of the
+    eigenvector.  Raises ValueError unless ``trials >= 1`` and ``m_max >= 3``.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if m_max < 3:
+        raise ValueError(f"m_max must be >= 3, got {m_max}")
     rng = random.Random(seed)
     gaps = []
     attempts = 0
@@ -335,7 +318,7 @@ def verify_moving_edges(
                 if len(shared) != 1:
                     continue
                 v = shared.pop()
-                if v != u and u not in f and x[u] >= x[v]:
+                if v != u and u not in f and x[u] >= x[v] * (1 - 1e-8):
                     movable.append((fi, v))
             if not movable:
                 continue
@@ -365,27 +348,35 @@ def verify_moving_edges(
     )
 
 
-def verify_sandwich(
-    m: int,
-    k: int,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> VerificationRecord:
+def verify_sandwich(m: int, k: int) -> VerificationRecord:
     """The broom(1,1,m-3) radius sits strictly between the f-tree power and
     double-star power closed forms, and the explicit certificates built at
-    those endpoints classify as strictly sub/supernormal."""
+    those endpoints classify as strictly sub/supernormal.
+
+    The radius is the certified bracket ``(low, high)`` of
+    ``alpha_normal_bracket``, whose midpoint is reported as ``mid``.  With
+    ``lower`` the f-tree and ``upper`` the double-star closed form, it
+    passes iff ``lower + 4 ulp(lower) < low`` and ``high < upper - 4
+    ulp(upper)``.  The 4 ulps cover the closed forms' own rounding: against
+    60-digit decimal arithmetic both err by at most 2.1 ulps for k in
+    {3, 4, 5, 6, 8} and m up to 10^5 (all m below 3,000, then 76 sizes
+    spaced evenly in log m), while at m = 10^4 the bracket clears them by at
+    least 661 ulps.  Unlike a fixed absolute margin, this does not fail once
+    the true gap shrinks below it as m grows.
+    """
     if m < 4:
         raise ValueError("sandwich verification needs m >= 4")
     if k < 3:
         raise ValueError("sandwich verification needs k >= 3")
     lower = f_tree_power_radius(m, k)
     upper = double_star_power_radius(m, k)
-    mid = power_iteration(broom(1, 1, m - 3, k), tol=tol, max_iter=max_iter).rho
-    # a fixed margin, stricter than TIE_TOL on purpose
-    if not (lower + 1e-6 < mid < upper - 1e-6):
+    low, high = alpha_normal_bracket(broom(1, 1, m - 3, k))
+    mid = 0.5 * (low + high)
+    if not (lower + 4 * math.ulp(lower) < low and high < upper - 4 * math.ulp(upper)):
         raise CounterexampleFound(
-            f"sandwich violated at k={k}, m={m}: {lower:.9g} < {mid:.9g} < {upper:.9g} fails",
-            offending=(lower, mid, upper),
+            f"sandwich violated at k={k}, m={m}: the bracket [{low!r}, {high!r}] is not "
+            f"4 ulps inside ({lower!r}, {upper!r})",
+            offending=(lower, low, high, upper),
         )
     alpha_sub = double_star_power_radius(m, 2) ** -2
     alpha_sup = f_tree_power_radius(m, 2) ** -2

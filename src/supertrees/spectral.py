@@ -40,6 +40,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import reduce
 from itertools import repeat
+from numbers import Real
 from operator import add, itemgetter, mul, sub, truediv
 
 from .constructors import OrdinaryTree, tree_power
@@ -195,11 +196,14 @@ def power_iteration(
     element by element.  The exponents are passed as floats; Python converts
     an int exponent to that same float, so this changes no bit.
 
-    Raises ValueError unless ``tol`` is positive and finite and ``max_iter``
-    is an int (not a bool) of at least 1, DisconnectedInputError for
-    disconnected input and NonConvergenceError (carrying the final bracket)
-    past ``max_iter``.
+    Raises ValueError unless ``tol`` is a positive finite real and
+    ``max_iter`` an int of at least 1 (a bool is neither),
+    DisconnectedInputError for disconnected input and NonConvergenceError
+    (carrying the final bracket) past ``max_iter``.
     """
+    # a bool would pass the range test as 1.0 and stop after two steps
+    if isinstance(tol, bool) or not isinstance(tol, Real):
+        raise ValueError(f"tol must be a real number, got {tol!r}")
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if _strict_int(max_iter, "max_iter") < 1:

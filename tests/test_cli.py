@@ -5,8 +5,9 @@ import math
 
 import pytest
 
-from supertrees import to_interchange, single_edge
-from supertrees.cli import main
+from supertrees import Hypergraph, alpha_normal_radius, power_iteration, to_interchange, single_edge
+from supertrees.certificates import DEFAULT_CERT_TOL
+from supertrees.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -343,11 +344,41 @@ def test_enumerate_limit_env_override(monkeypatch, capsys):
     assert len(stdout.strip().split("\n")) == 48  # header + the 47 trees on 9 vertices
 
 
-def test_enumerate_ranks_with_alpha_unless_power_asked(capsys):
-    for argv, method in (((), "alpha"), (("--method", "auto"), "alpha"), (("--method", "power"), "power")):
-        code, stdout, _ = run_cli(capsys, "enumerate", "--k", "3", "--m", "4", "--output", "csv", *argv)
-        assert code == 0
-        assert {row.split(",")[3] for row in stdout.strip().split("\n")[1:]} == {method}
+def test_enumerate_ranks_with_alpha(capsys):
+    # every radius is the alpha one, and the power oracle agrees with it
+    code, stdout, _ = run_cli(capsys, "enumerate", "--k", "3", "--m", "5", "--output", "json")
+    assert code == 0
+    entries = json.loads(stdout)["entries"]
+    assert {row["method"] for row in entries} == {"alpha"}
+    for row in entries:
+        h = Hypergraph(k=3, n=1 + 2 * len(row["edges"]), edges=tuple(map(tuple, row["edges"])))
+        assert row["rho"] == alpha_normal_radius(h)
+        assert abs(power_iteration(h).rho - row["rho"]) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--k", "3", "--m", "4", "--method", "power"],
+        ["enumerate", "--k", "3", "--m", "4", "--tol", "1e-9"],
+        ["enumerate", "--k", "3", "--m", "4", "--max-iter", "5"],
+        ["gen", "hyperstar", "--k", "3", "--m", "4", "--max-iter", "5"],
+        ["certify", "h.json", "--max-iter", "5"],
+    ],
+)
+def test_power_flags_only_on_rho_and_verify(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_power_flags_parse_on_rho_and_verify():
+    for argv in (["rho", "h.json"], ["verify", "sandwich"]):
+        args = build_parser().parse_args(argv + ["--tol", "1e-9", "--max-iter", "5"])
+        assert (args.tol, args.max_iter) == (1e-9, 5)
+    # certify's --tol is the certificate tolerance, not a power-iteration flag
+    assert build_parser().parse_args(["certify", "h.json"]).tol == DEFAULT_CERT_TOL
 
 
 def test_verify_main2_past_default_cap(monkeypatch, capsys):

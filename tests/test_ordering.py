@@ -1,14 +1,18 @@
 """Enumeration, ranking, and the theorem verifiers."""
 
+import dataclasses
+import math
 import random
 
 import networkx as nx
 import pytest
 
 from supertrees import (
+    CounterexampleFound,
     EnumerationLimitError,
     Hypergraph,
-    NonConvergenceError,
+    alpha_normal_bracket,
+    base_tree,
     broom,
     canonical_key,
     double_star,
@@ -19,6 +23,7 @@ from supertrees import (
     is_supertree,
     move_edges,
     path,
+    power_formula_radius,
     power_iteration,
     random_supertree,
     rank_spectra,
@@ -33,6 +38,8 @@ from supertrees import (
     verify_top_four,
     vertex_stats,
 )
+import supertrees.ordering as ordering
+from supertrees.spectral import TIE_TOL
 
 from oracles import are_isomorphic, count_classes_brute
 
@@ -97,6 +104,12 @@ def test_random_supertree_is_supertree():
     for _ in range(10):
         h = random_supertree(rng.randint(1, 6), rng.choice((2, 3, 4)), rng)
         assert is_supertree(h)
+
+
+@pytest.mark.parametrize("m", [0, -3])
+def test_random_supertree_rejects_non_positive_m(m):
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        random_supertree(m, 3, random.Random(0))
 
 
 def test_random_supertree_matches_attach_loop():
@@ -168,32 +181,47 @@ def test_rank_report_is_sorted_and_ranked():
     assert [e.rank for e in report.entries] == list(range(1, len(rhos) + 1))
 
 
+def _oracle_ranking(m, k, radius):
+    """(key, rho, tie_with_next) per class, ranked as ``rank_spectra`` ranks
+    but with the radius taken from ``radius``."""
+    rows = sorted(
+        ((canonical_key(h).decode("ascii"), radius(h)) for h in enumerate_supertrees(m, k)),
+        key=lambda r: (-r[1], r[0]),
+    )
+    return [
+        (key, rho, i + 1 < len(rows) and rho - rows[i + 1][1] <= TIE_TOL)
+        for i, (key, rho) in enumerate(rows)
+    ]
+
+
+def _power_radius(h):
+    return power_iteration(h).rho
+
+
+def _formula_radius(h):
+    # the tree-power formula where it applies, power iteration elsewhere
+    if is_hypertree(h):
+        return power_formula_radius(base_tree(h), h.k)
+    return power_iteration(h).rho
+
+
 def test_rank_methods_agree():
-    p = rank_spectra(5, 3, method="power")
-    a = rank_spectra(5, 3, method="alpha")
-    f = rank_spectra(5, 3, method="formula")
-    for ep, ea, ef in zip(p.entries, a.entries, f.entries):
-        assert ep.key == ea.key == ef.key
-        assert abs(ep.rho - ea.rho) <= 1e-8
-        assert abs(ep.rho - ef.rho) <= 1e-8
-    assert {e.method for e in p.entries} == {"power"}
-    assert {e.method for e in a.entries} == {"alpha"}
-    # formula applies exactly to the tree powers
-    for e in f.entries:
-        assert e.method == ("formula" if is_hypertree(e.hypergraph) else "power")
+    a = rank_spectra(5, 3)
+    p = _oracle_ranking(5, 3, _power_radius)
+    f = _oracle_ranking(5, 3, _formula_radius)
+    assert any(is_hypertree(e.hypergraph) for e in a.entries)
+    assert any(not is_hypertree(e.hypergraph) for e in a.entries)
+    for ea, (key_p, rho_p, _), (key_f, rho_f, _) in zip(a.entries, p, f, strict=True):
+        assert ea.key == key_p == key_f
+        assert abs(rho_p - ea.rho) <= 1e-8
+        assert abs(rho_p - rho_f) <= 1e-8
 
 
-def test_rank_formula_honours_max_iter():
-    # every class at k=2 is a tree power, so each radius comes from the formula
-    with pytest.raises(NonConvergenceError):
-        rank_spectra(4, 2, method="formula", max_iter=1)
-
-
-def _tie_groups(report):
+def _tie_groups(ranking):
     groups, group = [], set()
-    for e in report.entries:
-        group.add(e.key)
-        if not e.tie_with_next:
+    for key, tie_with_next in ranking:
+        group.add(key)
+        if not tie_with_next:
             groups.append(group)
             group = set()
     return groups
@@ -206,10 +234,11 @@ def test_rank_defaults_to_alpha_in_power_order():
     for k in (2, 3, 4):
         for m in range(1, 7):
             a = rank_spectra(m, k)
-            p = rank_spectra(m, k, method="power")
-            assert {e.method for e in a.entries} == {"alpha"}
-            assert _tie_groups(a) == _tie_groups(p)
-            rho_p = {e.key: e.rho for e in p.entries}
+            p = _oracle_ranking(m, k, _power_radius)
+            assert _tie_groups((e.key, e.tie_with_next) for e in a.entries) == _tie_groups(
+                (key, tie) for key, _, tie in p
+            )
+            rho_p = {key: rho for key, rho, _ in p}
             for e in a.entries:
                 assert abs(e.rho - rho_p[e.key]) <= 1e-8
 
@@ -270,6 +299,41 @@ def test_moving_edges_verifier():
     assert min(rec.data["gaps"]) > 0
 
 
+def test_moving_edges_choices_ignore_rounding_noise(monkeypatch):
+    # Symmetric vertices carry eigenvector weights equal up to rounding, so
+    # nudging every weight by a few ulps must not change which edges move.
+    runs = [(k, seed) for k in (3, 4) for seed in (1, 2, 3)]
+    clean = [verify_moving_edges(trials=15, seed=seed, k=k).data["gaps"] for k, seed in runs]
+    noise = random.Random(0)
+
+    def nudged(h, **kwargs):
+        pair = power_iteration(h, **kwargs)
+        x = []
+        for xi in pair.x:
+            for _ in range(noise.randint(0, 3)):
+                xi = math.nextafter(xi, noise.choice((0.0, math.inf)))
+            x.append(xi)
+        return dataclasses.replace(pair, x=tuple(x))
+
+    monkeypatch.setattr(ordering, "power_iteration", nudged)
+    noisy = [verify_moving_edges(trials=15, seed=seed, k=k).data["gaps"] for k, seed in runs]
+    assert noisy == clean
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"trials": 0}, "trials must be >= 1"),
+        ({"trials": -2}, "trials must be >= 1"),
+        ({"m_max": 2}, "m_max must be >= 3"),
+        ({"m_max": 0}, "m_max must be >= 3"),
+    ],
+)
+def test_moving_edges_rejects_empty_runs(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        verify_moving_edges(**kwargs)
+
+
 def test_moving_edges_explicit_rebalance_increases_radius():
     # moving one pendent edge off each light branch onto the heavy one
     g = broom(2, 2, 2, 3)
@@ -281,6 +345,43 @@ def test_sandwich_verifier():
     for m in (5, 8):
         rec = verify_sandwich(m, 3)
         assert rec.data["lower"] < rec.data["mid"] < rec.data["upper"]
+
+
+@pytest.mark.parametrize("k, m", [(4, 100), (3, 1000)])
+def test_sandwich_passes_where_the_gap_is_below_a_fixed_margin(k, m):
+    # the bracket clears both closed forms by less than 1e-6 here
+    rec = verify_sandwich(m, k)
+    low, high = alpha_normal_bracket(broom(1, 1, m - 3, k))
+    assert rec.data["mid"] == 0.5 * (low + high)
+    assert min(low - rec.data["lower"], rec.data["upper"] - high) < 1e-6
+
+
+def test_sandwich_fails_on_a_closed_form_within_four_ulps(monkeypatch):
+    m, k = 6, 3
+    low, high = alpha_normal_bracket(broom(1, 1, m - 3, k))
+
+    def run_with(lower, upper):
+        # the closed forms at k, the endpoint certificates (k = 2) untouched
+        for name, value in (("f_tree_power_radius", lower), ("double_star_power_radius", upper)):
+            original = getattr(ordering, name)
+            monkeypatch.setattr(ordering, name, lambda m_, k_, v=value, f=original:
+                                v if k_ == k else f(m_, k_))
+        try:
+            return verify_sandwich(m, k)
+        finally:
+            monkeypatch.undo()
+
+    clear_low, clear_high = low - 5 * math.ulp(low), high + 5 * math.ulp(high)
+    for lower, upper in (
+        (low, clear_high),
+        (low - 4 * math.ulp(low), clear_high),
+        (0.5 * (low + high), clear_high),
+        (clear_low, high),
+        (clear_low, high + 4 * math.ulp(high)),
+    ):
+        with pytest.raises(CounterexampleFound, match="sandwich violated"):
+            run_with(lower, upper)
+    assert run_with(clear_low, clear_high).data["lower"] == clear_low
 
 
 # --- non-pendent reduction -----------------------------------------------------------

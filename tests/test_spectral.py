@@ -263,6 +263,10 @@ def test_invalid_parameters():
     for tol in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="tol must be positive"):
             power_iteration(h, tol=tol)
+    # True would pass the range test as 1.0 and stop after two steps
+    for tol in (True, False, "1e-9", 1e-9j, None):
+        with pytest.raises(ValueError, match="tol must be a real number"):
+            power_iteration(h, tol=tol)
     with pytest.raises(ValueError):
         power_iteration(h, max_iter=0)
     for max_iter in (True, 2.5):
