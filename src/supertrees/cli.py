@@ -52,7 +52,16 @@ DEFAULT_SEED = 1729
 
 
 def _enum_limit() -> int:
-    return int(os.environ.get("SUPERTREE_ENUM_LIMIT", DEFAULT_ENUM_LIMIT))
+    raw = os.environ.get("SUPERTREE_ENUM_LIMIT")
+    if raw is None:
+        return DEFAULT_ENUM_LIMIT
+    try:
+        limit = int(raw)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise ValueError(f"SUPERTREE_ENUM_LIMIT must be a positive integer, got {raw!r}")
+    return limit
 
 
 def _fmt(x: float) -> str:

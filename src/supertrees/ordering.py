@@ -415,6 +415,13 @@ def reduce_non_pendent(t: Hypergraph) -> Hypergraph:
     with w, and move every edge at w except the shared one onto u.  The
     weight condition x_u >= x_w makes the radius increase strictly, w turns
     pendent, and no other pendency changes.
+
+    Symmetric vertices carry weights equal up to rounding noise, so weights
+    are compared by tie group: in ascending order, a weight above its
+    group's first weight by more than a relative 1e-8 starts the next
+    group.  Candidates w go by (group, vertex); a partner u needs a group at
+    least w's and partners go by (higher group, vertex, shared edge).  The
+    move thus does not hang on the last bits of the eigenvector.
     """
     if not is_supertree(t):
         raise ValueError("reduce_non_pendent requires a supertree")
@@ -424,15 +431,18 @@ def reduce_non_pendent(t: Hypergraph) -> Hypergraph:
     pair = power_iteration(t)
     x = pair.x
     inc = incidence_lists(t)
-    nonpend = sorted(
-        (v for v in range(t.n) if stats.degrees[v] != 1), key=lambda v: (x[v], v)
-    )
-    for w in nonpend:
+    group: dict[int, int] = {}
+    anchor, g = -math.inf, -1
+    for v in sorted((v for v in range(t.n) if stats.degrees[v] != 1), key=x.__getitem__):
+        if x[v] > anchor * (1 + 1e-8):
+            anchor, g = x[v], g + 1
+        group[v] = g
+    for w in sorted(group, key=lambda v: (group[v], v)):
         partners = []
         for i in inc[w]:
             for u in t.edges[i]:
-                if u != w and stats.degrees[u] > 1 and x[u] >= x[w]:
-                    partners.append((-x[u], u, i))
+                if u != w and u in group and group[u] >= group[w]:
+                    partners.append((-group[u], u, i))
         for _, u, shared_edge in sorted(partners):
             moves = [(i, w) for i in inc[w] if i != shared_edge]
             try:

@@ -31,6 +31,15 @@ multiplications and additions of a per-edge prefix/suffix loop in the same
 order, so every power iterate is bitwise equal to that loop's
 (``tests/oracles.py`` keeps the loop as the reference; ``tensor_apply``
 states the one exception, the sign of a zero).
+
+Each power step applies the tensor once and then takes the k-th root,
+k-norm and rescale passes (plus the powers x^[k-1] at k = 2, for the
+shift).  The full Collatz-Wielandt stopping pass (powers, every ratio,
+their min and max) costs about as much again, yet only the last step or
+two of a solve can stop.  So each step first evaluates the two ratios at
+the last full pass's argmin and argmax; when even those two are further
+apart than ``tol`` allows, the full bracket is wider still and the step
+skips the full pass.  ``power_iteration`` states why this changes no bit.
 """
 
 from __future__ import annotations
@@ -188,13 +197,34 @@ def power_iteration(
     relative to the bracket, and the returned rho is the bracket midpoint.
 
     The tensor plan is built once per call and every step applies it through
-    ``tensor_apply``.  The powers, ratios, shift (k = 2 only), root, k-norm
-    and rescale are each one ``map`` pass over the coordinates, with the
-    formulas ``x_i**(k-1)``, ``a / p``, ``a + p``, ``y_i**(1/(k-1))``,
-    ``sum(x_i**k)**(1/k)`` and ``x_i / norm`` in vertex order, so every
-    iterate, and the returned pair, is bitwise that of the same loop written
-    element by element.  The exponents are passed as floats; Python converts
-    an int exponent to that same float, so this changes no bit.
+    ``tensor_apply``.  Every step then takes the root, k-norm and rescale
+    passes, plus the powers ``x_i**(k-1)`` at k = 2 for the shift.  The full
+    stopping pass (powers, all ratios, their min and max) runs only when a
+    screen cannot rule stopping out.  The screen recomputes two ratios, at
+    the argmin ``i_lo`` and argmax ``i_hi`` of the last full pass (both 0
+    before the first), with the full pass's formula, and takes their min
+    ``lo`` and max ``hi``.  If ``hi - lo > tol * max(1, lo)`` the step
+    cannot stop and goes straight to the update.  This is exact: the true
+    bracket has ``lam_lo <= lo`` and ``lam_hi >= hi``, and float rounding is
+    monotone, so ``fl(lam_hi - lam_lo) >= fl(hi - lo)`` and ``fl(tol *
+    max(1, lam_lo)) <= fl(tol * max(1, lo))``: whenever the screen says too
+    wide, so would the full test.  A NaN or ``inf - inf`` makes the screen's
+    comparison false, so that step runs the full pass.  Step 1 and step
+    ``max_iter`` always run it, the latter so that NonConvergenceError
+    carries the final bracket.  A full pass that does not stop re-aims
+    ``i_lo`` and ``i_hi`` at its argmin and argmax.  A solve typically
+    runs it on three steps: step 1 and its last two.
+
+    Each pass is one ``map`` over the coordinates, with the formulas
+    ``x_i**(k-1)``, ``a / p``, ``a + p``, ``y_i**(1/(k-1))``,
+    ``sum(x_i**k)**(1/k)`` and ``x_i / norm`` in vertex order, and the
+    iterates do not depend on the screen, so every iterate, the step count
+    and the returned pair are bitwise those of the same loop written element
+    by element with the full pass on every step.  The exponents are passed
+    as floats; Python converts an int exponent to that same float, so this
+    changes no bit.  The one difference: a power ``x_i**(k-1)`` that
+    underflows to 0.0 raises ZeroDivisionError in the full pass, so a
+    screened step defers that error to the next full pass.
 
     Raises ValueError unless ``tol`` is a positive finite real and
     ``max_iter`` an int of at least 1 (a bool is neither),
@@ -215,17 +245,26 @@ def power_iteration(
     km1 = k - 1.0
     shift = h.k == 2
     x = [h.n ** (-1.0 / k)] * h.n
-    lam_lo = lam_hi = 0.0
+    i_lo = i_hi = 0  # argmin and argmax of the last full pass's ratios
     for it in range(1, max_iter + 1):
         ax = tensor_apply(h, x, plan=plan)
-        pw = list(map(pow, x, repeat(km1)))
-        ratios = list(map(truediv, ax, pw))
-        lam_lo = min(ratios)
-        lam_hi = max(ratios)
-        if lam_hi - lam_lo <= tol * max(1.0, lam_lo):
-            rho = 0.5 * (lam_lo + lam_hi)
-            residual = max(map(abs, map(sub, ax, map(mul, repeat(rho), pw))))
-            return PrincipalPair(rho=rho, x=tuple(x), residual=residual, iterations=it)
+        a = ax[i_lo] / x[i_lo] ** km1
+        b = ax[i_hi] / x[i_hi] ** km1
+        lo, hi = min(a, b), max(a, b)
+        # True only if the full test below would fail too (see the docstring)
+        screened = hi - lo > tol * max(1.0, lo) and it < max_iter
+        if shift or not screened:
+            pw = list(map(pow, x, repeat(km1)))
+        if not screened:
+            ratios = list(map(truediv, ax, pw))
+            lam_lo = min(ratios)
+            lam_hi = max(ratios)
+            if lam_hi - lam_lo <= tol * max(1.0, lam_lo):
+                rho = 0.5 * (lam_lo + lam_hi)
+                residual = max(map(abs, map(sub, ax, map(mul, repeat(rho), pw))))
+                return PrincipalPair(rho=rho, x=tuple(x), residual=residual, iterations=it)
+            i_lo = ratios.index(lam_lo)
+            i_hi = ratios.index(lam_hi)
         x = list(map(pow, map(add, ax, pw) if shift else ax, repeat(1.0 / km1)))
         norm = sum(map(pow, x, repeat(k))) ** (1.0 / k)
         x = list(map(truediv, x, repeat(norm)))
@@ -246,8 +285,9 @@ def power_formula_radius(
     """Radius of the kth power of a tree: the tree's radius raised to 2/k.
 
     The tree's radius comes from power iteration under ``tol`` and ``max_iter``.
+    Raises ValueError unless ``k`` is an int of at least 2.
     """
-    if k < 2:
+    if _strict_int(k, "k") < 2:
         raise ValueError("power_formula_radius needs k >= 2")
     return graph_spectral_radius(t, tol=tol, max_iter=max_iter) ** (2.0 / k)
 
@@ -257,11 +297,12 @@ def double_star_power_radius(m: int, k: int) -> float:
     pendants (m edges total).
 
     The base radius solves rho^4 - m*rho^2 + 2(m-3) = 0; the largest root
-    satisfies rho > sqrt(m-2) and the power radius is rho^(2/k).
+    satisfies rho > sqrt(m-2) and the power radius is rho^(2/k).  Raises
+    ValueError unless ``m >= 4`` and ``k >= 2`` are ints.
     """
-    if m < 4:
+    if _strict_int(m, "m") < 4:
         raise ValueError("double_star_power_radius needs m >= 4")
-    if k < 2:
+    if _strict_int(k, "k") < 2:
         raise ValueError("k must be >= 2")
     rho_sq = 0.5 * (m + math.sqrt(m * m - 8.0 * (m - 3)))
     return rho_sq ** (1.0 / k)
@@ -270,11 +311,12 @@ def double_star_power_radius(m: int, k: int) -> float:
 def f_tree_power_radius(m: int, k: int) -> float:
     """Closed-form radius of the kth power of the f-tree on m+1 vertices.
 
-    The base radius solves rho^4 - (m-1)*rho^2 + (m-4) = 0.
+    The base radius solves rho^4 - (m-1)*rho^2 + (m-4) = 0.  Raises
+    ValueError unless ``m >= 4`` and ``k >= 2`` are ints.
     """
-    if m < 4:
+    if _strict_int(m, "m") < 4:
         raise ValueError("f_tree_power_radius needs m >= 4")
-    if k < 2:
+    if _strict_int(k, "k") < 2:
         raise ValueError("k must be >= 2")
     rho_sq = 0.5 * ((m - 1) + math.sqrt((m - 1.0) ** 2 - 4.0 * (m - 4)))
     return rho_sq ** (1.0 / k)

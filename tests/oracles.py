@@ -19,7 +19,7 @@ import random
 import numpy as np
 from hypothesis import strategies as hs
 
-from supertrees import Hypergraph, OrdinaryTree, PrincipalPair
+from supertrees import Hypergraph, NonConvergenceError, OrdinaryTree, PrincipalPair
 
 
 def adjacency_matrix(t: OrdinaryTree) -> np.ndarray:
@@ -268,7 +268,8 @@ def reference_power_iteration(h: Hypergraph, tol: float = 1e-10, max_iter: int =
     """The power method of ``power_iteration``, one coordinate at a time on
     ``reference_tensor_apply``: the step is ``y = Ax + x^[k-1]`` at k = 2
     and ``y = Ax`` at k >= 3, where the tensor of a connected hypergraph is
-    weakly primitive, so for connected input it converges."""
+    weakly primitive, so for connected input it converges.  Past
+    ``max_iter`` it raises NonConvergenceError with the last bracket."""
     k = h.k
     km1 = k - 1
     x = [h.n ** (-1.0 / k)] * h.n
@@ -286,7 +287,9 @@ def reference_power_iteration(h: Hypergraph, tol: float = 1e-10, max_iter: int =
         x = [yi ** (1.0 / km1) for yi in y]
         norm = sum(xi**k for xi in x) ** (1.0 / k)
         x = [xi / norm for xi in x]
-    raise AssertionError(f"reference power iteration did not converge in {max_iter} steps")
+    raise NonConvergenceError(
+        f"reference power iteration did not converge in {max_iter} steps", bracket=(lam_lo, lam_hi)
+    )
 
 
 def reference_propagate(h: Hypergraph, alpha: float) -> tuple[float, dict[tuple[int, int], float]]:

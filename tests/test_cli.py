@@ -344,6 +344,15 @@ def test_enumerate_limit_env_override(monkeypatch, capsys):
     assert len(stdout.strip().split("\n")) == 48  # header + the 47 trees on 9 vertices
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "", "7.5"])
+def test_enumerate_limit_env_must_be_positive(value, monkeypatch, capsys):
+    monkeypatch.setenv("SUPERTREE_ENUM_LIMIT", value)
+    for argv in (["enumerate", "--k", "3", "--m", "4"], ["verify", "main2", "--k", "3", "--m", "4"]):
+        code, stdout, stderr = run_cli(capsys, *argv)
+        assert code == 1 and stdout == ""
+        assert stderr == f"error: SUPERTREE_ENUM_LIMIT must be a positive integer, got {value!r}\n"
+
+
 def test_enumerate_ranks_with_alpha(capsys):
     # every radius is the alpha one, and the power oracle agrees with it
     code, stdout, _ = run_cli(capsys, "enumerate", "--k", "3", "--m", "5", "--output", "json")

@@ -417,3 +417,31 @@ def test_reduce_sweep_all_small_classes():
             assert vertex_stats(reduced).non_pendent_count == (
                 vertex_stats(h).non_pendent_count - 1
             )
+
+
+def test_reduction_ignores_rounding_noise(monkeypatch):
+    # Symmetric non-pendent vertices carry weights equal up to rounding, so
+    # nudging every weight by up to 3 ulps must not change the move.
+    hosts = [
+        h
+        for k in (3, 4)
+        for m in range(3, 7)
+        for h in enumerate_supertrees(m, k)
+        if vertex_stats(h).non_pendent_count >= 2
+    ]
+    assert len(hosts) == 61
+    clean = [reduce_non_pendent(h) for h in hosts]
+    noise = random.Random(0)
+
+    def nudged(h, **kwargs):
+        pair = power_iteration(h, **kwargs)
+        x = []
+        for xi in pair.x:
+            for _ in range(noise.randint(0, 3)):
+                xi = math.nextafter(xi, noise.choice((0.0, math.inf)))
+            x.append(xi)
+        return dataclasses.replace(pair, x=tuple(x))
+
+    monkeypatch.setattr(ordering, "power_iteration", nudged)
+    for _ in range(5):
+        assert [reduce_non_pendent(h) for h in hosts] == clean

@@ -187,6 +187,28 @@ def test_step_counts_are_pinned():
     assert power_iteration(hyperstar(1000, 3)).iterations == 38
 
 
+@pytest.mark.parametrize(
+    "h",
+    [tree_power(path(12), 2), tree_power(path(21), 3), random_supertree(60, 5, random.Random(7))],
+    ids=["path-k2", "path3-m20", "random-k5-m60"],
+)
+def test_step_budget_boundaries_match_the_reference(h):
+    # The convergence screen skips the full Collatz-Wielandt pass on most
+    # steps; the last allowed step must still run it, converging exactly at
+    # the reference's step count and raising its bracket one step short.
+    n = reference_power_iteration(h).iterations
+    pair = power_iteration(h, max_iter=n)
+    ref = reference_power_iteration(h, max_iter=n)
+    assert pair.iterations == ref.iterations == n
+    assert bits((pair.rho, pair.residual, *pair.x)) == bits((ref.rho, ref.residual, *ref.x))
+    for budget in (n - 1, 1):
+        with pytest.raises(NonConvergenceError) as err:
+            power_iteration(h, max_iter=budget)
+        with pytest.raises(NonConvergenceError) as ref_err:
+            reference_power_iteration(h, max_iter=budget)
+        assert bits(err.value.bracket) == bits(ref_err.value.bracket)
+
+
 # --- power iteration -------------------------------------------------------------
 
 
@@ -374,3 +396,18 @@ def test_f_tree_power_matches_power_formula():
     for m in (4, 6, 9):
         for k in (2, 3, 5):
             assert abs(f_tree_power_radius(m, k) - power_formula_radius(f_tree(m + 1), k)) <= 1e-9
+
+
+def test_closed_forms_reject_non_integer_sizes():
+    # a fractional size once returned a radius, e.g. 1.5447 for m = 4.5
+    for call in (
+        lambda: double_star_power_radius(4.5, 3),
+        lambda: double_star_power_radius(5, 3.0),
+        lambda: f_tree_power_radius(10, 3.0),
+        lambda: f_tree_power_radius(10.0, 3),
+        lambda: f_tree_power_radius(True, 3),
+        lambda: power_formula_radius(path(5), 2.5),
+        lambda: power_formula_radius(path(5), True),
+    ):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call()
