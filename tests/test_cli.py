@@ -5,7 +5,15 @@ import math
 
 import pytest
 
-from supertrees import Hypergraph, alpha_normal_radius, power_iteration, to_interchange, single_edge
+from supertrees import (
+    Hypergraph,
+    alpha_normal_bracket,
+    alpha_normal_radius,
+    broom,
+    power_iteration,
+    single_edge,
+    to_interchange,
+)
 from supertrees.certificates import DEFAULT_CERT_TOL
 from supertrees.cli import build_parser, main
 
@@ -73,6 +81,21 @@ def test_rho_auto_reports_both_and_gap(tmp_path, capsys):
     assert payload["power"]["rho"] == pytest.approx(4 ** (1 / 3), abs=1e-8)
     assert payload["alpha"]["rho"] == pytest.approx(4 ** (1 / 3), abs=1e-8)
     assert payload["gap"] <= 1e-8
+
+
+@pytest.mark.parametrize("method", ["alpha", "auto"])
+def test_rho_json_reports_the_certified_bracket_and_its_evaluations(tmp_path, capsys, method):
+    out = tmp_path / "b.json"
+    run_cli(capsys, "gen", "broom", "--k", "3", "--t", "1,1,997", "--out", str(out))
+    code, stdout, _ = run_cli(capsys, "rho", str(out), "--method", method, "--output", "json")
+    assert code == 0
+    alpha = json.loads(stdout)["alpha"]
+    assert (alpha["low"], alpha["high"]) == alpha_normal_bracket(broom(1, 1, 997, 3))
+    assert alpha["rho"] == 0.5 * (alpha["low"] + alpha["high"])
+    assert alpha["evaluations"] == 12
+    # the human output carries no bracket
+    _, human, _ = run_cli(capsys, "rho", str(out), "--method", method)
+    assert "rho = 9.99333558  method = alpha" in human.splitlines()
 
 
 @pytest.mark.parametrize("method", ["power", "alpha", "formula", "auto"])
