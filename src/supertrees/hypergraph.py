@@ -7,6 +7,7 @@ when their edge sets are equal.  All operations here are pure.
 
 from __future__ import annotations
 
+from bisect import bisect
 from collections import deque
 from dataclasses import dataclass
 
@@ -134,10 +135,10 @@ def is_supertree(h: Hypergraph) -> bool:
 # whose nodes are the edges and the non-pendent vertices.  That typed tree is
 # a complete isomorphism invariant.  Every isomorphism maps its centre (the
 # node or two adjacent nodes left after stripping leaves layer by layer) onto
-# the centre, so a canonical encoding of the tree rooted at a centre, the
-# smaller one if there are two, is a canonical key.  Every leaf is an edge
-# node and the tree is bipartite, so its diameter is even and the centre is
-# in fact one node; taking the smaller encoding does not rely on that.
+# the centre, so a canonical encoding of the tree rooted at the centre is a
+# canonical key.  A non-pendent vertex keeps all its edges, at least two, so
+# every leaf is an edge node; any two leaves are then an even distance apart,
+# the diameter is even and the centre is one node.
 #
 # Rejection needs no separate supertree test.  The incidence graph has
 # m + n nodes and mk arcs, so it has one arc fewer than nodes exactly when
@@ -159,48 +160,48 @@ def is_supertree(h: Hypergraph) -> bool:
 # the tables rebuilds the rooted tree, so the encoding is complete.  A rank
 # depends on the tree alone, not on the order nodes were visited, so two
 # trees have equal encodings exactly when they are isomorphic as rooted trees.
+#
+# ``canonical_key`` does all of this in one function.  Edges are nodes 0..m-1
+# and non-pendent vertices follow, so the index gives the type; a leaf's
+# signature is "E".  An unlabelled parent reads "" and leaves a leading ".".
 
 
-def _reduced_tree(h: Hypergraph) -> tuple[list[str], list[list[int]]]:
-    """Typed adjacency of the reduced incidence graph (edges + non-pendent).
+def canonical_key(h: Hypergraph) -> bytes:
+    """Canonical byte-string: equal for two supertrees iff isomorphic.
 
-    Counts the degrees itself from the edges.  The graph is a tree exactly
-    when ``h`` is a supertree.
+    The reduced incidence tree is encoded from its centre, in time
+    O(N log N) for N = m + (non-pendent vertices) and without recursion.
+    Raises ValueError for a non-supertree, found without a separate
+    connectivity test: first by the edge count m(k-1) = n-1, then by the
+    centre peel stalling on a cycle (see the comment above).
     """
+    edges = h.edges
+    m = len(edges)
+    if m * (h.k - 1) != h.n - 1:
+        raise ValueError("canonical_key requires a supertree")
     degree = [0] * h.n
-    for e in h.edges:
+    for e in edges:
         for v in e:
             degree[v] += 1
     node = [-1] * h.n
-    size = h.m
+    size = m
     for v, d in enumerate(degree):
         if d != 1:
             node[v] = size
             size += 1
-    types = ["E"] * h.m + ["V"] * (size - h.m)
-    adj: list[list[int]] = [[] for _ in types]
-    for i, e in enumerate(h.edges):
+    adj: list[list[int]] = [[] for _ in range(size)]
+    for i, e in enumerate(edges):
         for v in e:
             j = node[v]
             if j >= 0:
                 adj[i].append(j)
                 adj[j].append(i)
-    return types, adj
-
-
-def _centres(adj: list[list[int]]) -> list[int]:
-    """The one or two nodes of a tree left after peeling leaves layer by layer.
-
-    Returns an empty list when the peel stalls, that is when a layer is
-    empty while more than two nodes are left.  On a graph with one arc fewer
-    than nodes that happens exactly when the graph has a cycle.
-    """
     degree = [len(a) for a in adj]
     layer = [v for v, d in enumerate(degree) if d <= 1]
-    left = len(adj)
+    left = size
     while left > 2:
         if not layer:
-            return []
+            raise ValueError("canonical_key requires a supertree")
         left -= len(layer)
         inner = []
         for v in layer:
@@ -209,13 +210,9 @@ def _centres(adj: list[list[int]]) -> list[int]:
                 if degree[w] == 1:
                     inner.append(w)
         layer = inner
-    return layer
-
-
-def _centred_code(root: int, types: list[str], adj: list[list[int]]) -> str:
-    """AHU encoding of the tree rooted at ``root``, in one pass up its BFS levels."""
-    parent = [-1] * len(adj)
-    parent[root] = root
+    root = layer[0]
+    seen = [False] * size
+    seen[root] = True
     levels = []
     level = [root]
     while level:
@@ -223,15 +220,16 @@ def _centred_code(root: int, types: list[str], adj: list[list[int]]) -> str:
         below = []
         for v in level:
             for c in adj[v]:
-                if parent[c] < 0:
-                    parent[c] = v
+                if not seen[c]:
+                    seen[c] = True
                     below.append(c)
         level = below
-    label = [""] * len(adj)
+    label = [""] * size
+    get = label.__getitem__
     tables = []
-    for level in reversed(levels):
+    for level in reversed(levels[1:]):
         sigs = [
-            types[v] + ".".join(sorted([label[c] for c in adj[v] if c != parent[v]]))
+            ("E" if v < m else "V") + ".".join(sorted(map(get, adj[v])))[1:] if len(adj[v]) > 1 else "E"
             for v in level
         ]
         table = sorted(set(sigs))
@@ -243,26 +241,28 @@ def _centred_code(root: int, types: list[str], adj: list[list[int]]) -> str:
             for v, s in zip(level, sigs):
                 label[v] = rank[s]
         tables.append(" ".join(table))
-    return "/".join(tables)
+    tables.append(("E" if root < m else "V") + ".".join(sorted(map(get, adj[root]))))
+    return f"{h.k}|{'/'.join(tables)}".encode("ascii")
 
 
-def canonical_key(h: Hypergraph) -> bytes:
-    """Canonical byte-string: equal for two supertrees iff isomorphic.
+def _attach_pendent_edge(h: Hypergraph, v: int) -> Hypergraph:
+    """``h`` plus the pendent edge ``(v, n, ..., n+k-2)``, spliced into place.
 
-    The reduced incidence tree is encoded from its centre, in time
-    O(N log N) for N = m + (non-pendent vertices) and without recursion.
-    Raises ValueError for a non-supertree, found without a separate
-    connectivity test: first by the edge count m(k-1) = n-1, then by the
-    centre peel stalling on a cycle (see the comment above ``_reduced_tree``).
+    The enumeration's constructor: instead of revalidating and re-sorting
+    every edge it inserts the new one into ``h.edges`` at ``bisect(h.edges,
+    (v, n))``.  That is exact, equal to ``Hypergraph(k, n + k - 1, h.edges +
+    (edge,))``: ``h`` is valid, ``0 <= v < n`` and the new vertices exceed
+    every old one, so the tuple stays sorted, distinct, in range and k-uniform.
     """
-    if h.m * (h.k - 1) != h.n - 1:
-        raise ValueError("canonical_key requires a supertree")
-    types, adj = _reduced_tree(h)
-    centres = _centres(adj)
-    if not centres:
-        raise ValueError("canonical_key requires a supertree")
-    best = min(_centred_code(c, types, adj) for c in centres)
-    return f"{h.k}|{best}".encode("ascii")
+    n, k, edges = h.n, h.k, h.edges
+    if not 0 <= v < n:
+        raise ValueError(f"vertex {v} is outside [0, {n})")
+    i = bisect(edges, (v, n))
+    g = object.__new__(Hypergraph)
+    object.__setattr__(g, "k", k)
+    object.__setattr__(g, "n", n + k - 1)
+    object.__setattr__(g, "edges", edges[:i] + ((v, *range(n, n + k - 1)),) + edges[i:])
+    return g
 
 
 # --- interchange format -----------------------------------------------------

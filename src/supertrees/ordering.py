@@ -3,9 +3,13 @@
 Every supertree with m edges arises from one with m-1 edges by attaching a
 pendent edge at an existing vertex (each edge contributes exactly k-1 new
 vertices), so growth plus canonical-key deduplication enumerates all
-isomorphism classes.  The verifiers rank the classes by spectral radius and
-check the expected top-of-order families, the branch-count partition
-ordering, the edge-moving monotonicity, and the non-pendent reduction step.
+isomorphism classes.  Each candidate is spliced: its new edge, whose vertices
+are fresh and larger than every old one, goes into the parent's sorted edge
+tuple by bisection, with no re-sort or revalidation, which is exact (see
+``hypergraph._attach_pendent_edge``), and is keyed once.  The verifiers rank
+the classes by spectral radius and check the expected top-of-order families,
+the branch-count partition ordering, the edge-moving monotonicity, and the
+non-pendent reduction step.
 """
 
 from __future__ import annotations
@@ -31,7 +35,15 @@ from .errors import (
     MultipleEdgeError,
     SearchExhaustedError,
 )
-from .hypergraph import Hypergraph, canonical_key, incidence_lists, is_supertree, vertex_stats
+from .hypergraph import (
+    Hypergraph,
+    _attach_pendent_edge,
+    _strict_int,
+    canonical_key,
+    incidence_lists,
+    is_supertree,
+    vertex_stats,
+)
 from .spectral import (
     DEFAULT_MAX_ITER,
     DEFAULT_TOL,
@@ -71,26 +83,23 @@ class VerificationRecord:
     data: dict
 
 
-def _attach_pendent_edge(h: Hypergraph, v: int) -> Hypergraph:
-    edge = (v,) + tuple(range(h.n, h.n + h.k - 1))
-    return Hypergraph(k=h.k, n=h.n + h.k - 1, edges=h.edges + (edge,))
-
-
 def single_edge(k: int) -> Hypergraph:
     """The one-edge k-uniform supertree."""
-    return Hypergraph(k=k, n=k, edges=(tuple(range(k)),))
+    return Hypergraph(k=k, n=k, edges=(tuple(range(_strict_int(k, "k"))),))
 
 
 def enumerate_supertrees(m: int, k: int, limit: int = DEFAULT_ENUM_LIMIT) -> list[Hypergraph]:
     """One representative per isomorphism class of k-uniform supertrees with m edges.
 
-    Output is sorted by canonical key, so the order is deterministic.
+    Output is sorted by canonical key, so the order is deterministic.  ``m``,
+    ``k`` and ``limit`` must be ints (bools and floats raise ValueError).
     """
-    if m < 1:
+    if _strict_int(m, "m") < 1:
         raise ValueError("m must be >= 1")
-    if m > limit:
+    if m > _strict_int(limit, "limit"):
         raise EnumerationLimitError(f"m = {m} exceeds the enumeration limit {limit}")
-    reps = {canonical_key(single_edge(k)): single_edge(k)}
+    first = single_edge(k)
+    reps = {canonical_key(first): first}
     for _ in range(m - 1):
         grown: dict[bytes, Hypergraph] = {}
         for h in reps.values():
@@ -102,10 +111,13 @@ def enumerate_supertrees(m: int, k: int, limit: int = DEFAULT_ENUM_LIMIT) -> lis
 
 
 def random_supertree(m: int, k: int, rng: random.Random) -> Hypergraph:
-    """Uniform-attachment growth: each new pendent edge lands on a random vertex."""
-    if m < 1:
+    """Uniform-attachment growth: each new pendent edge lands on a random vertex.
+
+    ``m`` and ``k`` must be ints (bools and floats raise ValueError).
+    """
+    if _strict_int(m, "m") < 1:
         raise ValueError("m must be >= 1")
-    edges = [tuple(range(k))]
+    edges = [tuple(range(_strict_int(k, "k")))]
     n = k
     for _ in range(m - 1):
         edges.append((rng.randrange(n),) + tuple(range(n, n + k - 1)))
@@ -120,7 +132,7 @@ def rank_spectra(m: int, k: int, limit: int = DEFAULT_ENUM_LIMIT) -> SpectraRepo
     certificate-solver bracket; power iteration stays the independent
     oracle the tests compare it with.  Equal radii are ordered by canonical
     key.  Ties within the tie tolerance are flagged on the higher-ranked
-    entry.
+    entry.  ``enumerate_supertrees`` checks ``m``, ``k`` and ``limit``.
     """
     rows = []
     for h in enumerate_supertrees(m, k, limit=limit):
@@ -195,9 +207,11 @@ def verify_top_four(m: int, k: int, limit: int = DEFAULT_ENUM_LIMIT) -> Verifica
     For m >= 5 the expected head has four entries; at m = 4 two of the
     families coincide and the collapsed three- or four-class order is checked
     instead.  The classes are ranked by ``rank_spectra``, that is by the
-    certificate solver.  Raises CounterexampleFound on any mismatch.
+    certificate solver.  Raises CounterexampleFound on any mismatch, and
+    ValueError unless ``m`` is an int >= 4 (``k`` and ``limit`` are checked by
+    ``enumerate_supertrees``).
     """
-    if m < 4:
+    if _strict_int(m, "m") < 4:
         raise ValueError("ordering verification needs m >= 4")
     report = rank_spectra(m, k, limit=limit)
     expected = _expected_top(m, k)

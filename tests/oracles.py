@@ -4,8 +4,9 @@ Nothing here shares code with the package's own algorithms: eigenvalues come
 from dense numpy decompositions, isomorphism from edge-bijection brute force
 and from degree-guided backtracking, class counts from labeled enumeration
 over all edge subsets, the tensor and the power method from loops written
-one edge and one coordinate at a time, and the certificate propagation from
-a loop that visits every child vertex, pendent ones included.  The
+one edge and one coordinate at a time, the certificate propagation from
+a loop that visits every child vertex, pendent ones included, and the
+canonical key from separate reduce, peel and encode stages.  The
 count-meeting non-supertrees and the ``edge_sets`` strategy feed the
 rejection tests of every module that demands a supertree.
 """
@@ -243,6 +244,95 @@ def count_classes_brute(m: int, k: int, iso=brute_isomorphic) -> int:
         if not any(iso(h, r) for r in reps):
             reps.append(h)
     return sum(len(reps) for reps in buckets.values())
+
+
+def _key_reduced_tree(h: Hypergraph) -> tuple[list[str], list[list[int]]]:
+    """Typed adjacency of the reduced incidence graph (edges + non-pendent)."""
+    degree = [0] * h.n
+    for e in h.edges:
+        for v in e:
+            degree[v] += 1
+    node = [-1] * h.n
+    size = h.m
+    for v, d in enumerate(degree):
+        if d != 1:
+            node[v] = size
+            size += 1
+    types = ["E"] * h.m + ["V"] * (size - h.m)
+    adj: list[list[int]] = [[] for _ in types]
+    for i, e in enumerate(h.edges):
+        for v in e:
+            j = node[v]
+            if j >= 0:
+                adj[i].append(j)
+                adj[j].append(i)
+    return types, adj
+
+
+def _key_centres(adj: list[list[int]]) -> list[int]:
+    """The one or two nodes left after peeling leaves layer by layer, or an
+    empty list when a layer is empty while more than two nodes are left."""
+    degree = [len(a) for a in adj]
+    layer = [v for v, d in enumerate(degree) if d <= 1]
+    left = len(adj)
+    while left > 2:
+        if not layer:
+            return []
+        left -= len(layer)
+        inner = []
+        for v in layer:
+            for w in adj[v]:
+                degree[w] -= 1
+                if degree[w] == 1:
+                    inner.append(w)
+        layer = inner
+    return layer
+
+
+def _key_centred_code(root: int, types: list[str], adj: list[list[int]]) -> str:
+    """AHU encoding of the tree rooted at ``root``, up its BFS levels."""
+    parent = [-1] * len(adj)
+    parent[root] = root
+    levels = []
+    level = [root]
+    while level:
+        levels.append(level)
+        below = []
+        for v in level:
+            for c in adj[v]:
+                if parent[c] < 0:
+                    parent[c] = v
+                    below.append(c)
+        level = below
+    label = [""] * len(adj)
+    tables = []
+    for level in reversed(levels):
+        sigs = [
+            types[v] + ".".join(sorted([label[c] for c in adj[v] if c != parent[v]]))
+            for v in level
+        ]
+        table = sorted(set(sigs))
+        rank = {s: str(i) for i, s in enumerate(table)}
+        for v, s in zip(level, sigs):
+            label[v] = rank[s]
+        tables.append(" ".join(table))
+    return "/".join(tables)
+
+
+def reference_canonical_key(h: Hypergraph) -> bytes:
+    """The AHU key of ``canonical_key`` from three separate stages: a typed
+    reduced incidence graph, its centres by a leaf peel, and the encoding
+    rooted at each centre, the smaller one kept.  Children are found through
+    parent pointers and every signature is sorted and joined, leaves too.
+    ``canonical_key`` must match it byte for byte.  ``h`` must be a supertree."""
+    if h.m * (h.k - 1) != h.n - 1:
+        raise ValueError("canonical_key requires a supertree")
+    types, adj = _key_reduced_tree(h)
+    centres = _key_centres(adj)
+    if not centres:
+        raise ValueError("canonical_key requires a supertree")
+    best = min(_key_centred_code(c, types, adj) for c in centres)
+    return f"{h.k}|{best}".encode("ascii")
 
 
 def reference_tensor_apply(h: Hypergraph, x) -> list[float]:

@@ -13,15 +13,19 @@ from supertrees import (
     broom,
     canonical_key,
     double_star,
+    enumerate_supertrees,
     from_interchange,
     hyperstar,
     is_connected,
     is_supertree,
     path,
+    random_supertree,
+    single_edge,
     to_interchange,
     tree_power,
     vertex_stats,
 )
+from supertrees.hypergraph import _attach_pendent_edge
 
 from oracles import (
     COUNT_ONLY_NON_SUPERTREES,
@@ -29,6 +33,7 @@ from oracles import (
     are_isomorphic,
     brute_isomorphic,
     edge_sets,
+    reference_canonical_key,
 )
 
 
@@ -217,6 +222,36 @@ def test_key_rejects_exactly_the_non_supertrees(h):
 def test_key_bytes_are_pinned(h, key):
     # the CLI prints these keys, so a faster encoder must reproduce them exactly
     assert canonical_key(h) == key
+
+
+def enumeration_candidates(k: int, m_max: int):
+    """Every supertree the enumeration keys on its way to ``m_max`` edges."""
+    yield single_edge(k)
+    for m in range(1, m_max):
+        for h in enumerate_supertrees(m, k):
+            for v in range(h.n):
+                yield _attach_pendent_edge(h, v)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_key_matches_the_reference_on_every_enumeration_candidate(k):
+    count = 0
+    for h in enumeration_candidates(k, 7):
+        assert canonical_key(h) == reference_canonical_key(h)
+        count += 1
+    assert count == {2: 142, 3: 394, 4: 627, 5: 848}[k]
+
+
+def test_key_matches_the_reference_on_random_supertrees():
+    rng = random.Random(12)
+    for _ in range(60):
+        h = random_supertree(rng.randint(1, 300), rng.randint(2, 6), rng)
+        assert canonical_key(h) == reference_canonical_key(h)
+
+
+def test_key_matches_the_reference_on_a_long_path_power():
+    h = tree_power(path(10_001), 3)
+    assert canonical_key(h) == reference_canonical_key(h)
 
 
 def test_four_classes_distinct_keys_against_brute_oracle():

@@ -1,6 +1,7 @@
 """Enumeration, ranking, and the theorem verifiers."""
 
 import dataclasses
+import hashlib
 import math
 import random
 
@@ -97,6 +98,72 @@ def test_enumeration_closure_over_constructors():
         ]
         assert len(matches) == 1
         assert are_isomorphic(matches[0], built)
+
+
+def test_splice_equals_the_validated_constructor():
+    for k in (2, 3, 4):
+        for m in range(1, 7):
+            for h in enumerate_supertrees(m, k):
+                for v in range(h.n):
+                    edge = (v,) + tuple(range(h.n, h.n + k - 1))
+                    built = Hypergraph(k=k, n=h.n + k - 1, edges=h.edges + (edge,))
+                    spliced = ordering._attach_pendent_edge(h, v)
+                    assert spliced == built
+                    assert spliced.edges == built.edges
+
+
+@pytest.mark.parametrize("v", [-1, 5, 9, -6])
+def test_splice_rejects_a_vertex_outside_the_supertree(v):
+    with pytest.raises(ValueError, match="outside"):
+        ordering._attach_pendent_edge(hyperstar(2, 3), v)
+
+
+@pytest.mark.parametrize(
+    "k, m, classes, digest",
+    [
+        (3, 8, 126, "88a60c292deb84b6b9447ce89f17807567aa47cff0e3fd62415725347314b7d8"),
+        (4, 8, 154, "acf6b9b1dd063c41d1699d6ea855b5636d928f5435ce761b7598e4b00ff5601f"),
+        (2, 9, 106, "3a8a4d7a3041374f28c92e3039b71491c1e9e7579e1c12c21e1ba1a604ab7f94"),
+    ],
+    ids=["k3-m8", "k4-m8", "k2-m9"],
+)
+def test_class_keys_are_pinned_at_the_benchmark_sizes(k, m, classes, digest):
+    # sha256 of the newline-joined sorted keys, computed with the encoder and
+    # the validated constructor that the splice and the one-function key replaced
+    keys = sorted(canonical_key(h) for h in enumerate_supertrees(m, k, limit=m))
+    assert len(keys) == classes
+    assert hashlib.sha256(b"\n".join(keys)).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: enumerate_supertrees(True, 3),
+        lambda: enumerate_supertrees(3.0, 3),
+        lambda: enumerate_supertrees(3, 3.0),
+        lambda: enumerate_supertrees(3, 3, limit=7.5),
+        lambda: rank_spectra(4, 3, limit=True),
+        lambda: verify_top_four(5.0, 3),
+        lambda: verify_top_four(True, 3),
+        lambda: random_supertree(True, 3, random.Random(0)),
+        lambda: random_supertree(3, 3.0, random.Random(0)),
+    ],
+    ids=[
+        "enumerate-bool-m",
+        "enumerate-float-m",
+        "enumerate-float-k",
+        "enumerate-float-limit",
+        "rank-bool-limit",
+        "top-four-float-m",
+        "top-four-bool-m",
+        "random-bool-m",
+        "random-float-k",
+    ],
+)
+def test_sizes_must_be_ints(call):
+    # bools and floats used to be coerced or to fail inside range()
+    with pytest.raises(ValueError, match="must be an integer"):
+        call()
 
 
 def test_random_supertree_is_supertree():
