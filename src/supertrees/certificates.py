@@ -7,10 +7,13 @@ pair (H, B, alpha) as normal, strictly subnormal, or strictly supernormal;
 the strict cases bound the spectral radius by alpha^(-1/k) from above or
 below.  On supertrees the normality conditions pin B down uniquely once
 alpha is fixed, which turns the spectral radius into the root of a scalar
-monotone function of alpha.  ``alpha_normal_bracket`` finds that root with a
-safeguarded Illinois iteration and returns the radius bracket certified by
-the strictly subnormal and strictly supernormal weights at its two ends;
-``alpha_normal_radius`` returns the bracket's midpoint.
+monotone function of alpha.  ``alpha_normal_bracket`` finds that root: it
+starts from the degree bounds max_degree^(1/k) <= rho <= (largest degree
+product over an edge)^(1/k), narrows them with Anderson-Bjorck regula falsi
+that bisects where rounding noise flattens the function, and returns the
+radius bracket certified by the strictly subnormal and strictly supernormal
+weights at its two ends; ``alpha_normal_radius`` returns the bracket's
+midpoint.
 """
 
 from __future__ import annotations
@@ -28,6 +31,8 @@ DEFAULT_CERT_TOL = 1e-9
 ALPHA_BRACKET_ULPS = 4
 #: Guard on defect evaluations per solve; bisection alone needs about 60.
 ALPHA_MAX_EVALS = 200
+#: An Anderson-Bjorck scale factor at or below this makes the next step bisect.
+ALPHA_FLAT = 0.1
 
 NORMAL = "normal"
 STRICTLY_SUBNORMAL = "strictly-subnormal"
@@ -222,13 +227,19 @@ class _Plan:
     exactly.  That weight is never <= 0, a factor of exactly 1.0 leaves a
     float product unchanged wherever it stands, and alpha / 1.0 == alpha,
     so every defect is the one the full propagation gives, bit for bit.
-    ``max_degree`` is the root's degree; the radius bracket starts below
-    (max_degree * m)^(1/k).
+
+    ``max_degree`` (the root's degree) and ``max_edge_product``, the largest
+    product of the degrees over one edge, bound the radius:
+    max_degree^(1/k) <= rho <= max_edge_product^(1/k).  The first is the
+    radius of the hyperstar at the root, a subhypergraph; the second holds
+    because the weights B(v, e) = 1/deg(v) sum to 1 at every vertex and
+    multiply to at least 1/max_edge_product over every edge.
     """
 
     n: int
     root: int
     max_degree: int
+    max_edge_product: int
     steps: tuple[tuple[int, int, int | tuple[int, ...] | None], ...]
 
 
@@ -236,14 +247,19 @@ def _plan(h: Hypergraph, caller: str) -> _Plan:
     """Root ``h`` and order its edges; raises ValueError naming ``caller``
     unless ``h`` is a supertree.
 
-    Degrees come from one pass over the edges, and only non-pendent
-    vertices get incidence lists and enter the breadth-first search: a
-    pendent vertex's one edge is already used when the search reaches it.
-    The search doubles as the supertree test and encodes each step's shape.
-    With m(k-1) = n-1 it uses every edge and enqueues no vertex twice
-    exactly when ``h`` is a supertree: a pendent vertex is a child only of
-    its one edge, so the m(k-1) children and the root are then n distinct
-    vertices.
+    Degrees come from one pass over the edges.  A second pass, over the
+    non-pendent incidences only, gives each non-pendent vertex its list of
+    edges (pendent vertices get none: a pendent vertex's one edge is
+    already used when the search reaches it) and records each edge's count
+    and sum of non-pendent members and their degree product.  The
+    breadth-first search from the root then reads each step's shape from
+    the count: an edge reached from its parent ``v`` has count - 1
+    non-pendent children, and with one child that child is sum - v.  Only
+    edges with two or more children are scanned again, for the children in
+    edge order.  The search doubles as the supertree test.  With
+    m(k-1) = n-1 it uses every edge and enqueues no vertex twice exactly
+    when ``h`` is a supertree: a pendent vertex is a child only of its one
+    edge, so the m(k-1) children and the root are then n distinct vertices.
     """
     if h.m * (h.k - 1) != h.n - 1:
         raise ValueError(f"{caller} requires a supertree")
@@ -254,13 +270,29 @@ def _plan(h: Hypergraph, caller: str) -> _Plan:
             degrees[v] += 1
     max_degree = max(degrees)
     root = degrees.index(max_degree)
-    inc: list[list[int]] = [[] for _ in range(h.n)]
+    inc: dict[int, list[int]] = {}
+    counts = []
+    sums = []
+    max_edge_product = 1
     for i, e in enumerate(edges):
+        count = total = 0
+        product = 1
         for v in e:
-            if degrees[v] > 1:
-                inc[v].append(i)
+            d = degrees[v]
+            if d > 1:
+                count += 1
+                total += v
+                product *= d
+                if v in inc:
+                    inc[v].append(i)
+                else:
+                    inc[v] = [i]
+        counts.append(count)
+        sums.append(total)
+        if product > max_edge_product:
+            max_edge_product = product
     if max_degree == 1:  # the one-edge tree, rooted at a pendent vertex
-        inc[root].append(0)
+        inc[root] = [0]
     used = [False] * h.m
     order = [root]
     steps = []
@@ -268,19 +300,23 @@ def _plan(h: Hypergraph, caller: str) -> _Plan:
         for i in inc[v]:
             if not used[i]:
                 used[i] = True
-                children = [w for w in edges[i] if w != v and degrees[w] > 1]
-                if not children:
+                count = counts[i]
+                if count == 2:
+                    child = sums[i] - v
+                    steps.append((i, v, child))
+                    order.append(child)
+                elif count < 2:  # the parent alone, or the one-edge tree's root
                     steps.append((i, v, None))
-                elif len(children) == 1:
-                    steps.append((i, v, children[0]))
-                    order.append(children[0])
                 else:
-                    steps.append((i, v, tuple(children)))
+                    children = tuple([w for w in edges[i] if w != v and degrees[w] > 1])
+                    steps.append((i, v, children))
                     order.extend(children)
     if len(steps) != h.m or len(set(order)) != len(order):
         raise ValueError(f"{caller} requires a supertree")
     steps.reverse()
-    return _Plan(n=h.n, root=root, max_degree=max_degree, steps=tuple(steps))
+    return _Plan(
+        n=h.n, root=root, max_degree=max_degree, max_edge_product=max_edge_product, steps=tuple(steps)
+    )
 
 
 def _propagate(plan: _Plan, alpha: float, carried: list[float] | None = None) -> float:
@@ -295,10 +331,11 @@ def _propagate(plan: _Plan, alpha: float, carried: list[float] | None = None) ->
     weights.  Each shape gives the bits of the propagation over all
     children (see ``_Plan``).  The carried sums are left in ``carried``
     (n zeros on entry) when it is given; the weights are not recorded, so
-    the loop does only the arithmetic.  Replaying the 392 evaluations of
-    the benchmark's ``radius-large`` solves, it takes about 30% less time
-    than one product loop over every step's children that also tested for
-    a weight record (median ratio 0.70-0.72 in three runs of 15 replays).
+    the loop does only the arithmetic.  Replaying the 392 evaluations the
+    former Illinois search made on the benchmark's ``radius-large`` solves,
+    it takes about 30% less time than one product loop over every step's
+    children that also tested for a weight record (median ratio 0.70-0.72
+    in three runs of 15 replays).
     """
     if carried is None:
         carried = [0.0] * plan.n
@@ -371,40 +408,80 @@ def _strict_end(defect, x: float, end: float, sign: float) -> float:
         step *= 2.0
 
 
-def _illinois(defect, k: int, high: float) -> tuple[float, float]:
-    """The radius bracket that ``alpha_normal_bracket`` describes, searched
-    in ``[1, high]`` with ``defect(r)``, the root defect at alpha = r^(-k)."""
-    low = 1.0
-    f_low = defect(low)
-    if f_low <= 0.0:
-        # Radius 1 sits exactly at the bracket bottom (the one-edge supertree).
-        return 1.0, 1.0
-    f_high = defect(high)
-    if not f_high < 0.0:
-        raise BracketError(
-            f"no sign change: defect {f_high:.3e} at radius {high}", bracket=(low, high)
-        )
+def _start(defect, plan: _Plan, k: int, m: int) -> tuple[float, float, float, float] | None:
+    """The starting radius bracket ``(low, f_low, high, f_high)``, or None
+    when radius 1 already has a defect <= 0 (the one-edge supertree).
+
+    The ends are the plan's bounds, max_degree^(1/k) below the root and
+    max_edge_product^(1/k) above it, each used once its defect has the
+    strict sign that end needs: > 0 below, < 0 above.  An end that fails
+    falls back to the former start: 1 below, (max_degree * m)^(1/k) above.
+    Only a hyperstar attains the bounds: they are then one radius, m^(1/k),
+    whose defect rounding decides, so it serves as whichever end its sign
+    fits.  That radius is evaluated once.
+    """
+    seen: dict[float, float] = {}
+
+    def at(r: float) -> float:
+        if r not in seen:
+            seen[r] = defect(r)
+        return seen[r]
+
+    low = plan.max_degree ** (1.0 / k)
+    high = plan.max_edge_product ** (1.0 / k)
+    if not at(low) > 0.0:
+        low = 1.0
+        if not at(low) > 0.0:
+            return None
+    if not at(high) < 0.0:
+        high = (plan.max_degree * m) ** (1.0 / k)
+        if not at(high) < 0.0:
+            raise BracketError(
+                f"no sign change: defect {at(high):.3e} at radius {high}", bracket=(low, high)
+            )
+    return low, at(low), high, at(high)
+
+
+def _anderson_bjorck(defect, k: int, low: float, f_low: float, high: float, f_high: float):
+    """The radius bracket that ``alpha_normal_bracket`` describes, narrowed
+    from ``low`` and ``high`` with ``defect(r)``, the root defect at
+    alpha = r^(-k); ``f_low`` > 0 > ``f_high`` are their defects."""
     kept = 0  # +1 after low moved, -1 after high moved
+    bisect = False
     for _ in range(ALPHA_MAX_EVALS):
         if high - low <= ALPHA_BRACKET_ULPS * math.ulp(high):
             return low, high
-        a_low, a_high = low**-k, high**-k
-        if f_low == math.inf:
-            alpha = 0.5 * (a_low + a_high)
+        if bisect:
+            x = 0.5 * (low + high)
         else:
-            alpha = a_high + (a_low - a_high) * (f_high / (f_high - f_low))
+            a_low, a_high = low**-k, high**-k
+            if f_low == math.inf:
+                alpha = 0.5 * (a_low + a_high)
+            else:
+                alpha = a_high + (a_low - a_high) * (f_high / (f_high - f_low))
+            x = alpha ** (-1.0 / k)
         # The trial radius, kept at least one ulp inside the bracket.
-        x = min(max(alpha ** (-1.0 / k), low + math.ulp(high)), high - math.ulp(high))
+        x = min(max(x, low + math.ulp(high)), high - math.ulp(high))
         fx = defect(x)
+        # Anderson-Bjorck (BIT 13, 1973): when the same end moves twice
+        # running, scale the other end's defect by 1 - fx / (the moving end's
+        # old defect), or by 1/2 if that is not positive.  A factor of at most
+        # ALPHA_FLAT means the step left the defect almost as it was, as
+        # rounding noise near the root does, so the next trial bisects.
+        bisect = False
         if fx > 0.0:
-            low, f_low = x, fx
             if kept > 0:
-                f_high *= 0.5
+                scale = 1.0 - fx / f_low
+                bisect = scale <= ALPHA_FLAT
+                f_high *= scale if scale > 0.0 else 0.5
+            low, f_low = x, fx
             kept = 1
         elif fx < 0.0:
-            high, f_high = x, fx
             if kept < 0:
-                f_low *= 0.5
+                scale = 1.0 - fx / f_high
+                bisect = scale <= ALPHA_FLAT
+                f_low *= scale if scale > 0.0 else 0.5
+            high, f_high = x, fx
             kept = -1
         else:
             return _strict_end(defect, x, low, 1.0), _strict_end(defect, x, high, -1.0)
@@ -441,7 +518,8 @@ def _radius_bracket(h: Hypergraph, caller: str) -> tuple[float, float, int]:
         evaluations += 1
         return _propagate(plan, r**-k)
 
-    low, high = _illinois(defect, k, (plan.max_degree * h.m) ** (1.0 / k))
+    start = _start(defect, plan, k, h.m)
+    low, high = (1.0, 1.0) if start is None else _anderson_bjorck(defect, k, *start)
     log = _debug_logger()
     if log is not None:
         log.debug(
@@ -456,13 +534,16 @@ def alpha_normal_bracket(h: Hypergraph) -> tuple[float, float]:
 
     The propagated root-sum defect is strictly increasing in alpha, negative
     below the normal point and positive (or infeasible) above it, exactly the
-    two directions in which strict sub/supernormality bound the radius.  An
-    Illinois (modified regula falsi) iteration on alpha narrows a bracket
-    with defect(low^(-k)) > 0 > defect(high^(-k)), bisecting while the low
-    end is infeasible, until the radius bracket is ALPHA_BRACKET_ULPS ulps
-    wide.  Every trial alpha is rounded to r^(-k) for a float radius r, so
-    both returned ends were evaluated: ``propagate_certificate(h, low ** -k)``
-    puts the root's weight sum strictly above 1 (or is infeasible) and
+    two directions in which strict sub/supernormality bound the radius.  The
+    search starts from the plan's degree bounds, each once its defect has
+    the strict sign it needs (see ``_start``).  Anderson-Bjorck regula falsi
+    on alpha then narrows a bracket with defect(low^(-k)) > 0 >
+    defect(high^(-k)), bisecting while the low end is infeasible and after
+    a step that left the defect almost unchanged, until the radius bracket
+    is ALPHA_BRACKET_ULPS ulps wide.  Every trial is a float radius r
+    evaluated at alpha = r^(-k), so both returned ends were evaluated:
+    ``propagate_certificate(h, low ** -k)`` puts the root's weight sum
+    strictly above 1 (or is infeasible) and
     ``propagate_certificate(h, high ** -k)`` strictly below 1.  A radius
     whose defect rounds to exactly zero is normal to rounding; the nearest
     strict radii on either side of it become the ends.

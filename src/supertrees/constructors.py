@@ -1,4 +1,8 @@
-"""Builders for the named supertree families and the edge-moving operation."""
+"""Builders for the named supertree families and the edge-moving operation.
+
+Every size argument of a named family must be an int: bools and floats
+raise ValueError rather than being coerced.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import DanglingVertexWarning, MultipleEdgeError
-from .hypergraph import Hypergraph, is_supertree, vertex_stats
+from .hypergraph import Hypergraph, _strict_int, is_supertree, vertex_stats
 
 
 @dataclass(frozen=True)
@@ -44,21 +48,21 @@ class OrdinaryTree:
 
 def star(n: int) -> OrdinaryTree:
     """Star on n vertices, center 0."""
-    if n < 2:
+    if _strict_int(n, "n") < 2:
         raise ValueError("star needs n >= 2")
     return OrdinaryTree(n=n, edges=tuple((0, v) for v in range(1, n)))
 
 
 def path(n: int) -> OrdinaryTree:
     """Path on n vertices, 0-1-...-(n-1)."""
-    if n < 2:
+    if _strict_int(n, "n") < 2:
         raise ValueError("path needs n >= 2")
     return OrdinaryTree(n=n, edges=tuple((v, v + 1) for v in range(n - 1)))
 
 
 def double_star(a: int, b: int) -> OrdinaryTree:
     """Tree on a+b+2 vertices: a central edge (0,1) with a pendants at 0 and b at 1."""
-    if a < 1 or b < 1:
+    if _strict_int(a, "a") < 1 or _strict_int(b, "b") < 1:
         raise ValueError("double star needs a, b >= 1")
     edges = [(0, 1)]
     edges += [(0, 2 + i) for i in range(a)]
@@ -71,7 +75,7 @@ def f_tree(n: int) -> OrdinaryTree:
 
     For n = 5 this degenerates to the path on 5 vertices.
     """
-    if n < 5:
+    if _strict_int(n, "n") < 5:
         raise ValueError("f_tree needs n >= 5")
     edges = [(0, 1), (1, 2), (0, 3), (3, 4)]
     edges += [(0, 5 + i) for i in range(n - 5)]
@@ -85,7 +89,7 @@ def tree_power(t: OrdinaryTree, k: int) -> Hypergraph:
     stored (sorted) edge order, so the output is deterministic.  For k = 2
     the tree is returned unchanged as a 2-uniform hypergraph.
     """
-    if k < 2:
+    if _strict_int(k, "k") < 2:
         raise ValueError("tree_power needs k >= 2")
     if k == 2:
         return Hypergraph(k=2, n=t.n, edges=t.edges)
@@ -99,7 +103,7 @@ def tree_power(t: OrdinaryTree, k: int) -> Hypergraph:
 
 def hyperstar(m: int, k: int) -> Hypergraph:
     """Supertree with m edges all sharing the single vertex 0."""
-    if m < 1:
+    if _strict_int(m, "m") < 1:
         raise ValueError("hyperstar needs m >= 1")
     return tree_power(star(m + 1), k)
 
@@ -112,7 +116,9 @@ def broom(t1: int, t2: int, t3: int, k: int) -> Hypergraph:
     t1+1, t2+1, t3+1.  Requires 1 <= t1 <= t2 <= t3 and k >= 3 (a 2-edge
     cannot hold three distinct vertices).
     """
-    if k < 3:
+    for name, value in (("t1", t1), ("t2", t2), ("t3", t3)):
+        _strict_int(value, name)
+    if _strict_int(k, "k") < 3:
         raise ValueError("broom needs k >= 3: a 2-edge cannot contain three branch vertices")
     if not (1 <= t1 <= t2 <= t3):
         raise ValueError(f"broom needs 1 <= t1 <= t2 <= t3, got ({t1}, {t2}, {t3})")

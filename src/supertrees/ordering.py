@@ -248,10 +248,12 @@ def verify_partition_lemma(
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> VerificationRecord:
     """Among all branch partitions (t1, t2, t3) of m-1, the (1, 1, m-3)
-    supertree has the largest radius, with equality exactly when t2 = 1."""
-    if m < 4:
+    supertree has the largest radius, with equality exactly when t2 = 1.
+
+    ``m`` and ``k`` must be ints (bools and floats raise ValueError)."""
+    if _strict_int(m, "m") < 4:
         raise ValueError("partition verification needs m >= 4")
-    if k < 3:
+    if _strict_int(k, "k") < 3:
         raise ValueError("branch supertrees need k >= 3")
     rho_ref = power_iteration(broom(1, 1, m - 3, k), tol=tol, max_iter=max_iter).rho
     details = [f"reference broom(1,1,{m - 3}): rho = {rho_ref:.9g}"]
@@ -303,11 +305,12 @@ def verify_moving_edges(
     The lemma allows x_v = x_u, and symmetric vertices carry weights equal
     up to rounding noise, so a weight within a relative 1e-8 of x_u counts
     as at most x_u: the choices do not hang on the last bits of the
-    eigenvector.  Raises ValueError unless ``trials >= 1`` and ``m_max >= 3``.
+    eigenvector.  Raises ValueError unless ``trials >= 1`` and ``m_max >= 3``
+    are ints (bools and floats are rejected).
     """
-    if trials < 1:
+    if _strict_int(trials, "trials") < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if m_max < 3:
+    if _strict_int(m_max, "m_max") < 3:
         raise ValueError(f"m_max must be >= 3, got {m_max}")
     rng = random.Random(seed)
     gaps = []

@@ -5,8 +5,10 @@ from dense numpy decompositions, isomorphism from edge-bijection brute force
 and from degree-guided backtracking, class counts from labeled enumeration
 over all edge subsets, the tensor and the power method from loops written
 one edge and one coordinate at a time, the certificate propagation from
-a loop that visits every child vertex, pendent ones included, and the
-canonical key from separate reduce, peel and encode stages.  The
+a loop that visits every child vertex, pendent ones included, the
+propagation plan from incidence lists for every vertex and a scan of every
+edge's members, and the canonical key from separate reduce, peel and encode
+stages.  The
 count-meeting non-supertrees and the ``edge_sets`` strategy feed the
 rejection tests of every module that demands a supertree.
 """
@@ -21,6 +23,7 @@ import numpy as np
 from hypothesis import strategies as hs
 
 from supertrees import Hypergraph, NonConvergenceError, OrdinaryTree, PrincipalPair
+from supertrees.certificates import _Plan
 
 
 def adjacency_matrix(t: OrdinaryTree) -> np.ndarray:
@@ -419,6 +422,57 @@ def reference_propagate(h: Hypergraph, alpha: float) -> tuple[float, dict[tuple[
         entries[(p, i)] = bp
         carried[p] += bp
     return carried[root] - 1.0, entries
+
+
+def reference_plan(h: Hypergraph, caller: str) -> _Plan:
+    """The propagation plan ``certificates._plan`` must return, built the
+    plain way: an incidence list for every vertex, pendent ones included,
+    and a breadth-first search that scans each edge's members for its
+    non-pendent children.  The degree product bound comes from a separate
+    pass.  Raises ValueError naming ``caller`` unless ``h`` is a supertree."""
+    if h.m * (h.k - 1) != h.n - 1:
+        raise ValueError(f"{caller} requires a supertree")
+    edges = h.edges
+    degrees = [0] * h.n
+    for e in edges:
+        for v in e:
+            degrees[v] += 1
+    max_degree = max(degrees)
+    root = degrees.index(max_degree)
+    inc: list[list[int]] = [[] for _ in range(h.n)]
+    for i, e in enumerate(edges):
+        for v in e:
+            if degrees[v] > 1:
+                inc[v].append(i)
+    if max_degree == 1:  # the one-edge tree, rooted at a pendent vertex
+        inc[root].append(0)
+    used = [False] * h.m
+    order = [root]
+    steps = []
+    for v in order:
+        for i in inc[v]:
+            if not used[i]:
+                used[i] = True
+                children = [w for w in edges[i] if w != v and degrees[w] > 1]
+                if not children:
+                    steps.append((i, v, None))
+                elif len(children) == 1:
+                    steps.append((i, v, children[0]))
+                    order.append(children[0])
+                else:
+                    steps.append((i, v, tuple(children)))
+                    order.extend(children)
+    if len(steps) != h.m or len(set(order)) != len(order):
+        raise ValueError(f"{caller} requires a supertree")
+    steps.reverse()
+    max_edge_product = max(math.prod(degrees[v] for v in e) for e in edges)
+    return _Plan(
+        n=h.n,
+        root=root,
+        max_degree=max_degree,
+        max_edge_product=max_edge_product,
+        steps=tuple(steps),
+    )
 
 
 # Each meets the supertree edge count m(k-1) = n-1, so only a later check

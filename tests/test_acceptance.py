@@ -100,7 +100,7 @@ def test_criterion_04_dual_oracle_agreement():
                 gap = abs(power_iteration(h).rho - alpha_normal_radius(h))
                 if gap > 1e-8:
                     failures.append(f"k={k} m={m} {canonical_key(h)!r}: gap {gap:.3e}")
-    _criterion(4, "power iteration vs Illinois certificate solver on all classes", failures)
+    _criterion(4, "power iteration vs certificate solver on all classes", failures)
 
 
 def test_criterion_05_top_four_ordering():

@@ -43,7 +43,7 @@ from supertrees import (
     vertex_stats,
 )
 
-from oracles import COUNT_ONLY_NON_SUPERTREES, edge_sets, reference_propagate
+from oracles import COUNT_ONLY_NON_SUPERTREES, edge_sets, reference_plan, reference_propagate
 
 #: Float rounding allowed when testing that a bracket contains a closed form.
 ROUNDING_REL = 1e-15
@@ -350,6 +350,93 @@ def test_kernel_matches_the_oracle_where_a_step_goes_infeasible(h, shapes, alpha
     assert_matches_reference(h, [alpha])
 
 
+# --- the plan and the start bracket ------------------------------------------------
+
+
+def small_classes() -> list[Hypergraph]:
+    """Every supertree class with at most 7 edges, for k = 2..5."""
+    return [h for k in range(2, 6) for m in range(1, 8) for h in enumerate_supertrees(m, k)]
+
+
+def radius_large_shapes() -> list[Hypergraph]:
+    """The 17 supertrees of the benchmark's radius-large workload."""
+    hosts = [
+        random_supertree(m, k, random.Random(f"supertree-k{k}-m{m}"))
+        for k in (3, 5)
+        for m in (300, 1000, 3000)
+    ]
+    hosts += [tree_power(path(m + 1), 3) for m in (100, 250, 300, 350, 400, 600, 1000)]
+    for m in (1000, 3000):
+        hosts += [broom(1, 1, m - 3, 3), hyperstar(m, 3)]
+    return hosts
+
+
+def seeded_random_supertrees(count: int, max_m: int, seed: int) -> list[Hypergraph]:
+    """Random supertrees with k = 2..6 and 1..max_m edges, vertices relabelled."""
+    rng = random.Random(seed)
+    hosts = []
+    for _ in range(count):
+        h = random_supertree(rng.randint(1, max_m), rng.randint(2, 6), rng)
+        perm = list(range(h.n))
+        rng.shuffle(perm)
+        hosts.append(Hypergraph(k=h.k, n=h.n, edges=tuple(tuple(perm[v] for v in e) for e in h.edges)))
+    return hosts
+
+
+def test_plan_equals_the_reference_plan():
+    hosts = small_classes() + radius_large_shapes() + seeded_random_supertrees(60, 300, 60)
+    assert len(hosts) == 321 + 17 + 60
+    for h in hosts:
+        assert certificates._plan(h, "test") == reference_plan(h, "test")
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_ONLY_NON_SUPERTREES))
+def test_plan_and_reference_plan_reject_the_count_meeting_non_supertrees(name):
+    for plan in (certificates._plan, reference_plan):
+        with pytest.raises(ValueError, match="test requires a supertree"):
+            plan(COUNT_ONLY_NON_SUPERTREES[name], "test")
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_sets())
+def test_plan_agrees_with_the_reference_plan_on_edge_sets(h):
+    try:
+        want = reference_plan(h, "test")
+    except ValueError:
+        with pytest.raises(ValueError, match="test requires a supertree"):
+            certificates._plan(h, "test")
+    else:
+        assert certificates._plan(h, "test") == want
+
+
+def oracle_defect(h: Hypergraph, r: float) -> float:
+    return reference_propagate(h, r**-h.k)[0]
+
+
+def test_start_bounds_bracket_rho_and_bracket_ends_have_strict_signs():
+    hosts = small_classes() + radius_large_shapes() + seeded_random_supertrees(60, 500, 500)
+    for h in hosts:
+        plan = certificates._plan(h, "test")
+        lower = plan.max_degree ** (1.0 / h.k)
+        upper = plan.max_edge_product ** (1.0 / h.k)
+        if plan.max_edge_product == plan.max_degree:
+            # only a hyperstar meets both bounds, at its radius m^(1/k)
+            assert plan.max_degree == h.m
+        else:
+            assert oracle_defect(h, lower) > 0.0 > oracle_defect(h, upper)
+        low, high = alpha_normal_bracket(h)
+        if h.m == 1:
+            assert (low, high) == (1.0, 1.0)
+            continue
+        assert oracle_defect(h, low) > 0.0 > oracle_defect(h, high)
+        if high - low > certificates.ALPHA_BRACKET_ULPS * math.ulp(high):
+            # only the strict ends around an exactly zero defect lie wider apart
+            r = math.nextafter(low, high)
+            while oracle_defect(h, r) != 0.0:
+                r = math.nextafter(r, high)
+                assert r < high
+
+
 @pytest.mark.parametrize(
     "h, low, high",
     [
@@ -369,18 +456,18 @@ def test_bracket_bits_are_pinned(h, low, high):
 @pytest.mark.parametrize(
     "h, evaluations",
     [
-        (tree_power(path(1001), 3), 37),
-        (hyperstar(1000, 3), 7),
-        (broom(1, 1, 997, 3), 12),
-        (random_supertree(300, 5, random.Random(300)), 23),
+        (tree_power(path(1001), 3), 30),
+        (hyperstar(1000, 3), 6),
+        (broom(1, 1, 997, 3), 10),
+        (random_supertree(300, 5, random.Random(300)), 14),
         # a trial radius whose defect is exactly zero, then the strict ends
-        (Hypergraph(k=3, n=13, edges=hyperstar(5, 3).edges + ((1, 11, 12),)), 12),
+        (Hypergraph(k=3, n=13, edges=hyperstar(5, 3).edges + ((1, 11, 12),)), 8),
         (Hypergraph(k=3, n=3, edges=((0, 1, 2),)), 1),
     ],
     ids=["path-power", "hyperstar", "broom", "random-k5", "zero-defect", "one-edge"],
 )
 def test_defect_evaluations_per_solve_are_pinned(h, evaluations):
-    # a cheaper defect kernel must not change how many defects a solve takes
+    # a change to the search must not take more defects on any of these
     low, high, count = certificates._radius_bracket(h, "test")
     assert (low, high) == alpha_normal_bracket(h)
     assert count == evaluations
@@ -393,7 +480,7 @@ def test_each_solve_logs_one_debug_record(caplog):
     records = [r for r in caplog.records if r.name == "supertrees"]
     assert len(records) == 1 and records[0].levelno == logging.DEBUG
     assert records[0].getMessage() == (
-        f"certificate solve: m=1000 k=3 evaluations=12 bracket=[{low!r}, {high!r}]"
+        f"certificate solve: m=1000 k=3 evaluations=10 bracket=[{low!r}, {high!r}]"
     )
 
 

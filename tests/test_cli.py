@@ -92,7 +92,7 @@ def test_rho_json_reports_the_certified_bracket_and_its_evaluations(tmp_path, ca
     alpha = json.loads(stdout)["alpha"]
     assert (alpha["low"], alpha["high"]) == alpha_normal_bracket(broom(1, 1, 997, 3))
     assert alpha["rho"] == 0.5 * (alpha["low"] + alpha["high"])
-    assert alpha["evaluations"] == 12
+    assert alpha["evaluations"] == 10
     # the human output carries no bracket
     _, human, _ = run_cli(capsys, "rho", str(out), "--method", method)
     assert "rho = 9.99333558  method = alpha" in human.splitlines()

@@ -106,6 +106,33 @@ def test_broom_shapes():
         assert h.n == (t1 + t2 + t3 + 1) * (k - 1) + 1
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: star(True), "n must be an integer, got True"),
+        (lambda: path(3.0), "n must be an integer, got 3.0"),
+        (lambda: double_star(1, 2.0), "b must be an integer, got 2.0"),
+        (lambda: f_tree(5.0), "n must be an integer, got 5.0"),
+        (lambda: tree_power(path(3), 3.0), "k must be an integer, got 3.0"),
+        (lambda: tree_power(path(3), True), "k must be an integer, got True"),
+        (lambda: hyperstar(True, 3), "m must be an integer, got True"),
+        (lambda: hyperstar(3.0, 3), "m must be an integer, got 3.0"),
+        (lambda: broom(1, 1, 2.0, 3), "t3 must be an integer, got 2.0"),
+        (lambda: broom(True, 1, 2, 3), "t1 must be an integer, got True"),
+        (lambda: broom(1, 1, 2, 3.0), "k must be an integer, got 3.0"),
+    ],
+    ids=[
+        "star-bool", "path-float", "double-star-float", "f-tree-float", "tree-power-float",
+        "tree-power-bool", "hyperstar-bool", "hyperstar-float", "broom-float",
+        "broom-bool", "broom-k-float",
+    ],
+)
+def test_family_sizes_must_be_ints(build, message):
+    # hyperstar(True, 3) used to build a one-edge hyperstar; floats raised TypeError
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_broom_rejects_bad_parameters():
     with pytest.raises(ValueError):
         broom(1, 1, 1, 2)  # three branch vertices cannot share a 2-edge

@@ -401,6 +401,29 @@ def test_moving_edges_rejects_empty_runs(kwargs, message):
         verify_moving_edges(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+        ({"trials": True}, "trials must be an integer, got True"),
+        ({"m_max": 5.0, "trials": 2}, "m_max must be an integer, got 5.0"),
+    ],
+)
+def test_moving_edges_rejects_sizes_that_are_not_ints(kwargs, message):
+    # these used to run and report "2.5 trials", "True trials" or "m <= 5.0"
+    with pytest.raises(ValueError, match=message):
+        verify_moving_edges(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "m, k, message",
+    [(5.0, 3, "m must be an integer, got 5.0"), (5, 3.0, "k must be an integer, got 3.0")],
+)
+def test_partition_lemma_rejects_sizes_that_are_not_ints(m, k, message):
+    with pytest.raises(ValueError, match=message):
+        verify_partition_lemma(m, k)
+
+
 def test_moving_edges_explicit_rebalance_increases_radius():
     # moving one pendent edge off each light branch onto the heavy one
     g = broom(2, 2, 2, 3)
