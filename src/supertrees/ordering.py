@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from .certificates import (
     STRICTLY_SUBNORMAL,
     STRICTLY_SUPERNORMAL,
+    _debug_logger,
     alpha_normal_bracket,
     alpha_normal_radius,
     classify,
@@ -93,19 +94,29 @@ def enumerate_supertrees(m: int, k: int, limit: int = DEFAULT_ENUM_LIMIT) -> lis
 
     Output is sorted by canonical key, so the order is deterministic.  ``m``,
     ``k`` and ``limit`` must be ints (bools and floats raise ValueError).
+
+    With DEBUG on for the ``supertrees`` logger, each grown level (edge
+    counts 2..m; the one-edge seed is not grown) sends one record with its
+    edge count, the candidates keyed and the classes kept.
     """
     if _strict_int(m, "m") < 1:
         raise ValueError("m must be >= 1")
     if m > _strict_int(limit, "limit"):
         raise EnumerationLimitError(f"m = {m} exceeds the enumeration limit {limit}")
+    log = _debug_logger()
     first = single_edge(k)
     reps = {canonical_key(first): first}
-    for _ in range(m - 1):
+    for size in range(2, m + 1):
         grown: dict[bytes, Hypergraph] = {}
         for h in reps.values():
             for v in range(h.n):
                 cand = _attach_pendent_edge(h, v)
                 grown.setdefault(canonical_key(cand), cand)
+        if log is not None:
+            log.debug(
+                "enumeration level: m=%d k=%d candidates=%d classes=%d",
+                size, k, sum(h.n for h in reps.values()), len(grown),
+            )
         reps = grown
     return [reps[key] for key in sorted(reps)]
 
@@ -130,9 +141,14 @@ def rank_spectra(m: int, k: int, limit: int = DEFAULT_ENUM_LIMIT) -> SpectraRepo
 
     Each radius is ``alpha_normal_radius``, the midpoint of the certified
     certificate-solver bracket; power iteration stays the independent
-    oracle the tests compare it with.  Equal radii are ordered by canonical
-    key.  Ties within the tie tolerance are flagged on the higher-ranked
-    entry.  ``enumerate_supertrees`` checks ``m``, ``k`` and ``limit``.
+    oracle the tests compare it with.  Rows are sorted by descending float
+    midpoint and only then by canonical key, so the key decides only
+    between bit-equal midpoints.  Cospectral classes whose midpoints land
+    1-2 ulps apart by rounding follow those bits, not their keys; such
+    neighbours are within the tie tolerance and flagged ``tie_with_next``
+    on the higher-ranked entry, like every other pair within it.  Each
+    class's key is the one its enumeration stored, so no class is keyed
+    twice.  ``enumerate_supertrees`` checks ``m``, ``k`` and ``limit``.
     """
     rows = []
     for h in enumerate_supertrees(m, k, limit=limit):
@@ -379,11 +395,12 @@ def verify_sandwich(m: int, k: int) -> VerificationRecord:
     {3, 4, 5, 6, 8} and m up to 10^5 (all m below 3,000, then 76 sizes
     spaced evenly in log m), while at m = 10^4 the bracket clears them by at
     least 661 ulps.  Unlike a fixed absolute margin, this does not fail once
-    the true gap shrinks below it as m grows.
+    the true gap shrinks below it as m grows.  ``m`` and ``k`` must be ints
+    (bools and floats raise ValueError).
     """
-    if m < 4:
+    if _strict_int(m, "m") < 4:
         raise ValueError("sandwich verification needs m >= 4")
-    if k < 3:
+    if _strict_int(k, "k") < 3:
         raise ValueError("sandwich verification needs k >= 3")
     lower = f_tree_power_radius(m, k)
     upper = double_star_power_radius(m, k)

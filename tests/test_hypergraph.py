@@ -1,5 +1,6 @@
 """Structure, predicates, canonical keys, and the isomorphism oracle."""
 
+import dataclasses
 import random
 import signal
 from contextlib import contextmanager
@@ -252,6 +253,44 @@ def test_key_matches_the_reference_on_random_supertrees():
 def test_key_matches_the_reference_on_a_long_path_power():
     h = tree_power(path(10_001), 3)
     assert canonical_key(h) == reference_canonical_key(h)
+
+
+# --- the stored key ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_a_fresh_class_is_keyed_once_and_read_back(k):
+    for m in range(1, 8):
+        for rep in enumerate_supertrees(m, k):
+            h = Hypergraph(k=rep.k, n=rep.n, edges=rep.edges)
+            key = canonical_key(h)
+            assert key == reference_canonical_key(h)
+            assert canonical_key(h) is key
+
+
+def test_the_stored_key_is_invisible_to_equality_hash_and_repr():
+    h = broom(1, 2, 3, 3)
+    keyed = Hypergraph(k=h.k, n=h.n, edges=h.edges)
+    canonical_key(keyed)
+    assert "_key" in vars(keyed) and "_key" not in vars(h)
+    assert keyed == h and hash(keyed) == hash(h) and repr(keyed) == repr(h)
+    assert to_interchange(keyed) == to_interchange(h)
+    assert [f.name for f in dataclasses.fields(keyed)] == ["k", "n", "edges"]
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        Hypergraph(k=3, n=4, edges=((0, 1, 2), (0, 1, 3))),
+        COUNT_ONLY_NON_SUPERTREES[sorted(COUNT_ONLY_NON_SUPERTREES)[0]],
+    ],
+    ids=["edge-count", "peel"],
+)
+def test_a_non_supertree_raises_on_every_call(h):
+    for _ in range(2):
+        with pytest.raises(ValueError, match="requires a supertree"):
+            canonical_key(h)
+    assert "_key" not in vars(h)
 
 
 def test_four_classes_distinct_keys_against_brute_oracle():

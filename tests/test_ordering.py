@@ -2,8 +2,13 @@
 
 import dataclasses
 import hashlib
+import logging
 import math
+import os
 import random
+import subprocess
+import sys
+import weakref
 
 import networkx as nx
 import pytest
@@ -39,6 +44,7 @@ from supertrees import (
     verify_top_four,
     vertex_stats,
 )
+import supertrees.hypergraph as hypergraph
 import supertrees.ordering as ordering
 from supertrees.spectral import TIE_TOL
 
@@ -164,6 +170,72 @@ def test_sizes_must_be_ints(call):
     # bools and floats used to be coerced or to fail inside range()
     with pytest.raises(ValueError, match="must be an integer"):
         call()
+
+
+def test_ranking_computes_no_key_outside_the_enumeration(monkeypatch):
+    m, k = 7, 3
+    encoded = []
+    encode = hypergraph._encode
+    monkeypatch.setattr(hypergraph, "_encode", lambda h: encoded.append(h) or encode(h))
+    reps = enumerate_supertrees(m, k)
+    enumerated = len(encoded)
+    encoded.clear()
+    report = rank_spectra(m, k)
+    assert len(encoded) == enumerated
+    assert sorted(e.key.encode("ascii") for e in report.entries) == [canonical_key(h) for h in reps]
+    encoded.clear()
+    # the expected families are fresh objects, each keyed once
+    verify_top_four(m, k)
+    assert len(encoded) == enumerated + 4
+
+
+def test_discarded_candidates_are_freed(monkeypatch):
+    m, k = 6, 3
+    candidates = sum(len(r) * r[0].n for r in (enumerate_supertrees(j, k) for j in range(1, m)))
+    refs = []
+    attach = ordering._attach_pendent_edge
+
+    def tracked(h, v):
+        cand = attach(h, v)
+        refs.append(weakref.ref(cand))
+        return cand
+
+    monkeypatch.setattr(ordering, "_attach_pendent_edge", tracked)
+    reps = enumerate_supertrees(m, k)
+    alive = [r() for r in refs if r() is not None]
+    # every candidate carries its key, yet only the returned classes live on
+    assert len(refs) == candidates
+    assert sorted(map(id, alive)) == sorted(map(id, reps))
+    assert all("_key" in vars(h) for h in reps)
+
+
+def test_enumeration_logs_one_record_per_grown_level(caplog, monkeypatch):
+    m, k = 6, 3
+    levels = [enumerate_supertrees(j, k) for j in range(1, m + 1)]
+    gates = []
+    debug_logger = ordering._debug_logger
+    monkeypatch.setattr(ordering, "_debug_logger", lambda: gates.append(1) or debug_logger())
+    with caplog.at_level(logging.DEBUG, logger="supertrees"):
+        enumerate_supertrees(m, k)
+    assert len(gates) == 1
+    records = [r for r in caplog.records if r.name == "supertrees"]
+    assert all(r.levelno == logging.DEBUG for r in records)
+    assert [r.getMessage() for r in records] == [
+        f"enumeration level: m={j} k={k} candidates={len(levels[j - 2]) * levels[j - 2][0].n} "
+        f"classes={len(levels[j - 1])}"
+        for j in range(2, m + 1)
+    ]
+    # the candidate counts sum to the benchmark harness's sum of classes * n
+    counts = [dict(f.split("=") for f in r.getMessage().split()[2:]) for r in records]
+    assert sum(int(c["candidates"]) for c in counts) == sum(len(r) * r[0].n for r in levels[:-1])
+
+
+def test_enumerating_does_not_import_logging():
+    code = "import sys, supertrees; supertrees.enumerate_supertrees(5, 3); print('logging' in sys.modules)"
+    # -S: no site hooks, which might import logging themselves
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ordering.__file__))}
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
+    assert out.stdout == "False\n", out.stderr
 
 
 def test_random_supertree_is_supertree():
@@ -422,6 +494,20 @@ def test_moving_edges_rejects_sizes_that_are_not_ints(kwargs, message):
 def test_partition_lemma_rejects_sizes_that_are_not_ints(m, k, message):
     with pytest.raises(ValueError, match=message):
         verify_partition_lemma(m, k)
+
+
+@pytest.mark.parametrize(
+    "m, k, message",
+    [
+        (True, 3, "m must be an integer, got True"),
+        (5.0, 3, "m must be an integer, got 5.0"),
+        (5, 3.0, "k must be an integer, got 3.0"),
+    ],
+)
+def test_sandwich_rejects_sizes_that_are_not_ints(m, k, message):
+    # True used to report "needs m >= 4", and a float m failed in the closed form
+    with pytest.raises(ValueError, match=message):
+        verify_sandwich(m, k)
 
 
 def test_moving_edges_explicit_rebalance_increases_radius():
