@@ -21,12 +21,10 @@ from .certificates import (
 )
 from .constructors import (
     OrdinaryTree,
-    base_tree,
     broom,
     double_star,
     f_tree,
     hyperstar,
-    is_hypertree,
     move_edges,
     path,
     star,
@@ -77,8 +75,6 @@ from .spectral import (
     double_star_power_radius,
     eigen_residual,
     f_tree_power_radius,
-    graph_spectral_radius,
-    power_formula_radius,
     power_iteration,
     tensor_apply,
 )

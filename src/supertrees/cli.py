@@ -23,17 +23,7 @@ from .certificates import (
     classify,
     t11m3_certificate,
 )
-from .constructors import (
-    base_tree,
-    broom,
-    double_star,
-    f_tree,
-    hyperstar,
-    is_hypertree,
-    path,
-    star,
-    tree_power,
-)
+from .constructors import broom, double_star, f_tree, hyperstar, path, star, tree_power
 from .errors import CounterexampleFound, SupertreeError
 from .hypergraph import Hypergraph, from_interchange, to_interchange, vertex_stats
 from .ordering import (
@@ -46,7 +36,7 @@ from .ordering import (
     verify_sandwich,
     verify_top_four,
 )
-from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, power_formula_radius, power_iteration
+from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, power_iteration
 
 DEFAULT_SEED = 1729
 
@@ -165,12 +155,6 @@ def _cmd_rho(args) -> int:
         rho_a = 0.5 * (low + high)
         payload["alpha"] = {"rho": rho_a, "low": low, "high": high, "evaluations": evaluations}
         lines.append(f"rho = {_fmt(rho_a)}  method = alpha")
-    if args.method == "formula":
-        if not is_hypertree(h):
-            raise SupertreeError("formula method applies only to powers of ordinary trees")
-        rho_f = power_formula_radius(base_tree(h), h.k, tol=args.tol, max_iter=args.max_iter)
-        payload["formula"] = {"rho": rho_f}
-        lines.append(f"rho = {_fmt(rho_f)}  method = formula")
     if args.method == "auto":
         gap = abs(payload["power"]["rho"] - payload["alpha"]["rho"])
         payload["gap"] = gap
@@ -305,7 +289,7 @@ def _cmd_verify(args) -> int:
         elif name == "partition":
             if args.k is None or args.m is None:
                 raise SupertreeError("verify partition needs --k and --m")
-            rec = verify_partition_lemma(args.m, args.k, tol=args.tol, max_iter=args.max_iter)
+            rec = verify_partition_lemma(args.m, args.k)
         elif name == "sandwich":
             if args.k is None or args.m is None:
                 raise SupertreeError("verify sandwich needs --k and --m")
@@ -376,8 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("rho", help="compute the spectral radius of a hypergraph file")
     r.add_argument("file")
-    r.add_argument("--method", choices=["power", "alpha", "formula", "auto"], default="auto")
-    _add_power_flags(r, "--method power, auto and formula")
+    r.add_argument("--method", choices=["power", "alpha", "auto"], default="auto")
+    _add_power_flags(r, "--method power and auto")
     r.add_argument("--output", choices=["human", "json"], default="human")
     r.set_defaults(func=_cmd_rho)
 
@@ -399,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--m", type=int)
     v.add_argument("--trials", type=int, default=50)
     v.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    _add_power_flags(v, "partition and moving-edges")
+    _add_power_flags(v, "moving-edges")
     v.set_defaults(func=_cmd_verify)
 
     e = sub.add_parser("enumerate", help="rank all classes at (k, m) by spectral radius")

@@ -11,21 +11,25 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import DanglingVertexWarning, MultipleEdgeError
-from .hypergraph import Hypergraph, _strict_int, is_supertree, vertex_stats
+from .hypergraph import Hypergraph, _strict_int, _strict_vertices, vertex_stats
 
 
 @dataclass(frozen=True)
 class OrdinaryTree:
-    """An ordinary tree on vertices ``0..n-1``, edges as sorted pairs."""
+    """An ordinary tree on vertices ``0..n-1``, edges as sorted pairs.
+
+    ``n`` and every vertex must be ints (bools and floats raise ValueError).
+    """
 
     n: int
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.n < 2:
+        if _strict_int(self.n, "n") < 2:
             raise ValueError(f"tree needs at least 2 vertices, got {self.n}")
         norm = tuple(sorted(tuple(sorted(e)) for e in self.edges))
         object.__setattr__(self, "edges", norm)
+        _strict_vertices(norm)
         if len(norm) != self.n - 1:
             raise ValueError(f"tree on {self.n} vertices needs {self.n - 1} edges, got {len(norm)}")
         adj: list[list[int]] = [[] for _ in range(self.n)]
@@ -135,19 +139,21 @@ def move_edges(g: Hypergraph, u: int, moves: list[tuple[int, int]]) -> Hypergrap
     """Replace each edge e_i in ``moves`` by (e_i minus v_i) plus u.
 
     ``moves`` is a list of (edge index, vertex) pairs with distinct edge
-    indices, u outside every moved edge and v_i inside its edge.  An empty
-    move list returns g unchanged.  Raises MultipleEdgeError when two
+    indices, u outside every moved edge and v_i inside its edge; u, each
+    index and each v_i must be ints (a bool or float raises ValueError).  An
+    empty move list returns g unchanged.  Raises MultipleEdgeError when two
     resulting edges coincide; warns (DanglingVertexWarning) when a v_i loses
     its last edge.
     """
     if not moves:
         return g
-    if not (0 <= u < g.n):
+    if not (0 <= _strict_int(u, "target vertex") < g.n):
         raise ValueError(f"target vertex {u} out of range")
     seen_idx = set()
     new_edges = list(g.edges)
     for idx, v in moves:
-        if idx in seen_idx:
+        _strict_int(v, "moved vertex")
+        if _strict_int(idx, "edge index") in seen_idx:
             raise ValueError(f"edge index {idx} moved twice")
         seen_idx.add(idx)
         if not (0 <= idx < g.m):
@@ -168,41 +174,3 @@ def move_edges(g: Hypergraph, u: int, moves: list[tuple[int, int]]) -> Hypergrap
             f"vertices {dangling} are now isolated", DanglingVertexWarning, stacklevel=2
         )
     return moved
-
-
-def is_hypertree(h: Hypergraph) -> bool:
-    """True iff h is the kth power of some ordinary tree.
-
-    Equivalent, for supertrees, to every edge containing at most two
-    non-pendent vertices.
-    """
-    if not is_supertree(h):
-        return False
-    pend = vertex_stats(h).pendent_vertices
-    return all(sum(1 for v in e if v not in pend) <= 2 for e in h.edges)
-
-
-def base_tree(h: Hypergraph) -> OrdinaryTree:
-    """Recover an ordinary tree whose kth power is isomorphic to h.
-
-    Non-pendent vertices keep their identity (renumbered densely); each
-    pendent edge contributes one fresh leaf.
-    """
-    if not is_hypertree(h):
-        raise ValueError("base_tree requires the power of an ordinary tree")
-    pend = vertex_stats(h).pendent_vertices
-    nonpend = sorted(set(range(h.n)) - pend)
-    vid = {v: i for i, v in enumerate(nonpend)}
-    nxt = len(nonpend)
-    edges = []
-    for e in h.edges:
-        core = [v for v in e if v not in pend]
-        if len(core) == 2:
-            edges.append((vid[core[0]], vid[core[1]]))
-        elif len(core) == 1:
-            edges.append((vid[core[0]], nxt))
-            nxt += 1
-        else:  # single-edge hypergraph: no non-pendent vertices at all
-            edges.append((nxt, nxt + 1))
-            nxt += 2
-    return OrdinaryTree(n=nxt, edges=tuple(edges))

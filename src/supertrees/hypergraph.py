@@ -11,6 +11,7 @@ from __future__ import annotations
 from bisect import bisect
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import MultipleEdgeError
 
@@ -22,12 +23,21 @@ def _strict_int(value, what: str) -> int:
     return value
 
 
+def _strict_vertices(edges: tuple[tuple, ...]) -> None:
+    # one C-level pass over the vertex types passes the all-int case; any
+    # other type gets _strict_int's check and message
+    if not {*map(type, chain.from_iterable(edges))} <= {int}:
+        for v in chain.from_iterable(edges):
+            _strict_int(v, "edge vertex")
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """A k-uniform hypergraph on vertices ``0..n-1`` with at least one edge.
 
-    ``k`` and ``n`` must be ints (bools and floats are rejected, not
-    coerced: ``k=3.0`` would compare equal to ``k=3`` yet key differently).
+    ``k``, ``n`` and every edge vertex must be ints (bools and floats are
+    rejected, not coerced: ``k=3.0`` would compare equal to ``k=3`` yet key
+    differently, and a vertex ``True`` would act as vertex 1).
     Every edge must contain exactly ``k`` distinct vertices and no two edges
     may coincide.  Isolated vertices are tolerated (they can appear
     transiently after edge moves) but never produced by the constructors.
@@ -46,6 +56,7 @@ class Hypergraph:
         object.__setattr__(self, "edges", norm)
         if not norm:
             raise ValueError("hypergraph must have at least one edge")
+        _strict_vertices(norm)
         seen = set()
         for e in norm:
             if len(set(e)) != self.k:

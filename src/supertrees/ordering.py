@@ -257,49 +257,77 @@ def verify_top_four(m: int, k: int, limit: int = DEFAULT_ENUM_LIMIT) -> Verifica
     )
 
 
-def verify_partition_lemma(
-    m: int,
-    k: int,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> VerificationRecord:
+def verify_partition_lemma(m: int, k: int) -> VerificationRecord:
     """Among all branch partitions (t1, t2, t3) of m-1, the (1, 1, m-3)
     supertree has the largest radius, with equality exactly when t2 = 1.
+
+    Every verdict compares certified brackets from ``alpha_normal_bracket``.
+    The one partition with t2 = 1 is (1, 1, m-3), the reference broom
+    itself, so its bracket must equal the reference's ``(ref_low,
+    ref_high)``; every other partition passes only if its ``high`` is below
+    ``ref_low``.  The smallest separation ``ref_low - high`` and the
+    partition attaining it are the tightest verdict, reported as the last
+    detail line and as ``data["tightest"]`` (None when m < 6 leaves no
+    partition with t2 >= 2).  At k = 3, m = 1,000 that separation is
+    3.3e-3, far above the bracket's float error (ROADMAP item 2).  Power
+    iteration on the reference broom is the independent oracle: its radius
+    must lie within ``DEFAULT_TOL`` relative of the reference bracket.
 
     ``m`` and ``k`` must be ints (bools and floats raise ValueError)."""
     if _strict_int(m, "m") < 4:
         raise ValueError("partition verification needs m >= 4")
     if _strict_int(k, "k") < 3:
         raise ValueError("branch supertrees need k >= 3")
-    rho_ref = power_iteration(broom(1, 1, m - 3, k), tol=tol, max_iter=max_iter).rho
-    details = [f"reference broom(1,1,{m - 3}): rho = {rho_ref:.9g}"]
+    ref = broom(1, 1, m - 3, k)
+    ref_low, ref_high = alpha_normal_bracket(ref)
+    rho_power = power_iteration(ref).rho
+    if not ref_low * (1 - DEFAULT_TOL) <= rho_power <= ref_high * (1 + DEFAULT_TOL):
+        raise CounterexampleFound(
+            f"power oracle rho = {rho_power!r} at k={k} misses the reference bracket "
+            f"[{ref_low!r}, {ref_high!r}]",
+            offending=((1, 1, m - 3), rho_power, (ref_low, ref_high)),
+        )
+    details = [f"reference broom(1,1,{m - 3}): rho in [{ref_low!r}, {ref_high!r}]"]
     partitions = [
         (t1, t2, m - 1 - t1 - t2)
         for t1 in range(1, m)
         for t2 in range(t1, m)
         if m - 1 - t1 - t2 >= t2
     ]
+    tightest = None
     for t in partitions:
-        rho_t = power_iteration(broom(*t, k), tol=tol, max_iter=max_iter).rho
-        gap = rho_ref - rho_t
+        low, high = alpha_normal_bracket(broom(*t, k))
+        mid = 0.5 * (low + high)
         if t[1] == 1:
-            if abs(gap) > TIE_TOL:
+            if (low, high) != (ref_low, ref_high):
                 raise CounterexampleFound(
-                    f"broom{t} at k={k} should tie the reference, gap {gap:.3e}",
-                    offending=(t, rho_t, rho_ref),
+                    f"broom{t} at k={k} should tie the reference, bracket [{low!r}, {high!r}]",
+                    offending=(t, (low, high), (ref_low, ref_high)),
                 )
-            details.append(f"broom{t}: rho = {rho_t:.9g} (equality case)")
+            details.append(f"broom{t}: rho = {mid:.9g} (equality case)")
         else:
-            if gap <= TIE_TOL:
+            separation = ref_low - high
+            if separation <= 0.0:
                 raise CounterexampleFound(
-                    f"broom{t} at k={k} not strictly below the reference, gap {gap:.3e}",
-                    offending=(t, rho_t, rho_ref),
+                    f"broom{t} at k={k} not strictly below the reference, separation "
+                    f"{separation:.3e}",
+                    offending=(t, (low, high), (ref_low, ref_high)),
                 )
-            details.append(f"broom{t}: rho = {rho_t:.9g} (strictly below)")
+            if tightest is None or separation < tightest[1]:
+                tightest = (t, separation)
+            details.append(f"broom{t}: rho = {mid:.9g} (strictly below)")
+    if tightest is not None:
+        details.append(f"tightest: broom{tightest[0]}, separation {tightest[1]:.3e}")
     return VerificationRecord(
         name="partition ordering",
         details=tuple(details),
-        data={"k": k, "m": m, "rho_ref": rho_ref, "partitions": partitions},
+        data={
+            "k": k,
+            "m": m,
+            "ref_bracket": (ref_low, ref_high),
+            "partitions": partitions,
+            "tightest": tightest,
+        },
     )
 
 

@@ -8,7 +8,9 @@ and the spectral radius is the largest eigenvalue of ``Ax = rho * x^[k-1]``.
 For a connected hypergraph it carries a unique positive eigenvector with
 k-norm 1 (the principal pair).  This module computes it by the power
 method with Collatz-Wielandt bracketing, plus closed forms for the families
-whose radii reduce to quartic equations.
+whose radii reduce to quartic equations.  It keeps no tree-power formula
+rho(T^k) = rho(T)^(2/k): the certificate solver (``certificates``) already
+solves every supertree, tree powers included.
 
 The power step is ``y = Ax`` for k >= 3 and the shifted ``y = Ax + x^[k-1]``
 only for k = 2.  At k >= 3 every edge gives the tensor's digraph both
@@ -52,7 +54,6 @@ from itertools import repeat
 from numbers import Real
 from operator import add, itemgetter, mul, sub, truediv
 
-from .constructors import OrdinaryTree, tree_power
 from .errors import DisconnectedInputError, NonConvergenceError
 from .hypergraph import Hypergraph, _strict_int, is_connected
 
@@ -272,24 +273,6 @@ def power_iteration(
         f"no convergence after {max_iter} iterations; bracket width {lam_hi - lam_lo:.3e}",
         bracket=(lam_lo, lam_hi),
     )
-
-
-def graph_spectral_radius(t: OrdinaryTree, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> float:
-    """Largest adjacency eigenvalue of an ordinary tree (the k = 2 code path)."""
-    return power_iteration(tree_power(t, 2), tol=tol, max_iter=max_iter).rho
-
-
-def power_formula_radius(
-    t: OrdinaryTree, k: int, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
-) -> float:
-    """Radius of the kth power of a tree: the tree's radius raised to 2/k.
-
-    The tree's radius comes from power iteration under ``tol`` and ``max_iter``.
-    Raises ValueError unless ``k`` is an int of at least 2.
-    """
-    if _strict_int(k, "k") < 2:
-        raise ValueError("power_formula_radius needs k >= 2")
-    return graph_spectral_radius(t, tol=tol, max_iter=max_iter) ** (2.0 / k)
 
 
 def double_star_power_radius(m: int, k: int) -> float:

@@ -2,6 +2,8 @@
 
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -98,7 +100,7 @@ def test_rho_json_reports_the_certified_bracket_and_its_evaluations(tmp_path, ca
     assert "rho = 9.99333558  method = alpha" in human.splitlines()
 
 
-@pytest.mark.parametrize("method", ["power", "alpha", "formula", "auto"])
+@pytest.mark.parametrize("method", ["power", "alpha", "auto"])
 def test_rho_rejects_non_positive_tol_and_max_iter(tmp_path, capsys, method):
     out = tmp_path / "p.json"
     run_cli(capsys, "gen", "path-power", "--k", "3", "--m", "4", "--out", str(out))
@@ -113,19 +115,14 @@ def test_rho_rejects_non_positive_tol_and_max_iter(tmp_path, capsys, method):
         assert message in stderr
 
 
-def test_rho_formula_honours_max_iter(tmp_path, capsys):
+def test_rho_has_no_formula_method(tmp_path, capsys):
+    # the certificate solver (--method alpha) solves tree powers too
     out = tmp_path / "p.json"
-    run_cli(capsys, "gen", "path-power", "--k", "3", "--m", "30", "--out", str(out))
-    code, stdout, stderr = run_cli(capsys, "rho", str(out), "--method", "formula", "--max-iter", "1")
-    assert code == 1 and stdout == ""
-    assert "no convergence" in stderr
-
-
-def test_rho_formula_only_for_tree_powers(tmp_path, capsys):
-    out = tmp_path / "b.json"
-    run_cli(capsys, "gen", "broom", "--k", "3", "--t", "1,1,2", "--out", str(out))
-    code, _, stderr = run_cli(capsys, "rho", str(out), "--method", "formula")
-    assert code == 1 and "formula" in stderr
+    run_cli(capsys, "gen", "path-power", "--k", "3", "--m", "4", "--out", str(out))
+    with pytest.raises(SystemExit) as exc:
+        main(["rho", str(out), "--method", "formula"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'formula'" in capsys.readouterr().err
 
 
 def test_rho_round_trip_is_bit_stable(tmp_path, capsys):
@@ -430,3 +427,20 @@ def test_rho_rejects_non_integer_file(tmp_path, capsys):
 def test_missing_file_reports_error(capsys):
     code, _, stderr = run_cli(capsys, "rho", "/nonexistent/file.json")
     assert code == 1 and "error" in stderr
+
+
+def _readme_commands():
+    """The ``supertrees ...`` lines of the README's fenced CLI block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```", 2)[1]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("supertrees ")]
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    # run in order, in one directory: later lines read the files earlier ones write
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    for argv in commands:
+        code, _, stderr = run_cli(capsys, *argv)
+        assert code == 0, (argv, stderr)

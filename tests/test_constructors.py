@@ -9,13 +9,11 @@ from supertrees import (
     Hypergraph,
     MultipleEdgeError,
     OrdinaryTree,
-    base_tree,
     broom,
     canonical_key,
     double_star,
     f_tree,
     hyperstar,
-    is_hypertree,
     is_supertree,
     move_edges,
     path,
@@ -32,6 +30,21 @@ def test_ordinary_tree_validation():
         OrdinaryTree(n=3, edges=((0, 1),))  # too few edges
     with pytest.raises(ValueError):
         OrdinaryTree(n=4, edges=((0, 1), (2, 3), (0, 1)))  # disconnected/duplicated
+
+
+@pytest.mark.parametrize(
+    "n, edges, message",
+    [
+        (3, ((0, True), (True, 2)), "edge vertex must be an integer, got True"),
+        (3, ((0, 1.0), (1.0, 2)), "edge vertex must be an integer, got 1.0"),
+        (3.0, ((0, 1), (1, 2)), "n must be an integer, got 3.0"),
+        (True, ((0, 1),), "n must be an integer, got True"),
+    ],
+)
+def test_ordinary_tree_rejects_non_integers(n, edges, message):
+    # a bool vertex used to act as vertex 1, and n = 3.0 hit a bare TypeError
+    with pytest.raises(ValueError, match=message):
+        OrdinaryTree(n=n, edges=edges)
 
 
 def test_double_star_shapes():
@@ -98,8 +111,10 @@ def test_broom_shapes():
     s2 = vertex_stats(b2)
     assert b2.m == 5
     assert sorted(s2.degrees[u] for u in (0, 1, 2)) == [2, 2, 3]
-    # a branch supertree is never the power of an ordinary tree
-    assert not is_hypertree(broom(1, 1, 3, 3))
+    # a branch supertree is never the power of an ordinary tree: its central
+    # edge holds three non-pendent vertices
+    pendent = vertex_stats(broom(1, 1, 3, 3)).pendent_vertices
+    assert len(set(broom(1, 1, 3, 3).edges[0]) - pendent) == 3
     for t1, t2, t3, k in ((1, 2, 2, 3), (2, 2, 2, 4), (1, 1, 5, 5)):
         h = broom(t1, t2, t3, k)
         assert is_supertree(h)
@@ -174,6 +189,22 @@ def test_move_validates_arguments():
         move_edges(g, 2, [(1, 0), (1, 0)])  # same edge twice
 
 
+@pytest.mark.parametrize(
+    "u, moves, message",
+    [
+        (True, [(1, 0)], "target vertex must be an integer, got True"),
+        (1.0, [(1, 0)], "target vertex must be an integer, got 1.0"),
+        (1, [(True, 0)], "edge index must be an integer, got True"),
+        (1, [(1, False)], "moved vertex must be an integer, got False"),
+    ],
+)
+def test_move_rejects_non_integers(u, moves, message):
+    # move_edges(g, True, [(1, 0)]) used to return a supertree whose vertex
+    # True stood in for vertex 1
+    with pytest.raises(ValueError, match=message):
+        move_edges(broom(1, 1, 1, 3), u, moves)
+
+
 def test_move_detects_multiple_edges():
     g = Hypergraph(k=2, n=3, edges=((0, 1), (0, 2)))
     with pytest.raises(MultipleEdgeError):
@@ -212,25 +243,3 @@ def test_move_anchored_in_shared_edge_preserves_supertree():
         moved = move_edges(g, u, moves)
         assert is_supertree(moved)
         checked += 1
-
-
-# --- hypertree recognition -------------------------------------------------------
-
-
-def test_base_tree_round_trip():
-    for t in (star(5), path(6), double_star(2, 3), f_tree(7)):
-        for k in (2, 3, 4):
-            h = tree_power(t, k)
-            assert is_hypertree(h)
-            back = base_tree(h)
-            assert canonical_key(tree_power(back, 2)) == canonical_key(tree_power(t, 2))
-
-
-def test_base_tree_single_edge():
-    h = Hypergraph(k=4, n=4, edges=((0, 1, 2, 3),))
-    assert base_tree(h).n == 2
-
-
-def test_base_tree_rejects_branch_supertrees():
-    with pytest.raises(ValueError):
-        base_tree(broom(1, 1, 1, 3))

@@ -83,6 +83,22 @@ def test_rejects_non_integer_k_and_n(k, n):
         Hypergraph(k=k, n=n, edges=((0, 1, 2),))
 
 
+@pytest.mark.parametrize(
+    "edges, shown",
+    [
+        (((0, 1.5), (1.5, 2)), "1.5"),
+        (((0, 1.0), (1.0, 2)), "1.0"),
+        (((0, True), (True, 2)), "True"),
+        (((False, 1), (1, 2)), "False"),
+    ],
+)
+def test_rejects_non_integer_vertices(edges, shown):
+    # these were accepted: a float vertex then broke canonical_key and the
+    # certificate solver with a bare TypeError, and True acted as vertex 1
+    with pytest.raises(ValueError, match=f"edge vertex must be an integer, got {shown}"):
+        Hypergraph(k=2, n=3, edges=edges)
+
+
 def test_edges_normalized_sorted():
     h = Hypergraph(k=3, n=6, edges=((5, 4, 3), (2, 1, 0)))
     assert h.edges == ((0, 1, 2), (3, 4, 5))

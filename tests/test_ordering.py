@@ -17,19 +17,17 @@ from supertrees import (
     CounterexampleFound,
     EnumerationLimitError,
     Hypergraph,
+    OrdinaryTree,
     alpha_normal_bracket,
-    base_tree,
     broom,
     canonical_key,
     double_star,
     enumerate_supertrees,
     f_tree,
     hyperstar,
-    is_hypertree,
     is_supertree,
     move_edges,
     path,
-    power_formula_radius,
     power_iteration,
     random_supertree,
     rank_spectra,
@@ -280,7 +278,19 @@ def test_non_pendent_classification_of_classes():
                 in_one_edge = any(
                     sum(1 for v in e if v not in stats.pendent_vertices) == 3 for e in h.edges
                 )
-                assert in_one_edge != is_hypertree(h)
+                caterpillars = {
+                    canonical_key(tree_power(_caterpillar(a, b, m - 2 - a - b), 3))
+                    for a in range(1, m)
+                    for b in range(m - 2 - a)
+                }
+                assert in_one_edge != (canonical_key(h) in caterpillars)
+
+
+def _caterpillar(a, b, c):
+    # the spine 0-1-2 with a, b and c leaves at its three vertices
+    leaves = [0] * a + [1] * b + [2] * c
+    edges = ((0, 1), (1, 2)) + tuple((v, 3 + i) for i, v in enumerate(leaves))
+    return OrdinaryTree(n=3 + len(leaves), edges=edges)
 
 
 # --- ranking ---------------------------------------------------------------------
@@ -337,23 +347,12 @@ def _power_radius(h):
     return power_iteration(h).rho
 
 
-def _formula_radius(h):
-    # the tree-power formula where it applies, power iteration elsewhere
-    if is_hypertree(h):
-        return power_formula_radius(base_tree(h), h.k)
-    return power_iteration(h).rho
-
-
 def test_rank_methods_agree():
     a = rank_spectra(5, 3)
     p = _oracle_ranking(5, 3, _power_radius)
-    f = _oracle_ranking(5, 3, _formula_radius)
-    assert any(is_hypertree(e.hypergraph) for e in a.entries)
-    assert any(not is_hypertree(e.hypergraph) for e in a.entries)
-    for ea, (key_p, rho_p, _), (key_f, rho_f, _) in zip(a.entries, p, f, strict=True):
-        assert ea.key == key_p == key_f
+    for ea, (key_p, rho_p, _) in zip(a.entries, p, strict=True):
+        assert ea.key == key_p
         assert abs(rho_p - ea.rho) <= 1e-8
-        assert abs(rho_p - rho_f) <= 1e-8
 
 
 def _tie_groups(ranking):
@@ -431,6 +430,68 @@ def test_partition_lemma():
     rec = verify_partition_lemma(8, 3)
     assert any("broom(1, 3, 3)" in line and "strictly below" in line for line in rec.details)
     assert any("broom(2, 2, 3)" in line and "strictly below" in line for line in rec.details)
+
+
+def _separations(m, k):
+    ref_low = alpha_normal_bracket(broom(1, 1, m - 3, k))[0]
+    return {
+        (t1, t2, m - 1 - t1 - t2): ref_low - alpha_normal_bracket(broom(t1, t2, m - 1 - t1 - t2, k))[1]
+        for t1 in range(1, m)
+        for t2 in range(max(t1, 2), m)
+        if m - 1 - t1 - t2 >= t2
+    }
+
+
+def test_partition_lemma_reports_its_tightest_verdict():
+    for m, expected in ((6, (1, 2, 2)), (7, (1, 2, 3)), (8, (1, 2, 4))):
+        rec = verify_partition_lemma(m, 3)
+        separations = _separations(m, 3)
+        t, separation = rec.data["tightest"]
+        assert t == expected
+        assert separation == separations[t] == min(separations.values())
+        assert rec.details[-1] == f"tightest: broom{t}, separation {separation:.3e}"
+    for m in (4, 5):  # every partition has t2 = 1
+        rec = verify_partition_lemma(m, 3)
+        assert rec.data["tightest"] is None and "tightest" not in rec.details[-1]
+
+
+@pytest.mark.parametrize(
+    "k, m, pinned", [(3, 40, 2.8778e-2), (4, 40, 1.5954e-2), (5, 60, 7.6649e-3)]
+)
+def test_partition_brackets_are_separated(k, m, pinned):
+    # The verdicts compare float brackets, whose error is at most about 1e-12
+    # relative (ROADMAP item 2); the tightest separation is far above it.
+    rec = verify_partition_lemma(m, k)
+    separations = _separations(m, k)
+    t, separation = rec.data["tightest"]
+    assert t == (1, 2, m - 4) and separation == min(separations.values())
+    assert separation == pytest.approx(pinned, rel=1e-4)
+    assert separation > 1e-9 * rec.data["ref_bracket"][0]
+    assert len(separations) == len(rec.data["partitions"]) - 1
+
+
+def test_partition_lemma_fails_on_a_bracket_that_reaches_the_reference(monkeypatch):
+    ref = alpha_normal_bracket(broom(1, 1, 4, 3))
+
+    def solver(h):
+        # a bracket for broom(2, 2, 2) that reaches past the reference's low end
+        if h == broom(2, 2, 2, 3):
+            return ref[0] - 1e-3, ref[0] + 1e-3
+        return alpha_normal_bracket(h)
+
+    monkeypatch.setattr(ordering, "alpha_normal_bracket", solver)
+    with pytest.raises(CounterexampleFound, match=r"broom\(2, 2, 2\) at k=3 not strictly below"):
+        verify_partition_lemma(7, 3)
+
+
+def test_partition_lemma_checks_the_power_oracle(monkeypatch):
+    def off(h):
+        pair = power_iteration(h)
+        return dataclasses.replace(pair, rho=pair.rho * (1 + 1e-6))
+
+    monkeypatch.setattr(ordering, "power_iteration", off)
+    with pytest.raises(CounterexampleFound, match="power oracle"):
+        verify_partition_lemma(6, 3)
 
 
 def test_moving_edges_verifier():

@@ -19,18 +19,17 @@ from supertrees import (
     Hypergraph,
     NonConvergenceError,
     alpha_normal_bracket,
+    alpha_normal_radius,
     broom,
     double_star,
     double_star_power_radius,
     eigen_residual,
     f_tree,
     f_tree_power_radius,
-    graph_spectral_radius,
     hyperstar,
     is_connected,
     is_supertree,
     path,
-    power_formula_radius,
     power_iteration,
     random_supertree,
     star,
@@ -321,33 +320,39 @@ def test_power_iteration_residual_within_tolerance():
 # --- ordinary graphs and the power formula ---------------------------------------
 
 
+def _graph_radius(t):
+    # the k = 2 power of an ordinary tree is the tree itself
+    return power_iteration(tree_power(t, 2)).rho
+
+
 def test_graph_radius_examples():
-    assert graph_spectral_radius(path(2)) == pytest.approx(1.0, abs=1e-10)
-    assert graph_spectral_radius(star(5)) == pytest.approx(2.0, abs=1e-10)
-    assert graph_spectral_radius(star(5)) == pytest.approx(star_radius(5), abs=1e-10)
-    assert graph_spectral_radius(path(5)) == pytest.approx(path_radius(5), abs=1e-10)
-    assert graph_spectral_radius(path(5)) == pytest.approx(math.sqrt(3.0), abs=1e-10)
+    assert _graph_radius(path(2)) == pytest.approx(1.0, abs=1e-10)
+    assert _graph_radius(star(5)) == pytest.approx(2.0, abs=1e-10)
+    assert _graph_radius(star(5)) == pytest.approx(star_radius(5), abs=1e-10)
+    assert _graph_radius(path(5)) == pytest.approx(path_radius(5), abs=1e-10)
+    assert _graph_radius(path(5)) == pytest.approx(math.sqrt(3.0), abs=1e-10)
 
 
 def test_graph_radius_matches_dense_oracle():
     rng = random.Random(31)
     for _ in range(10):
         t = random_tree(rng.randint(2, 10), rng)
-        assert graph_spectral_radius(t) == pytest.approx(eig_tree_radius(t), abs=1e-9)
-
-
-def test_power_formula_k2_is_identity():
-    t = double_star(2, 3)
-    assert power_formula_radius(t, 2) == graph_spectral_radius(t)
+        assert _graph_radius(t) == pytest.approx(eig_tree_radius(t), abs=1e-9)
 
 
 def test_power_formula_star_example():
-    assert power_formula_radius(star(5), 3) == pytest.approx(2 ** (2 / 3), abs=1e-9)
+    assert alpha_normal_radius(tree_power(star(5), 3)) == pytest.approx(2 ** (2 / 3), abs=1e-9)
 
 
-def test_power_formula_honours_max_iter():
-    with pytest.raises(NonConvergenceError):
-        power_formula_radius(path(31), 3, max_iter=1)
+def test_certificate_solver_obeys_the_tree_power_identity():
+    # Lu and Man: rho(T^k) = rho(T)^(2/k), with rho(T) from a dense numpy
+    # eigendecomposition, independent of both solvers
+    rng = random.Random(20261018)
+    for _ in range(30):
+        t = random_tree(rng.randint(2, 40), rng)
+        base = eig_tree_radius(t)
+        for k in (2, 3, 4, 5):
+            assert alpha_normal_radius(tree_power(t, k)) == pytest.approx(base ** (2 / k), rel=1e-12)
 
 
 def test_power_formula_agrees_with_tensor_iteration():
@@ -395,7 +400,8 @@ def test_closed_forms_match_tree_oracles():
 def test_f_tree_power_matches_power_formula():
     for m in (4, 6, 9):
         for k in (2, 3, 5):
-            assert abs(f_tree_power_radius(m, k) - power_formula_radius(f_tree(m + 1), k)) <= 1e-9
+            formula = eig_tree_radius(f_tree(m + 1)) ** (2 / k)
+            assert abs(f_tree_power_radius(m, k) - formula) <= 1e-9
 
 
 def test_closed_forms_reject_non_integer_sizes():
@@ -406,8 +412,6 @@ def test_closed_forms_reject_non_integer_sizes():
         lambda: f_tree_power_radius(10, 3.0),
         lambda: f_tree_power_radius(10.0, 3),
         lambda: f_tree_power_radius(True, 3),
-        lambda: power_formula_radius(path(5), 2.5),
-        lambda: power_formula_radius(path(5), True),
     ):
         with pytest.raises(ValueError, match="must be an integer"):
             call()
