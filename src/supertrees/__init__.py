@@ -20,7 +20,6 @@ from .certificates import (
     t11m3_certificate,
 )
 from .constructors import (
-    OrdinaryTree,
     broom,
     double_star,
     f_tree,
@@ -64,7 +63,6 @@ from .ordering import (
     reduce_non_pendent,
     report_to_csv,
     report_to_dict,
-    single_edge,
     verify_moving_edges,
     verify_partition_lemma,
     verify_sandwich,

@@ -1,5 +1,9 @@
 """Builders for the named supertree families and the edge-moving operation.
 
+A tree is a 2-uniform supertree: ``star``, ``path``, ``double_star`` and
+``f_tree`` return ``Hypergraph(k=2, ...)``, and ``tree_power`` lifts such a
+tree to any k.
+
 Every size argument of a named family must be an int: bools and floats
 raise ValueError rather than being coerced.
 """
@@ -7,74 +11,36 @@ raise ValueError rather than being coerced.
 from __future__ import annotations
 
 import warnings
-from collections import deque
-from dataclasses import dataclass
 
 from .errors import DanglingVertexWarning, MultipleEdgeError
-from .hypergraph import Hypergraph, _strict_int, _strict_vertices, vertex_stats
+from .hypergraph import Hypergraph, _strict_int, is_supertree, vertex_stats
 
 
-@dataclass(frozen=True)
-class OrdinaryTree:
-    """An ordinary tree on vertices ``0..n-1``, edges as sorted pairs.
-
-    ``n`` and every vertex must be ints (bools and floats raise ValueError).
-    """
-
-    n: int
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if _strict_int(self.n, "n") < 2:
-            raise ValueError(f"tree needs at least 2 vertices, got {self.n}")
-        norm = tuple(sorted(tuple(sorted(e)) for e in self.edges))
-        object.__setattr__(self, "edges", norm)
-        _strict_vertices(norm)
-        if len(norm) != self.n - 1:
-            raise ValueError(f"tree on {self.n} vertices needs {self.n - 1} edges, got {len(norm)}")
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for a, b in norm:
-            if not (0 <= a < self.n and 0 <= b < self.n) or a == b:
-                raise ValueError(f"bad tree edge ({a}, {b})")
-            adj[a].append(b)
-            adj[b].append(a)
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        if len(seen) != self.n:
-            raise ValueError("tree edges are not connected")
-
-
-def star(n: int) -> OrdinaryTree:
+def star(n: int) -> Hypergraph:
     """Star on n vertices, center 0."""
     if _strict_int(n, "n") < 2:
         raise ValueError("star needs n >= 2")
-    return OrdinaryTree(n=n, edges=tuple((0, v) for v in range(1, n)))
+    return Hypergraph(k=2, n=n, edges=tuple((0, v) for v in range(1, n)))
 
 
-def path(n: int) -> OrdinaryTree:
+def path(n: int) -> Hypergraph:
     """Path on n vertices, 0-1-...-(n-1)."""
     if _strict_int(n, "n") < 2:
         raise ValueError("path needs n >= 2")
-    return OrdinaryTree(n=n, edges=tuple((v, v + 1) for v in range(n - 1)))
+    return Hypergraph(k=2, n=n, edges=tuple((v, v + 1) for v in range(n - 1)))
 
 
-def double_star(a: int, b: int) -> OrdinaryTree:
+def double_star(a: int, b: int) -> Hypergraph:
     """Tree on a+b+2 vertices: a central edge (0,1) with a pendants at 0 and b at 1."""
     if _strict_int(a, "a") < 1 or _strict_int(b, "b") < 1:
         raise ValueError("double star needs a, b >= 1")
     edges = [(0, 1)]
     edges += [(0, 2 + i) for i in range(a)]
     edges += [(1, 2 + a + i) for i in range(b)]
-    return OrdinaryTree(n=a + b + 2, edges=tuple(edges))
+    return Hypergraph(k=2, n=a + b + 2, edges=tuple(edges))
 
 
-def f_tree(n: int) -> OrdinaryTree:
+def f_tree(n: int) -> Hypergraph:
     """Tree on n vertices: two paths of length 2 plus n-5 pendants, all at vertex 0.
 
     For n = 5 this degenerates to the path on 5 vertices.
@@ -83,24 +49,30 @@ def f_tree(n: int) -> OrdinaryTree:
         raise ValueError("f_tree needs n >= 5")
     edges = [(0, 1), (1, 2), (0, 3), (3, 4)]
     edges += [(0, 5 + i) for i in range(n - 5)]
-    return OrdinaryTree(n=n, edges=tuple(edges))
+    return Hypergraph(k=2, n=n, edges=tuple(edges))
 
 
-def tree_power(t: OrdinaryTree, k: int) -> Hypergraph:
-    """kth power of an ordinary tree: each edge gains k-2 fresh vertices.
+def tree_power(t: Hypergraph, k: int) -> Hypergraph:
+    """kth power of a tree, given as a 2-uniform supertree: each edge gains
+    k-2 fresh vertices.
 
     Fresh vertices are numbered after the original ones, edge by edge in the
     stored (sorted) edge order, so the output is deterministic.  For k = 2
-    the tree is returned unchanged as a 2-uniform hypergraph.
+    the tree itself is returned.  Raises ValueError unless ``t`` is a
+    2-uniform supertree, that is a tree.
     """
     if _strict_int(k, "k") < 2:
         raise ValueError("tree_power needs k >= 2")
+    if t.k != 2 or not is_supertree(t):
+        raise ValueError(
+            f"tree_power needs a tree (a 2-uniform supertree), got k={t.k}, n={t.n}, m={t.m}"
+        )
     if k == 2:
-        return Hypergraph(k=2, n=t.n, edges=t.edges)
+        return t
     edges = []
     nxt = t.n
     for e in t.edges:
-        edges.append(tuple(e) + tuple(range(nxt, nxt + k - 2)))
+        edges.append(e + tuple(range(nxt, nxt + k - 2)))
         nxt += k - 2
     return Hypergraph(k=k, n=nxt, edges=tuple(edges))
 

@@ -9,7 +9,6 @@ when their edge sets are equal.  All operations here are pure;
 from __future__ import annotations
 
 from bisect import bisect
-from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 
@@ -112,22 +111,31 @@ def incidence_lists(h: Hypergraph) -> tuple[tuple[int, ...], ...]:
 
 
 def is_connected(h: Hypergraph) -> bool:
-    """True iff every vertex is reachable from vertex 0 via shared edges."""
-    inc = incidence_lists(h)
-    seen_v = {0}
-    seen_e: set[int] = set()
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for i in inc[v]:
-            if i in seen_e:
-                continue
-            seen_e.add(i)
-            for w in h.edges[i]:
-                if w not in seen_v:
-                    seen_v.add(w)
-                    queue.append(w)
-    return len(seen_v) == h.n
+    """True iff every vertex is reachable from vertex 0 via shared edges.
+
+    One incidence pass, then a search that marks vertices and edges in flag
+    lists, so each edge is scanned once.
+    """
+    n, edges = h.n, h.edges
+    inc: list[list[int]] = [[] for _ in range(n)]
+    for i, e in enumerate(edges):
+        for v in e:
+            inc[v].append(i)
+    seen_v = [False] * n
+    seen_v[0] = True
+    seen_e = [False] * len(edges)
+    stack = [0]
+    reached = 1
+    while stack:
+        for i in inc[stack.pop()]:
+            if not seen_e[i]:
+                seen_e[i] = True
+                for w in edges[i]:
+                    if not seen_v[w]:
+                        seen_v[w] = True
+                        reached += 1
+                        stack.append(w)
+    return reached == n
 
 
 def is_supertree(h: Hypergraph) -> bool:

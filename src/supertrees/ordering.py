@@ -54,7 +54,7 @@ from .spectral import (
     power_iteration,
 )
 
-DEFAULT_ENUM_LIMIT = 7
+DEFAULT_ENUM_LIMIT = 10
 
 
 @dataclass(frozen=True)
@@ -84,11 +84,6 @@ class VerificationRecord:
     data: dict
 
 
-def single_edge(k: int) -> Hypergraph:
-    """The one-edge k-uniform supertree."""
-    return Hypergraph(k=k, n=k, edges=(tuple(range(_strict_int(k, "k"))),))
-
-
 def enumerate_supertrees(m: int, k: int, limit: int = DEFAULT_ENUM_LIMIT) -> list[Hypergraph]:
     """One representative per isomorphism class of k-uniform supertrees with m edges.
 
@@ -104,7 +99,7 @@ def enumerate_supertrees(m: int, k: int, limit: int = DEFAULT_ENUM_LIMIT) -> lis
     if m > _strict_int(limit, "limit"):
         raise EnumerationLimitError(f"m = {m} exceeds the enumeration limit {limit}")
     log = _debug_logger()
-    first = single_edge(k)
+    first = hyperstar(1, k)
     reps = {canonical_key(first): first}
     for size in range(2, m + 1):
         grown: dict[bytes, Hypergraph] = {}
@@ -195,13 +190,13 @@ def _expected_top(m: int, k: int) -> list[tuple[str, Hypergraph]]:
     if k == 2:
         top = [
             ("star", hyperstar(m, 2)),
-            (f"S(1,{m - 2})", tree_power(double_star(1, m - 2), 2)),
+            (f"S(1,{m - 2})", double_star(1, m - 2)),
         ]
         if m == 4:
-            top.append(("P5", tree_power(path(5), 2)))
+            top.append(("P5", path(5)))
         else:
-            top.append((f"S(2,{m - 3})", tree_power(double_star(2, m - 3), 2)))
-            top.append((f"F{m + 1}", tree_power(f_tree(m + 1), 2)))
+            top.append((f"S(2,{m - 3})", double_star(2, m - 3)))
+            top.append((f"F{m + 1}", f_tree(m + 1)))
         return top
     top = [
         ("hyperstar", hyperstar(m, k)),

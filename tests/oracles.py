@@ -22,18 +22,18 @@ import random
 import numpy as np
 from hypothesis import strategies as hs
 
-from supertrees import Hypergraph, NonConvergenceError, OrdinaryTree, PrincipalPair
+from supertrees import Hypergraph, NonConvergenceError, PrincipalPair
 from supertrees.certificates import _Plan
 
 
-def adjacency_matrix(t: OrdinaryTree) -> np.ndarray:
+def adjacency_matrix(t: Hypergraph) -> np.ndarray:
     a = np.zeros((t.n, t.n))
     for u, v in t.edges:
         a[u, v] = a[v, u] = 1.0
     return a
 
 
-def eig_tree_radius(t: OrdinaryTree) -> float:
+def eig_tree_radius(t: Hypergraph) -> float:
     """Largest adjacency eigenvalue via dense symmetric decomposition."""
     return float(np.linalg.eigvalsh(adjacency_matrix(t))[-1])
 
@@ -48,10 +48,10 @@ def star_radius(n: int) -> float:
     return math.sqrt(n - 1)
 
 
-def random_tree(n: int, rng: random.Random) -> OrdinaryTree:
+def random_tree(n: int, rng: random.Random) -> Hypergraph:
     """Random attachment: vertex i links to a uniform earlier vertex."""
     edges = tuple((rng.randrange(i), i) for i in range(1, n))
-    return OrdinaryTree(n=n, edges=edges)
+    return Hypergraph(k=2, n=n, edges=edges)
 
 
 def brute_isomorphic(h1: Hypergraph, h2: Hypergraph) -> bool:

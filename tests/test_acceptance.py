@@ -23,7 +23,6 @@ from supertrees import (
     hyperstar,
     power_iteration,
     reduce_non_pendent,
-    single_edge,
     t11m3_certificate,
     tree_power,
     verify_moving_edges,
@@ -51,7 +50,7 @@ def relabel(h: Hypergraph, rng: random.Random) -> Hypergraph:
 def test_criterion_01_exact_anchors():
     failures = []
     for k in (2, 3, 4, 5):
-        rho = power_iteration(single_edge(k)).rho
+        rho = power_iteration(hyperstar(1, k)).rho
         if abs(rho - 1.0) > 1e-10:
             failures.append(f"single edge k={k}: rho = {rho!r}")
     for k in (2, 3, 4):

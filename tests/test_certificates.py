@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -577,6 +578,18 @@ def test_bracket_ends_carry_certified_signs():
         except PositivityError:
             continue
         assert classify(h, cert, sup).vertex_slacks[root] < 0.0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the bracket ends carry the signs of the float defect, not the exact one",
+)
+def test_path_bracket_contains_the_exact_radius():
+    # rho(P6) = 2cos(pi/7) is the root of x^3 - x^2 - 2x + 1 in the bracket's
+    # range, so the polynomial must change sign between the exact bracket ends
+    low, high = map(Fraction, alpha_normal_bracket(path(6)))
+    above_low, above_high = (x**3 - x**2 - 2 * x + 1 > 0 for x in (low, high))
+    assert above_low != above_high
 
 
 def test_single_edge_bracket_is_exact():

@@ -12,8 +12,8 @@ from supertrees import (
     alpha_normal_bracket,
     alpha_normal_radius,
     broom,
+    hyperstar,
     power_iteration,
-    single_edge,
     to_interchange,
 )
 from supertrees.certificates import DEFAULT_CERT_TOL
@@ -67,7 +67,7 @@ def test_gen_parameter_error(capsys):
 
 def test_rho_single_edge(tmp_path, capsys):
     f = tmp_path / "e.json"
-    f.write_text(json.dumps(to_interchange(single_edge(3))))
+    f.write_text(json.dumps(to_interchange(hyperstar(1, 3))))
     code, stdout, _ = run_cli(capsys, "rho", str(f), "--method", "power")
     assert code == 0
     assert "rho = 1" in stdout
@@ -158,7 +158,7 @@ def test_certify_construct_supernormal(tmp_path, capsys):
 
 
 def test_certify_explicit_certificate_normal(tmp_path, capsys):
-    h = single_edge(3)
+    h = hyperstar(1, 3)
     hfile = tmp_path / "e.json"
     hfile.write_text(json.dumps(to_interchange(h)))
     cert = dict(to_interchange(h))
@@ -174,7 +174,7 @@ def test_certify_explicit_certificate_normal(tmp_path, capsys):
 
 @pytest.mark.parametrize("bad", ["nan", "-1", "inf"])
 def test_certify_rejects_tol_that_is_negative_or_not_finite(tmp_path, capsys, bad):
-    h = single_edge(3)
+    h = hyperstar(1, 3)
     hfile = tmp_path / "e.json"
     hfile.write_text(json.dumps(to_interchange(h)))
     cert = dict(to_interchange(h))
@@ -191,7 +191,7 @@ def test_certify_rejects_tol_that_is_negative_or_not_finite(tmp_path, capsys, ba
 
 @pytest.mark.parametrize("bad", [0.9, 1.9, True, "0"])
 def test_certify_rejects_non_integer_indices(tmp_path, capsys, bad):
-    h = single_edge(3)
+    h = hyperstar(1, 3)
     hfile = tmp_path / "e.json"
     hfile.write_text(json.dumps(to_interchange(h)))
     for field in ("v", "e"):
@@ -208,7 +208,7 @@ def test_certify_rejects_non_integer_indices(tmp_path, capsys, bad):
 
 @pytest.mark.parametrize("field, bad", [("w", True), ("w", "1"), ("alpha", "1"), ("alpha", True)])
 def test_certify_rejects_non_numeric_weight_and_alpha(tmp_path, capsys, field, bad):
-    h = single_edge(3)
+    h = hyperstar(1, 3)
     hfile = tmp_path / "e.json"
     hfile.write_text(json.dumps(to_interchange(h)))
     cert = dict(to_interchange(h))
@@ -233,7 +233,7 @@ def test_certify_rejects_non_numeric_weight_and_alpha(tmp_path, capsys, field, b
 )
 def test_certify_rejects_non_finite_weight_and_alpha(tmp_path, capsys, field, bad):
     # json writes NaN and Infinity and reads them back as floats; 10**400 overflows a float
-    h = single_edge(3)
+    h = hyperstar(1, 3)
     hfile = tmp_path / "e.json"
     hfile.write_text(json.dumps(to_interchange(h)))
     cert = dict(to_interchange(h))
@@ -252,7 +252,7 @@ def test_certify_rejects_non_finite_weight_and_alpha(tmp_path, capsys, field, ba
 
 @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
 def test_certify_rejects_non_finite_alpha_flag(tmp_path, capsys, bad):
-    h = single_edge(3)
+    h = hyperstar(1, 3)
     hfile = tmp_path / "e.json"
     hfile.write_text(json.dumps(to_interchange(h)))
     cert = dict(to_interchange(h))
@@ -268,7 +268,7 @@ def test_certify_rejects_non_finite_alpha_flag(tmp_path, capsys, bad):
 
 @pytest.mark.parametrize("triple", [{"v": 0, "e": 0}, {"v": 0, "w": 1.0}, [0, 0, 1.0]])
 def test_certify_rejects_malformed_triples(tmp_path, capsys, triple):
-    h = single_edge(3)
+    h = hyperstar(1, 3)
     hfile = tmp_path / "e.json"
     hfile.write_text(json.dumps(to_interchange(h)))
     cert = dict(to_interchange(h))
@@ -356,12 +356,12 @@ def test_enumerate_output_is_byte_stable(capsys):
 
 
 def test_enumerate_limit_env_override(monkeypatch, capsys):
-    code, _, stderr = run_cli(capsys, "enumerate", "--k", "2", "--m", "8", "--output", "csv")
+    code, _, stderr = run_cli(capsys, "enumerate", "--k", "2", "--m", "11", "--output", "csv")
     assert code == 1 and "limit" in stderr
-    monkeypatch.setenv("SUPERTREE_ENUM_LIMIT", "8")
-    code, stdout, _ = run_cli(capsys, "enumerate", "--k", "2", "--m", "8", "--output", "csv")
+    monkeypatch.setenv("SUPERTREE_ENUM_LIMIT", "11")
+    code, stdout, _ = run_cli(capsys, "enumerate", "--k", "2", "--m", "11", "--output", "csv")
     assert code == 0
-    assert len(stdout.strip().split("\n")) == 48  # header + the 47 trees on 9 vertices
+    assert len(stdout.strip().split("\n")) == 552  # header + the 551 trees on 12 vertices
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-3", "", "7.5"])

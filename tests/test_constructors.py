@@ -1,5 +1,6 @@
 """Family constructors, tree powers, and the edge-moving operation."""
 
+import math
 import random
 
 import pytest
@@ -8,7 +9,7 @@ from supertrees import (
     DanglingVertexWarning,
     Hypergraph,
     MultipleEdgeError,
-    OrdinaryTree,
+    alpha_normal_bracket,
     broom,
     canonical_key,
     double_star,
@@ -17,6 +18,7 @@ from supertrees import (
     is_supertree,
     move_edges,
     path,
+    power_iteration,
     star,
     tree_power,
     vertex_stats,
@@ -25,26 +27,41 @@ from supertrees import (
 from oracles import are_isomorphic
 
 
-def test_ordinary_tree_validation():
-    with pytest.raises(ValueError):
-        OrdinaryTree(n=3, edges=((0, 1),))  # too few edges
-    with pytest.raises(ValueError):
-        OrdinaryTree(n=4, edges=((0, 1), (2, 3), (0, 1)))  # disconnected/duplicated
+@pytest.mark.parametrize(
+    "t",
+    [
+        Hypergraph(k=2, n=4, edges=((0, 1), (2, 3))),  # a forest
+        Hypergraph(k=2, n=5, edges=((0, 1), (1, 2), (0, 2), (3, 4))),  # n - 1 edges, a cycle
+        hyperstar(2, 3),  # a supertree, but 3-uniform
+    ],
+    ids=["forest", "cycle-with-n-minus-1-edges", "k3-supertree"],
+)
+def test_tree_power_rejects_non_trees(t):
+    for k in (2, 3):
+        with pytest.raises(ValueError, match="tree_power needs a tree"):
+            tree_power(t, k)
 
 
 @pytest.mark.parametrize(
-    "n, edges, message",
+    "n, edges, error, message",
     [
-        (3, ((0, True), (True, 2)), "edge vertex must be an integer, got True"),
-        (3, ((0, 1.0), (1.0, 2)), "edge vertex must be an integer, got 1.0"),
-        (3.0, ((0, 1), (1, 2)), "n must be an integer, got 3.0"),
-        (True, ((0, 1),), "n must be an integer, got True"),
+        (3.0, ((0, 1), (1, 2)), ValueError, "n must be an integer, got 3.0"),
+        (True, ((0, 1),), ValueError, "n must be an integer, got True"),
+        (3, ((0, 1), (1, 2), (1, 0)), MultipleEdgeError, r"duplicate edge \(0, 1\)"),
     ],
 )
-def test_ordinary_tree_rejects_non_integers(n, edges, message):
-    # a bool vertex used to act as vertex 1, and n = 3.0 hit a bare TypeError
-    with pytest.raises(ValueError, match=message):
-        OrdinaryTree(n=n, edges=edges)
+def test_trees_reject_bad_input(n, edges, error, message):
+    # bool and float vertices of a tree: test_hypergraph's
+    # test_rejects_non_integer_vertices, which builds k = 2 hypergraphs
+    with pytest.raises(error, match=message):
+        Hypergraph(k=2, n=n, edges=edges)
+
+
+def test_engines_take_the_constructors_trees():
+    for n in (2, 5, 12):
+        rho = 2 * math.cos(math.pi / (n + 1))
+        assert alpha_normal_bracket(path(n)) == pytest.approx((rho, rho), rel=1e-12)
+        assert power_iteration(star(n)).rho == pytest.approx(math.sqrt(n - 1), rel=1e-9)
 
 
 def test_double_star_shapes():
@@ -84,7 +101,7 @@ def test_tree_power_counts():
     pend = vertex_stats(h).pendent_vertices
     assert all(sum(1 for v in e if v not in pend) <= 2 for e in h.edges)
     t = path(6)
-    assert tree_power(t, 2) == Hypergraph(k=2, n=6, edges=t.edges)
+    assert tree_power(t, 2) is t
 
 
 def test_tree_power_fresh_vertex_numbering_is_deterministic():

@@ -5,8 +5,10 @@ import random
 import signal
 from contextlib import contextmanager
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from supertrees import (
     Hypergraph,
@@ -21,7 +23,6 @@ from supertrees import (
     is_supertree,
     path,
     random_supertree,
-    single_edge,
     to_interchange,
     tree_power,
     vertex_stats,
@@ -163,6 +164,18 @@ def test_constructors_are_connected():
         assert is_supertree(h)
 
 
+@settings(max_examples=300, deadline=None)
+@given(edge_sets(), hs.sampled_from((0, 0, 0, 1, 2)))
+def test_is_connected_agrees_with_networkx(h, isolated):
+    # ``isolated`` extra vertices that no edge touches
+    h = Hypergraph(k=h.k, n=h.n + isolated, edges=h.edges)
+    g = nx.Graph()
+    g.add_nodes_from(range(h.n))
+    for e in h.edges:
+        nx.add_path(g, e)
+    assert is_connected(h) == nx.is_connected(g)
+
+
 def test_supertree_arithmetic():
     h = hyperstar(4, 3)
     assert h.n == 9 and h.m * (h.k - 1) == h.n - 1
@@ -243,7 +256,7 @@ def test_key_bytes_are_pinned(h, key):
 
 def enumeration_candidates(k: int, m_max: int):
     """Every supertree the enumeration keys on its way to ``m_max`` edges."""
-    yield single_edge(k)
+    yield hyperstar(1, k)
     for m in range(1, m_max):
         for h in enumerate_supertrees(m, k):
             for v in range(h.n):

@@ -17,7 +17,6 @@ from supertrees import (
     CounterexampleFound,
     EnumerationLimitError,
     Hypergraph,
-    OrdinaryTree,
     alpha_normal_bracket,
     broom,
     canonical_key,
@@ -34,7 +33,6 @@ from supertrees import (
     reduce_non_pendent,
     report_to_csv,
     report_to_dict,
-    single_edge,
     tree_power,
     verify_moving_edges,
     verify_partition_lemma,
@@ -85,8 +83,9 @@ def test_enumeration_deduplicates():
 
 def test_enumeration_limit():
     with pytest.raises(EnumerationLimitError):
-        enumerate_supertrees(8, 2)
-    assert enumerate_supertrees(8, 2, limit=8)
+        enumerate_supertrees(11, 2)
+    assert len(enumerate_supertrees(10, 2)) == 235  # the trees on 11 vertices
+    assert enumerate_supertrees(11, 2, limit=11)
 
 
 def test_enumeration_closure_over_constructors():
@@ -95,7 +94,7 @@ def test_enumeration_closure_over_constructors():
         (5, 3, broom(1, 1, 2, 3)),
         (5, 3, tree_power(double_star(2, 2), 3)),
         (5, 4, tree_power(f_tree(6), 4)),
-        (5, 2, tree_power(path(6), 2)),
+        (5, 2, path(6)),
     ):
         matches = [
             h for h in enumerate_supertrees(m, k) if canonical_key(h) == canonical_key(built)
@@ -253,7 +252,7 @@ def test_random_supertree_matches_attach_loop():
     # one hypergraph rebuilt after every attach, drawing the same vertices
     for k in (2, 3, 5):
         rng = random.Random(k)
-        grown = single_edge(k)
+        grown = hyperstar(1, k)
         for _ in range(59):
             edge = (rng.randrange(grown.n),) + tuple(range(grown.n, grown.n + k - 1))
             grown = Hypergraph(k=k, n=grown.n + k - 1, edges=grown.edges + (edge,))
@@ -290,7 +289,7 @@ def _caterpillar(a, b, c):
     # the spine 0-1-2 with a, b and c leaves at its three vertices
     leaves = [0] * a + [1] * b + [2] * c
     edges = ((0, 1), (1, 2)) + tuple((v, 3 + i) for i, v in enumerate(leaves))
-    return OrdinaryTree(n=3 + len(leaves), edges=edges)
+    return Hypergraph(k=2, n=3 + len(leaves), edges=edges)
 
 
 # --- ranking ---------------------------------------------------------------------
@@ -306,9 +305,9 @@ def test_rank_k2_order_on_six_vertices():
     report = rank_spectra(5, 2)
     expected = [
         hyperstar(5, 2),
-        tree_power(double_star(1, 3), 2),
-        tree_power(double_star(2, 2), 2),
-        tree_power(f_tree(6), 2),
+        double_star(1, 3),
+        double_star(2, 2),
+        f_tree(6),
     ]
     got = [e.key for e in report.entries[:4]]
     assert got == [canonical_key(h).decode("ascii") for h in expected]
