@@ -11,6 +11,7 @@ raise ValueError rather than being coerced.
 from __future__ import annotations
 
 import warnings
+from itertools import repeat
 
 from .errors import DanglingVertexWarning, MultipleEdgeError
 from .hypergraph import Hypergraph, _strict_int, is_supertree, vertex_stats
@@ -78,10 +79,19 @@ def tree_power(t: Hypergraph, k: int) -> Hypergraph:
 
 
 def hyperstar(m: int, k: int) -> Hypergraph:
-    """Supertree with m edges all sharing the single vertex 0."""
+    """Supertree with m edges all sharing the single vertex 0.
+
+    Numbered as ``tree_power(star(m + 1), k)``: edge v (1 <= v <= m) is
+    (0, v) followed by its k-2 fresh vertices, the fresh ones after vertex
+    m in edge order.  Built column by column, already canonical.
+    """
     if _strict_int(m, "m") < 1:
         raise ValueError("hyperstar needs m >= 1")
-    return tree_power(star(m + 1), k)
+    if _strict_int(k, "k") < 2:
+        raise ValueError("hyperstar needs k >= 2")
+    n = m * (k - 1) + 1
+    fresh = (range(m + 1 + j, n, k - 2) for j in range(k - 2))
+    return Hypergraph(k=k, n=n, edges=tuple(zip(repeat(0, m), range(1, m + 1), *fresh)))
 
 
 def broom(t1: int, t2: int, t3: int, k: int) -> Hypergraph:

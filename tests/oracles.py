@@ -7,8 +7,9 @@ over all edge subsets, the tensor and the power method from loops written
 one edge and one coordinate at a time, the certificate propagation from
 a loop that visits every child vertex, pendent ones included, the
 propagation plan from incidence lists for every vertex and a scan of every
-edge's members, and the canonical key from separate reduce, peel and encode
-stages.  The
+edge's members, the canonical key from separate reduce, peel and encode
+stages, and the constructor's edge validation from a loop over each vertex
+and then each sorted edge.  The
 count-meeting non-supertrees and the ``edge_sets`` strategy feed the
 rejection tests of every module that demands a supertree.
 """
@@ -22,7 +23,7 @@ import random
 import numpy as np
 from hypothesis import strategies as hs
 
-from supertrees import Hypergraph, NonConvergenceError, PrincipalPair
+from supertrees import Hypergraph, MultipleEdgeError, NonConvergenceError, PrincipalPair
 from supertrees.certificates import _Plan
 
 
@@ -338,6 +339,33 @@ def reference_canonical_key(h: Hypergraph) -> bytes:
     return f"{h.k}|{best}".encode("ascii")
 
 
+def reference_edges(k: int, n: int, edges) -> tuple[tuple[int, ...], ...]:
+    """The edge tuple ``Hypergraph(k=k, n=n, edges=edges)`` stores, or the
+    exception it raises, by the earlier per-vertex and per-edge loops: every
+    vertex's type in input order, then a sort, then each sorted edge's
+    distinct count, range and repetition.  It counts only distinct members,
+    so it accepts an edge that repeats a vertex but has ``k`` distinct ones,
+    such as (0, 1, 1) at k = 2; the constructor rejects that edge, the one
+    intended difference.  ``edges`` is iterated twice."""
+    for e in edges:
+        for v in e:
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ValueError(f"edge vertex must be an integer, got {v!r}")
+    norm = tuple(sorted(tuple(sorted(e)) for e in edges))
+    if not norm:
+        raise ValueError("hypergraph must have at least one edge")
+    seen = set()
+    for e in norm:
+        if len(set(e)) != k:
+            raise ValueError(f"edge {e} must have exactly {k} distinct vertices")
+        if e[0] < 0 or e[-1] >= n:
+            raise ValueError(f"edge {e} has vertices outside [0, {n})")
+        if e in seen:
+            raise MultipleEdgeError(f"duplicate edge {e}")
+        seen.add(e)
+    return norm
+
+
 def reference_tensor_apply(h: Hypergraph, x) -> list[float]:
     """The adjacency tensor by a per-edge loop: prefix and suffix products
     within each edge, each leave-one-out product added to its vertex in
@@ -508,3 +536,51 @@ def edge_sets(draw):
     top = max(max(e) for e in edges)
     n = max(n + draw(hs.sampled_from((-1, 0, 0, 0, 1))), top + 1)
     return Hypergraph(k=k, n=n, edges=tuple(tuple(e) for e in edges))
+
+
+#: How ``edge_inputs`` may spoil an edge set; "extend" appends a repeat of a
+#: vertex already in the edge, the input the two validations treat apart.
+EDGE_MUTATIONS = (
+    "shuffle-edge", "shuffle-edges", "duplicate", "negative", "too-large",
+    "bool", "float", "str", "none", "repeat", "extend", "drop",
+)
+
+
+@hs.composite
+def edge_inputs(draw):
+    """(k, n, edges) for ``Hypergraph``: an ``edge_sets`` draw with up to
+    three ``EDGE_MUTATIONS`` applied, given as tuples or as lists."""
+    h = draw(edge_sets())
+    n = h.n
+    edges = [list(e) for e in h.edges]
+    for kind in draw(hs.lists(hs.sampled_from(EDGE_MUTATIONS), max_size=3)):
+        i = draw(hs.integers(0, len(edges) - 1))
+        e = edges[i]
+        j = draw(hs.integers(0, len(e) - 1))
+        if kind == "shuffle-edge":
+            edges[i] = draw(hs.permutations(e))
+        elif kind == "shuffle-edges":
+            edges = draw(hs.permutations(edges))
+        elif kind == "duplicate":
+            edges.append(draw(hs.permutations(e)))
+        elif kind == "negative":
+            e[j] = draw(hs.integers(-3, -1))
+        elif kind == "too-large":
+            e[j] = draw(hs.integers(n, n + 2))
+        elif kind == "bool":
+            e[j] = draw(hs.booleans())
+        elif kind == "float":
+            e[j] = float(e[j]) if type(e[j]) is int else 1.5
+        elif kind == "str":
+            e[j] = str(e[j])
+        elif kind == "none":
+            e[j] = None
+        elif kind == "repeat":
+            e[j] = e[j - 1]
+        elif kind == "extend":
+            e.append(e[j])
+        elif len(e) > 1:  # drop
+            del e[j]
+    if draw(hs.booleans()):
+        return h.k, n, edges
+    return h.k, n, tuple(map(tuple, edges))

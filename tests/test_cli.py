@@ -424,6 +424,17 @@ def test_rho_rejects_non_integer_file(tmp_path, capsys):
     assert code == 1 and "integer" in stderr
 
 
+@pytest.mark.parametrize("k, edge", [(2, [0, 1, 1]), (3, [0, 1, 1, 2])])
+def test_rho_rejects_an_edge_that_repeats_a_vertex(tmp_path, capsys, k, edge):
+    # the edge has k distinct vertices but k + 1 entries: k = 2 printed a
+    # radius and exited 0, k = 3 died with an IndexError
+    f = tmp_path / "repeat.json"
+    f.write_text(json.dumps({"k": k, "n": 3, "edges": [edge]}))
+    code, stdout, stderr = run_cli(capsys, "rho", str(f))
+    assert code == 1 and stdout == ""
+    assert stderr == f"error: edge {tuple(edge)} must have exactly {k} distinct vertices\n"
+
+
 def test_missing_file_reports_error(capsys):
     code, _, stderr = run_cli(capsys, "rho", "/nonexistent/file.json")
     assert code == 1 and "error" in stderr

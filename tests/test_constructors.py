@@ -119,6 +119,18 @@ def test_hyperstar():
     assert are_isomorphic(hyperstar(4, 3), tree_power(star(5), 3))
 
 
+@pytest.mark.parametrize("k", [2, 3, 5])
+@pytest.mark.parametrize("m", [1, 2, 40])
+def test_hyperstar_is_numbered_as_the_power_of_a_star(m, k):
+    assert hyperstar(m, k) == tree_power(star(m + 1), k)
+
+
+@pytest.mark.parametrize("k, message", [(1, "hyperstar needs k >= 2"), (True, "k must be an integer")])
+def test_hyperstar_rejects_bad_k(k, message):
+    with pytest.raises(ValueError, match=message):
+        hyperstar(3, k)
+
+
 def test_broom_shapes():
     b = broom(1, 1, 1, 3)
     assert b.m == 4 and b.n == 9

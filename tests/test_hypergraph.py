@@ -3,6 +3,7 @@
 import dataclasses
 import random
 import signal
+import tracemalloc
 from contextlib import contextmanager
 
 import networkx as nx
@@ -34,8 +35,10 @@ from oracles import (
     SizeLimitError,
     are_isomorphic,
     brute_isomorphic,
+    edge_inputs,
     edge_sets,
     reference_canonical_key,
+    reference_edges,
 )
 
 
@@ -100,6 +103,65 @@ def test_rejects_non_integer_vertices(edges, shown):
         Hypergraph(k=2, n=3, edges=edges)
 
 
+def test_rejects_an_edge_that_repeats_a_vertex():
+    # k distinct vertices but k + 1 entries: counting distinct members let
+    # these through
+    with pytest.raises(ValueError, match=r"edge \(0, 1, 1\) must have exactly 2 distinct"):
+        Hypergraph(k=2, n=3, edges=((0, 1, 1),))
+    with pytest.raises(ValueError, match=r"edge \(0, 1, 1, 2\) must have exactly 3 distinct"):
+        Hypergraph(k=3, n=3, edges=((2, 1, 0, 1),))
+
+
+def test_rejects_a_negative_vertex():
+    with pytest.raises(ValueError, match=r"edge \(-1, 0\) has vertices outside \[0, 3\)"):
+        Hypergraph(k=2, n=3, edges=((0, 1), (0, -1)))
+
+
+@pytest.mark.parametrize(
+    "edges, shown", [(((0, 1), (1, "a")), "'a'"), (((0, None), (1, 2)), "None"), ((("0", "1"),), "'0'")]
+)
+def test_str_and_none_vertices_raise_value_error(edges, shown):
+    # the sort used to run first and raise TypeError on str against int
+    message = f"edge vertex must be an integer, got {shown}"
+    with pytest.raises(ValueError, match=message):
+        Hypergraph(k=2, n=3, edges=edges)
+    with pytest.raises(ValueError, match=message):
+        from_interchange({"k": 2, "n": 3, "edges": [list(e) for e in edges]})
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_inputs())
+def test_column_checks_agree_with_the_per_edge_reference(case):
+    k, n, edges = case
+    try:
+        want = reference_edges(k, n, edges)
+    except (ValueError, MultipleEdgeError) as exc:
+        want = exc
+    try:
+        got = Hypergraph(k=k, n=n, edges=edges).edges
+    except (ValueError, MultipleEdgeError) as exc:
+        got = exc
+    repeats = any(len(set(e)) != len(e) for e in edges)
+    # both check vertex types first, so their type errors must agree exactly
+    if not repeats or "must be an integer" in str(want):
+        assert type(got) is type(want) and str(got) == str(want)
+    elif isinstance(want, Exception):
+        assert isinstance(got, (ValueError, MultipleEdgeError))
+    else:
+        # the one intended difference: an edge of k distinct vertices that
+        # repeats one is rejected, by name, as the first such sorted edge
+        bad = min(tuple(sorted(e)) for e in edges if len(e) != k)
+        assert type(got) is ValueError
+        assert str(got) == f"edge {bad} must have exactly {k} distinct vertices"
+
+
+def test_canonical_edges_are_kept_without_a_copy():
+    edges = ((0, 1, 2), (0, 3, 4), (1, 5, 6))
+    assert Hypergraph(k=3, n=7, edges=edges).edges is edges
+    h = hyperstar(40, 3)
+    assert Hypergraph(k=3, n=h.n, edges=h.edges).edges is h.edges
+
+
 def test_edges_normalized_sorted():
     h = Hypergraph(k=3, n=6, edges=((5, 4, 3), (2, 1, 0)))
     assert h.edges == ((0, 1, 2), (3, 4, 5))
@@ -162,6 +224,18 @@ def test_constructors_are_connected():
     for h in (hyperstar(5, 3), broom(2, 2, 2, 3), tree_power(path(6), 4)):
         assert is_connected(h)
         assert is_supertree(h)
+
+
+def test_is_connected_counts_vertices_before_allocating():
+    # more than m(k-1)+1 vertices cannot be connected: no per-vertex lists
+    h = Hypergraph(k=3, n=10**6, edges=((0, 1, 2),))
+    tracemalloc.start()
+    try:
+        assert not is_connected(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @settings(max_examples=300, deadline=None)
