@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .constructors import broom
 from .errors import BracketError, IncidenceMismatchError, PositivityError
-from .hypergraph import Hypergraph, incidence_lists, vertex_stats
+from .hypergraph import Hypergraph, incidence_lists, is_supertree, vertex_stats
 
 DEFAULT_CERT_TOL = 1e-9
 #: The radius solver stops once its bracket is this many ulps wide.
@@ -85,8 +85,10 @@ def _consistent(h: Hypergraph, b: WeightedIncidence, tol: float) -> bool:
     """Cycle products equal 1, checked via potentials over a spanning structure.
 
     Within a single edge the ratio constraints compose exactly, so only
-    genuine vertex-edge cycles can fail; acyclic hypergraphs always pass.
+    genuine vertex-edge cycles can fail; a supertree passes without a walk.
     """
+    if is_supertree(h):
+        return True
     inc = incidence_lists(h)
     pot = [0.0] * h.n
     seen = [False] * h.n
@@ -128,20 +130,22 @@ def classify(
 
     A slack within ``tol`` of zero counts as an equality; "strict" means at
     least one slack lies beyond ``tol`` on the permitted side.  ``tol = 0``
-    compares exactly.  Raises ValueError for an alpha that is not positive
-    and finite or a tol that is negative, infinite or NaN.
+    compares exactly; with ``Fraction`` weights and alpha the slacks are
+    exact too (sums start from the int 0, products from the int 1).  Raises
+    ValueError for an alpha that is not positive and finite or a tol that is
+    negative, infinite or NaN.
     """
     _check_alpha(alpha)
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be non-negative and finite, got {tol!r}")
     if b.host != h:
         raise IncidenceMismatchError("weighted incidence was built for a different hypergraph")
-    sums = [0.0] * h.n
-    prods = [1.0] * h.m
+    sums = [0] * h.n
+    prods = [1] * h.m
     for (v, i), w in b.entries.items():
         sums[v] += w
         prods[i] *= w
-    vertex_slacks = tuple(1.0 - s for s in sums)
+    vertex_slacks = tuple(1 - s for s in sums)
     edge_slacks = tuple(p - alpha for p in prods)
     sub_ok = all(vs >= -tol for vs in vertex_slacks) and all(es >= -tol for es in edge_slacks)
     sup_ok = all(vs <= tol for vs in vertex_slacks) and all(es <= tol for es in edge_slacks)
@@ -170,7 +174,8 @@ def t11m3_certificate(m: int, k: int, alpha: float) -> WeightedIncidence:
     the heavy vertex puts alpha on each of its m-3 pendent edges and
     1-(m-3)*alpha on the central edge.  Every vertex sum is exactly 1 and
     every pendent-edge product is exactly alpha, so the classification is
-    decided by the central edge alone.
+    decided by the central edge alone; with a ``Fraction`` alpha the weights
+    are exact, so this holds exactly.
 
     Requires 0 < alpha < 1/(m-3) so all weights stay positive.
     """
@@ -188,14 +193,14 @@ def t11m3_certificate(m: int, k: int, alpha: float) -> WeightedIncidence:
     for i, e in enumerate(host.edges):
         for v in e:
             if v in pend:
-                entries[(v, i)] = 1.0
+                entries[(v, i)] = 1
     entries[(0, 1)] = alpha
-    entries[(0, 0)] = 1.0 - alpha
+    entries[(0, 0)] = 1 - alpha
     entries[(1, 2)] = alpha
-    entries[(1, 0)] = 1.0 - alpha
+    entries[(1, 0)] = 1 - alpha
     for i in range(3, m):
         entries[(2, i)] = alpha
-    entries[(2, 0)] = 1.0 - (m - 3) * alpha
+    entries[(2, 0)] = 1 - (m - 3) * alpha
     return WeightedIncidence(host=host, entries=entries)
 
 

@@ -25,7 +25,7 @@ from .certificates import (
 )
 from .constructors import broom, double_star, f_tree, hyperstar, path, star, tree_power
 from .errors import CounterexampleFound, SupertreeError
-from .hypergraph import Hypergraph, from_interchange, to_interchange, vertex_stats
+from .hypergraph import Hypergraph, from_interchange, is_supertree, to_interchange, vertex_stats
 from .ordering import (
     DEFAULT_ENUM_LIMIT,
     rank_spectra,
@@ -140,29 +140,26 @@ def _cmd_rho(args) -> int:
         raise ValueError(f"tol must be positive and finite, got {args.tol!r}")
     if args.max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    payload: dict = {}
-    lines: list[str] = []
-    if args.method in ("power", "auto"):
+    method = args.method
+    if method == "auto":
+        method = "alpha" if is_supertree(h) else "power"
+    if method == "power":
         pair = power_iteration(h, tol=args.tol, max_iter=args.max_iter)
-        payload["power"] = {"rho": pair.rho, "residual": pair.residual, "iterations": pair.iterations}
-        lines.append(
+        payload = {"rho": pair.rho, "residual": pair.residual, "iterations": pair.iterations}
+        line = (
             f"rho = {_fmt(pair.rho)}  method = power  "
             f"residual = {pair.residual:.3e}  iterations = {pair.iterations}"
         )
-    if args.method in ("alpha", "auto"):
+    else:
         # the solver behind alpha_normal_radius, for its bracket and count
         low, high, evaluations = _radius_bracket(h, "alpha_normal_radius")
-        rho_a = 0.5 * (low + high)
-        payload["alpha"] = {"rho": rho_a, "low": low, "high": high, "evaluations": evaluations}
-        lines.append(f"rho = {_fmt(rho_a)}  method = alpha")
-    if args.method == "auto":
-        gap = abs(payload["power"]["rho"] - payload["alpha"]["rho"])
-        payload["gap"] = gap
-        lines.append(f"method gap = {gap:.3e}")
+        rho = 0.5 * (low + high)
+        payload = {"rho": rho, "low": low, "high": high, "evaluations": evaluations}
+        line = f"rho = {_fmt(rho)}  method = alpha"
     if args.output == "json":
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps({method: payload}, sort_keys=True))
     else:
-        print("\n".join(lines))
+        print(line)
     return 0
 
 
@@ -247,10 +244,11 @@ def _cmd_certify(args) -> int:
                     "alpha": verdict.alpha,
                     "class": verdict.classification,
                     "consistent": verdict.consistent,
-                    "min_vertex_slack": min(verdict.vertex_slacks),
-                    "max_vertex_slack": max(verdict.vertex_slacks),
-                    "min_edge_slack": min(verdict.edge_slacks),
-                    "max_edge_slack": max(verdict.edge_slacks),
+                    # float: an int weight, or a vertex without edges, leaves an int slack
+                    "min_vertex_slack": float(min(verdict.vertex_slacks)),
+                    "max_vertex_slack": float(max(verdict.vertex_slacks)),
+                    "min_edge_slack": float(min(verdict.edge_slacks)),
+                    "max_edge_slack": float(max(verdict.edge_slacks)),
                 },
                 sort_keys=True,
             )
@@ -300,8 +298,6 @@ def _cmd_verify(args) -> int:
                 seed=args.seed,
                 k=args.k if args.k is not None else 3,
                 m_max=args.m if args.m is not None else 6,
-                tol=args.tol,
-                max_iter=args.max_iter,
             )
     except CounterexampleFound as exc:
         print(f"FAIL {name}: {exc}")
@@ -330,14 +326,6 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-def _add_power_flags(p: argparse.ArgumentParser, where: str) -> None:
-    """--tol and --max-iter steer power iteration and nothing else."""
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                   help=f"power-iteration tolerance; used only by {where}")
-    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER,
-                   help=f"power-iteration step cap; used only by {where}")
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="supertrees",
@@ -360,8 +348,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("rho", help="compute the spectral radius of a hypergraph file")
     r.add_argument("file")
-    r.add_argument("--method", choices=["power", "alpha", "auto"], default="auto")
-    _add_power_flags(r, "--method power and auto")
+    r.add_argument("--method", choices=["power", "alpha", "auto"], default="auto",
+                   help="auto: alpha on a supertree, power otherwise")
+    r.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                   help="power-iteration tolerance; used only when power runs")
+    r.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER,
+                   help="power-iteration step cap; used only when power runs")
     r.add_argument("--output", choices=["human", "json"], default="human")
     r.set_defaults(func=_cmd_rho)
 
@@ -383,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--m", type=int)
     v.add_argument("--trials", type=int, default=50)
     v.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    _add_power_flags(v, "moving-edges")
     v.set_defaults(func=_cmd_verify)
 
     e = sub.add_parser("enumerate", help="rank all classes at (k, m) by spectral radius")

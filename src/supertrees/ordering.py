@@ -19,6 +19,7 @@ import io
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .certificates import (
     STRICTLY_SUBNORMAL,
@@ -30,12 +31,7 @@ from .certificates import (
     t11m3_certificate,
 )
 from .constructors import broom, double_star, f_tree, hyperstar, move_edges, path, tree_power
-from .errors import (
-    CounterexampleFound,
-    EnumerationLimitError,
-    MultipleEdgeError,
-    SearchExhaustedError,
-)
+from .errors import CounterexampleFound, EnumerationLimitError, SearchExhaustedError
 from .hypergraph import (
     Hypergraph,
     _attach_pendent_edge,
@@ -46,7 +42,6 @@ from .hypergraph import (
     vertex_stats,
 )
 from .spectral import (
-    DEFAULT_MAX_ITER,
     DEFAULT_TOL,
     TIE_TOL,
     double_star_power_radius,
@@ -327,19 +322,20 @@ def verify_partition_lemma(m: int, k: int) -> VerificationRecord:
 
 
 def verify_moving_edges(
-    trials: int = 50,
-    seed: int = 1729,
-    k: int = 3,
-    m_max: int = 6,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
+    trials: int = 50, seed: int = 1729, k: int = 3, m_max: int = 6
 ) -> VerificationRecord:
     """Randomized check that moving edges toward a heavier vertex raises the radius.
 
-    Each trial grows a random supertree, picks an anchor edge, a target u in
-    it, and a nonempty set of adjacent edges whose shared vertices all carry
-    eigenvector weight at most x_u, then moves them onto u.  Anchoring inside
-    one edge keeps the result a supertree and free of multiple edges.
+    Each trial grows a random supertree g, picks an anchor edge, a target u
+    in it, and a nonempty set of adjacent edges whose shared vertices all
+    carry weight at most x_u in the eigenvector of ``power_iteration(g)``,
+    then moves them onto u.  Two edges of a supertree share at most one
+    vertex, so each moved branch is re-hung from a vertex of the anchor edge
+    to u: the result is a supertree, with no multiple edge.  A trial passes
+    only if its ``alpha_normal_bracket`` lies strictly above g's (low2 >
+    high); ``data["gaps"]`` holds these proven separations low2 - high, and
+    the smallest with its trial number is ``data["tightest"]`` and the last
+    detail line.
 
     The lemma allows x_v = x_u, and symmetric vertices carry weights equal
     up to rounding noise, so a weight within a relative 1e-8 of x_u counts
@@ -359,8 +355,7 @@ def verify_moving_edges(
         if attempts > 1000 * trials:
             raise SearchExhaustedError("could not assemble enough valid moving-edge trials")
         g = random_supertree(rng.randint(3, m_max), k, rng)
-        pair = power_iteration(g, tol=tol, max_iter=max_iter)
-        x = pair.x
+        x = power_iteration(g).x
         edge_ids = list(range(g.m))
         rng.shuffle(edge_ids)
         for ei in edge_ids:
@@ -379,28 +374,26 @@ def verify_moving_edges(
             if not movable:
                 continue
             moves = rng.sample(movable, rng.randint(1, len(movable)))
-            try:
-                g2 = move_edges(g, u, moves)
-            except MultipleEdgeError:
-                continue
-            if not is_supertree(g2):
-                continue
-            rho2 = power_iteration(g2, tol=tol, max_iter=max_iter).rho
-            if rho2 - pair.rho <= -tol:
+            g2 = move_edges(g, u, moves)
+            low, high = alpha_normal_bracket(g)
+            low2, high2 = alpha_normal_bracket(g2)
+            if low2 <= high:
                 raise CounterexampleFound(
-                    f"radius dropped from {pair.rho:.9g} to {rho2:.9g} after moving "
-                    f"{len(moves)} edges",
+                    f"radius bracket [{low2!r}, {high2!r}] after moving {len(moves)} edges "
+                    f"is not strictly above [{low!r}, {high!r}]",
                     offending=(g, u, tuple(moves)),
                 )
-            gaps.append(rho2 - pair.rho)
+            gaps.append(low2 - high)
             break
+    separation, trial = min((gap, i + 1) for i, gap in enumerate(gaps))
     return VerificationRecord(
         name="moving edges",
         details=(
             f"{trials} trials at k={k}, m <= {m_max}, seed {seed}",
-            f"radius gaps in [{min(gaps):.9g}, {max(gaps):.9g}]",
+            f"radius gaps in [{separation:.9g}, {max(gaps):.9g}]",
+            f"tightest: trial {trial}, separation {separation:.3e}",
         ),
-        data={"gaps": gaps, "seed": seed, "k": k, "m_max": m_max},
+        data={"gaps": gaps, "seed": seed, "k": k, "m_max": m_max, "tightest": (trial, separation)},
     )
 
 
@@ -418,8 +411,11 @@ def verify_sandwich(m: int, k: int) -> VerificationRecord:
     {3, 4, 5, 6, 8} and m up to 10^5 (all m below 3,000, then 76 sizes
     spaced evenly in log m), while at m = 10^4 the bracket clears them by at
     least 661 ulps.  Unlike a fixed absolute margin, this does not fail once
-    the true gap shrinks below it as m grows.  ``m`` and ``k`` must be ints
-    (bools and floats raise ValueError).
+    the true gap shrinks below it as m grows.  Both endpoint certificates
+    are built and classified exactly, at ``Fraction(alpha)`` with ``tol=0``:
+    the deciding central-edge slack is about 1e-9 at m = 1,003 and 1e-12 at
+    m = 10^4.  ``m`` and ``k`` must be ints (bools and floats raise
+    ValueError).
     """
     if _strict_int(m, "m") < 4:
         raise ValueError("sandwich verification needs m >= 4")
@@ -437,10 +433,12 @@ def verify_sandwich(m: int, k: int) -> VerificationRecord:
         )
     alpha_sub = double_star_power_radius(m, 2) ** -2
     alpha_sup = f_tree_power_radius(m, 2) ** -2
-    cert_sub = t11m3_certificate(m, k, alpha_sub)
-    cert_sup = t11m3_certificate(m, k, alpha_sup)
-    verdict_sub = classify(cert_sub.host, cert_sub, alpha_sub)
-    verdict_sup = classify(cert_sup.host, cert_sup, alpha_sup)
+    verdicts = []
+    for alpha in (alpha_sub, alpha_sup):
+        exact = Fraction(alpha)
+        cert = t11m3_certificate(m, k, exact)
+        verdicts.append(classify(cert.host, cert, exact, tol=0))
+    verdict_sub, verdict_sup = verdicts
     if verdict_sub.classification != STRICTLY_SUBNORMAL:
         raise CounterexampleFound(
             f"upper-endpoint certificate classified {verdict_sub.classification}",
@@ -464,14 +462,17 @@ def verify_sandwich(m: int, k: int) -> VerificationRecord:
 
 def reduce_non_pendent(t: Hypergraph) -> Hypergraph:
     """Produce a supertree with one fewer non-pendent vertex and a radius
-    larger by more than ``TIE_TOL`` (both radii from power iteration
-    with its default settings).
+    proven larger: its ``alpha_normal_bracket`` lies strictly above t's.
 
-    Guided by the principal eigenvector: take a non-pendent vertex w of
-    minimal weight, a non-pendent vertex u of maximal weight sharing an edge
-    with w, and move every edge at w except the shared one onto u.  The
-    weight condition x_u >= x_w makes the radius increase strictly, w turns
-    pendent, and no other pendency changes.
+    Guided by the principal eigenvector from ``power_iteration(t)``: take a
+    non-pendent vertex w of minimal weight, a non-pendent vertex u of
+    maximal weight sharing an edge with w, and move every edge at w except
+    the shared one onto u.  Two edges of a supertree share at most one
+    vertex, so each moved branch is re-hung from w to u: the result is a
+    supertree without a multiple edge, w turns pendent and no other
+    pendency changes.  The weight condition x_u >= x_w makes the radius
+    increase strictly; a move is accepted once its bracket's low end is
+    above t's high end.
 
     Symmetric vertices carry weights equal up to rounding noise, so weights
     are compared by tie group: in ascending order, a weight above its
@@ -485,8 +486,8 @@ def reduce_non_pendent(t: Hypergraph) -> Hypergraph:
     stats = vertex_stats(t)
     if stats.non_pendent_count < 2:
         raise ValueError("need at least two non-pendent vertices to reduce")
-    pair = power_iteration(t)
-    x = pair.x
+    x = power_iteration(t).x
+    high = alpha_normal_bracket(t)[1]
     inc = incidence_lists(t)
     group: dict[int, int] = {}
     anchor, g = -math.inf, -1
@@ -501,16 +502,7 @@ def reduce_non_pendent(t: Hypergraph) -> Hypergraph:
                 if u != w and u in group and group[u] >= group[w]:
                     partners.append((-group[u], u, i))
         for _, u, shared_edge in sorted(partners):
-            moves = [(i, w) for i in inc[w] if i != shared_edge]
-            try:
-                t2 = move_edges(t, u, moves)
-            except MultipleEdgeError:
-                continue
-            if not is_supertree(t2):
-                continue
-            if vertex_stats(t2).non_pendent_count != stats.non_pendent_count - 1:
-                continue
-            rho2 = power_iteration(t2).rho
-            if rho2 > pair.rho + TIE_TOL:
+            t2 = move_edges(t, u, [(i, w) for i in inc[w] if i != shared_edge])
+            if alpha_normal_bracket(t2)[0] > high:
                 return t2
     raise SearchExhaustedError("no eigenvector-guided move reduced the non-pendent count")

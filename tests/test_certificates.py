@@ -184,6 +184,41 @@ def test_lemma_endpoint_classifications():
         assert verdict.consistent
 
 
+def test_broom_certificate_is_exact_at_a_fraction_alpha():
+    m, k = 1003, 3
+    alpha = Fraction(double_star_power_radius(m, 2) ** -2)
+    cert = t11m3_certificate(m, k, alpha)
+    assert all(isinstance(w, (int, Fraction)) for w in cert.entries.values())
+    verdict = classify(cert.host, cert, alpha, tol=0)
+    assert set(verdict.vertex_slacks) == {0} and set(verdict.edge_slacks[1:]) == {0}
+    a = alpha
+    assert verdict.edge_slacks[0] == (1 - a) ** 2 * (1 - (m - 3) * a) - a > 0
+    assert verdict.classification == STRICTLY_SUBNORMAL
+    # at the float alpha itself the same slack is within the default tolerance
+    float_alpha = float(alpha)
+    float_cert = t11m3_certificate(m, k, float_alpha)
+    assert classify(float_cert.host, float_cert, float_alpha).classification == NORMAL
+
+
+def test_broom_certificate_float_weights_keep_their_bits():
+    for m, alpha in ((4, 0.2), (9, 0.1), (12, 1.0 / 30.0)):
+        cert = t11m3_certificate(m, 3, alpha)
+        assert cert.weight(0, 0) == 1.0 - alpha and cert.weight(1, 0) == 1.0 - alpha
+        assert cert.weight(2, 0) == 1.0 - (m - 3) * alpha
+        verdict = classify(cert.host, cert, alpha)
+        assert all(isinstance(s, float) for s in verdict.edge_slacks)
+
+
+def test_consistency_holds_on_supertrees_at_zero_tol():
+    # a supertree has no cycle, so its weights are consistent however they
+    # round; the potential walk at tol = 0 reported rounding as inconsistency
+    cert = t11m3_certificate(5, 3, 0.2)
+    assert classify(cert.host, cert, 0.2, tol=0).consistent
+    h = tree_power(path(6), 3)
+    alpha = alpha_normal_bracket(h)[0] ** -3
+    assert classify(h, propagate_certificate(h, alpha), alpha, tol=0).consistent
+
+
 def test_consistency_detects_cyclic_imbalance():
     triangle = Hypergraph(k=2, n=3, edges=((0, 1), (0, 2), (1, 2)))
     balanced = uniform_certificate(triangle, 0.5)

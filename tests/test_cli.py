@@ -3,6 +3,7 @@
 import json
 import math
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -74,15 +75,44 @@ def test_rho_single_edge(tmp_path, capsys):
     assert "iterations = 1" in stdout
 
 
-def test_rho_auto_reports_both_and_gap(tmp_path, capsys):
+def test_rho_auto_reports_only_alpha_on_a_supertree(tmp_path, capsys):
     out = tmp_path / "h.json"
     run_cli(capsys, "gen", "hyperstar", "--k", "3", "--m", "4", "--out", str(out))
-    code, stdout, _ = run_cli(capsys, "rho", str(out), "--method", "auto", "--output", "json")
-    assert code == 0
-    payload = json.loads(stdout)
-    assert payload["power"]["rho"] == pytest.approx(4 ** (1 / 3), abs=1e-8)
+    for output in ("json", "human"):
+        code, stdout, _ = run_cli(capsys, "rho", str(out), "--method", "auto", "--output", output)
+        assert code == 0
+        _, alpha, _ = run_cli(capsys, "rho", str(out), "--method", "alpha", "--output", output)
+        assert stdout == alpha
+    payload = json.loads(run_cli(capsys, "rho", str(out), "--output", "json")[1])
+    assert list(payload) == ["alpha"]
     assert payload["alpha"]["rho"] == pytest.approx(4 ** (1 / 3), abs=1e-8)
-    assert payload["gap"] <= 1e-8
+
+
+def test_rho_auto_runs_power_iteration_off_supertrees(tmp_path, capsys):
+    # connected and 3-uniform, but the three edges close a cycle
+    f = tmp_path / "cycle.json"
+    f.write_text(json.dumps({"k": 3, "n": 6, "edges": [[0, 1, 2], [0, 4, 5], [2, 3, 4]]}))
+    for output in ("json", "human"):
+        code, stdout, _ = run_cli(capsys, "rho", str(f), "--output", output)
+        assert code == 0
+        _, power, _ = run_cli(capsys, "rho", str(f), "--method", "power", "--output", output)
+        assert stdout == power
+    payload = json.loads(run_cli(capsys, "rho", str(f), "--output", "json")[1])
+    assert list(payload) == ["power"]
+    assert payload["power"]["rho"] == pytest.approx(2 ** (2 / 3), abs=1e-8)
+    code, _, stderr = run_cli(capsys, "rho", str(f), "--method", "alpha")
+    assert code == 1 and "requires a supertree" in stderr
+
+
+def test_rho_auto_answers_a_long_path_power_within_a_second(tmp_path, capsys):
+    # power iteration does not converge here within its default step cap
+    out = tmp_path / "long.json"
+    run_cli(capsys, "gen", "path-power", "--k", "3", "--m", "400", "--out", str(out))
+    start = time.perf_counter()
+    code, stdout, _ = run_cli(capsys, "rho", str(out))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert stdout == run_cli(capsys, "rho", str(out), "--method", "alpha")[1]
 
 
 @pytest.mark.parametrize("method", ["alpha", "auto"])
@@ -128,10 +158,12 @@ def test_rho_has_no_formula_method(tmp_path, capsys):
 def test_rho_round_trip_is_bit_stable(tmp_path, capsys):
     out = tmp_path / "h.json"
     run_cli(capsys, "gen", "double-star-power", "--k", "3", "--t", "2,2", "--out", str(out))
-    _, first, _ = run_cli(capsys, "rho", str(out), "--output", "json")
-    _, second, _ = run_cli(capsys, "rho", str(out), "--output", "json")
-    assert first == second
-    assert json.loads(first)["power"]["rho"] == pytest.approx(2 ** (2 / 3), abs=1e-8)
+    for method in ("auto", "power"):
+        _, first, _ = run_cli(capsys, "rho", str(out), "--method", method, "--output", "json")
+        _, second, _ = run_cli(capsys, "rho", str(out), "--method", method, "--output", "json")
+        assert first == second
+        (payload,) = json.loads(first).values()
+        assert payload["rho"] == pytest.approx(2 ** (2 / 3), abs=1e-8)
 
 
 def test_certify_construct_subnormal(tmp_path, capsys):
@@ -280,6 +312,17 @@ def test_certify_rejects_malformed_triples(tmp_path, capsys, triple):
     assert code == 1 and "malformed certificate weight triple" in stderr
 
 
+def test_certify_json_slacks_stay_floats(tmp_path, capsys):
+    # vertex 2 has no edge, so its weight sum is empty and its slack is 1
+    cert = {"k": 2, "n": 3, "edges": [[0, 1]], "alpha": 1.0,
+            "B": [{"v": 0, "e": 0, "w": 1.0}, {"v": 1, "e": 0, "w": 1.0}]}
+    f = tmp_path / "iso.json"
+    f.write_text(json.dumps(cert))
+    code, stdout, _ = run_cli(capsys, "certify", str(f), "--certificate", str(f), "--output", "json")
+    assert code == 0
+    assert '"max_vertex_slack": 1.0,' in stdout and '"min_vertex_slack": 0.0}' in stdout
+
+
 def test_certify_construct_requires_canonical_broom(tmp_path, capsys):
     out = tmp_path / "h.json"
     run_cli(capsys, "gen", "hyperstar", "--k", "3", "--m", "5", "--out", str(out))
@@ -317,13 +360,32 @@ def test_verify_sandwich_prints_interval(capsys):
     assert "1.55113352 < rho(broom(1,1,2)) = 1.56474683 < 1.58740105" in stdout
 
 
-def test_rho_auto_on_broom_agrees(tmp_path, capsys):
+def test_rho_power_and_alpha_agree_on_broom(tmp_path, capsys):
     out = tmp_path / "b.json"
     run_cli(capsys, "gen", "broom", "--k", "3", "--t", "1,1,2", "--out", str(out))
-    code, stdout, _ = run_cli(capsys, "rho", str(out), "--method", "auto", "--output", "json")
+    rhos = {}
+    for method in ("power", "alpha"):
+        code, stdout, _ = run_cli(capsys, "rho", str(out), "--method", method, "--output", "json")
+        assert code == 0
+        rhos[method] = json.loads(stdout)[method]["rho"]
+    assert abs(rhos["power"] - rhos["alpha"]) <= 1e-8
+
+
+def test_verify_moving_edges_prints_bracket_gaps_and_tightest(capsys):
+    code, stdout, _ = run_cli(
+        capsys, "verify", "moving-edges", "--k", "3", "--m", "6", "--trials", "50", "--seed", "1729"
+    )
     assert code == 0
-    payload = json.loads(stdout)
-    assert abs(payload["power"]["rho"] - payload["alpha"]["rho"]) <= 1e-8
+    lines = stdout.splitlines()
+    assert "  radius gaps in [0.0173990521, 0.138252921]" in lines
+    assert lines[-1].startswith("  tightest: trial ") and lines[-1].endswith(", separation 1.740e-02")
+
+
+def test_verify_sandwich_passes_at_a_thousand_and_three_edges(capsys):
+    # the upper-endpoint certificate used to classify normal here
+    code, stdout, _ = run_cli(capsys, "verify", "sandwich", "--k", "3", "--m", "1003")
+    assert code == 0
+    assert "strictly-subnormal" in stdout and "strictly-supernormal" in stdout
 
 
 def test_verify_rejects_bad_usage(capsys):
@@ -402,10 +464,16 @@ def test_power_flags_only_on_rho_and_verify(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_power_flags_parse_on_rho_and_verify():
-    for argv in (["rho", "h.json"], ["verify", "sandwich"]):
-        args = build_parser().parse_args(argv + ["--tol", "1e-9", "--max-iter", "5"])
-        assert (args.tol, args.max_iter) == (1e-9, 5)
+def test_power_flags_parse_on_rho_only(capsys):
+    args = build_parser().parse_args(["rho", "h.json", "--tol", "1e-9", "--max-iter", "5"])
+    assert (args.tol, args.max_iter) == (1e-9, 5)
+    # every verify theorem decides on certified brackets, so it takes neither
+    for flag in (["--tol", "1e-9"], ["--max-iter", "5"]):
+        for theorem in ("sandwich", "moving-edges"):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(["verify", theorem] + flag)
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
     # certify's --tol is the certificate tolerance, not a power-iteration flag
     assert build_parser().parse_args(["certify", "h.json"]).tol == DEFAULT_CERT_TOL
 

@@ -17,6 +17,7 @@ from supertrees import (
     CounterexampleFound,
     EnumerationLimitError,
     Hypergraph,
+    SearchExhaustedError,
     alpha_normal_bracket,
     broom,
     canonical_key,
@@ -519,6 +520,54 @@ def test_moving_edges_choices_ignore_rounding_noise(monkeypatch):
     assert noisy == clean
 
 
+def test_moving_edges_reports_its_tightest_verdict():
+    for k, seed in ((3, 1729), (4, 7)):
+        rec = verify_moving_edges(trials=30, seed=seed, k=k)
+        gaps = rec.data["gaps"]
+        trial, separation = rec.data["tightest"]
+        assert separation == min(gaps) == gaps[trial - 1]
+        assert rec.details[-1] == f"tightest: trial {trial}, separation {separation:.3e}"
+
+
+def test_moving_edges_gaps_are_bracket_separations(monkeypatch):
+    # each gap is the moved supertree's low end minus the original's high end
+    calls = []
+
+    def recording(h):
+        calls.append(alpha_normal_bracket(h))
+        return calls[-1]
+
+    monkeypatch.setattr(ordering, "alpha_normal_bracket", recording)
+    rec = verify_moving_edges(trials=10, seed=3, k=3)
+    assert len(calls) == 20
+    assert rec.data["gaps"] == [
+        moved[0] - original[1] for original, moved in zip(calls[::2], calls[1::2])
+    ]
+
+
+def test_moving_edges_fails_unless_the_brackets_separate(monkeypatch):
+    # a bracket that does not move makes every trial a counterexample
+    monkeypatch.setattr(ordering, "alpha_normal_bracket", lambda h: (1.5, 1.5))
+    with pytest.raises(CounterexampleFound, match="not strictly above"):
+        verify_moving_edges(trials=3, seed=1)
+
+
+def test_moving_edges_ignores_the_power_radius(monkeypatch):
+    # power iteration supplies only the eigenvector
+    clean = verify_moving_edges(trials=15, seed=2, k=3).data["gaps"]
+    monkeypatch.setattr(
+        ordering, "power_iteration",
+        lambda h: dataclasses.replace(power_iteration(h), rho=math.nan),
+    )
+    assert verify_moving_edges(trials=15, seed=2, k=3).data["gaps"] == clean
+
+
+@pytest.mark.parametrize("kwargs", [{"tol": 1e-9}, {"max_iter": 5}])
+def test_moving_edges_takes_no_power_settings(kwargs):
+    with pytest.raises(TypeError):
+        verify_moving_edges(trials=2, **kwargs)
+
+
 @pytest.mark.parametrize(
     "kwargs, message",
     [
@@ -592,6 +641,15 @@ def test_sandwich_passes_where_the_gap_is_below_a_fixed_margin(k, m):
     assert min(low - rec.data["lower"], rec.data["upper"] - high) < 1e-6
 
 
+@pytest.mark.parametrize("m", [1003, 3000, 10_000])
+def test_sandwich_classifies_the_endpoint_certificates_exactly(m):
+    # the central-edge slacks are about 1e-9 to 1e-12 here, below the
+    # default float tolerance, which classified them normal
+    rec = verify_sandwich(m, 3)
+    assert rec.details[1].endswith(": strictly-subnormal")
+    assert rec.details[2].endswith(": strictly-supernormal")
+
+
 def test_sandwich_fails_on_a_closed_form_within_four_ulps(monkeypatch):
     m, k = 6, 3
     low, high = alpha_normal_bracket(broom(1, 1, m - 3, k))
@@ -653,6 +711,26 @@ def test_reduce_sweep_all_small_classes():
             assert vertex_stats(reduced).non_pendent_count == (
                 vertex_stats(h).non_pendent_count - 1
             )
+
+
+def test_reduction_accepts_only_bracket_separated_moves(monkeypatch):
+    h = broom(1, 1, 1, 3)
+    reduced = reduce_non_pendent(h)
+    assert alpha_normal_bracket(reduced)[0] > alpha_normal_bracket(h)[1]
+    # with every bracket equal no move is proven to raise the radius
+    monkeypatch.setattr(ordering, "alpha_normal_bracket", lambda t: (1.5, 1.5))
+    with pytest.raises(SearchExhaustedError):
+        reduce_non_pendent(h)
+
+
+def test_reduction_ignores_the_power_radius(monkeypatch):
+    hosts = [h for h in enumerate_supertrees(5, 3) if vertex_stats(h).non_pendent_count >= 2]
+    clean = [reduce_non_pendent(h) for h in hosts]
+    monkeypatch.setattr(
+        ordering, "power_iteration",
+        lambda h: dataclasses.replace(power_iteration(h), rho=math.nan),
+    )
+    assert [reduce_non_pendent(h) for h in hosts] == clean
 
 
 def test_reduction_ignores_rounding_noise(monkeypatch):
