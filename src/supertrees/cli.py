@@ -111,11 +111,15 @@ def _cmd_gen(args) -> int:
     if fam == "hyperstar":
         if args.m is None:
             raise SupertreeError("gen hyperstar needs --m")
+        if args.m < 1:
+            raise SupertreeError(f"gen hyperstar needs --m >= 1 edge, got {args.m}")
         h = hyperstar(args.m, args.k)
     elif fam == "double-star-power":
         if args.t is None:
             raise SupertreeError("gen double-star-power needs --t A,B")
         a, b = _parse_ints(args.t, 2, "--t")
+        if min(a, b) < 1:
+            raise SupertreeError(f"gen double-star-power needs --t A,B with A, B >= 1, got {a},{b}")
         h = tree_power(double_star(a, b), args.k)
     elif fam == "tree-power":
         if args.tree is None:
@@ -124,7 +128,15 @@ def _cmd_gen(args) -> int:
     elif fam == "broom":
         if args.t is None:
             raise SupertreeError("gen broom needs --t T1,T2,T3")
+        if args.k < 3:
+            raise SupertreeError(
+                f"gen broom needs --k >= 3 (a 2-edge cannot hold three branch vertices), got {args.k}"
+            )
         t1, t2, t3 = _parse_ints(args.t, 3, "--t")
+        if not 1 <= t1 <= t2 <= t3:
+            raise SupertreeError(
+                f"gen broom needs --t T1,T2,T3 with 1 <= T1 <= T2 <= T3, got {t1},{t2},{t3}"
+            )
         h = broom(t1, t2, t3, args.k)
     elif fam == "f-tree-power":
         if args.m is None:

@@ -246,10 +246,27 @@ def is_supertree(h: Hypergraph) -> bool:
 # the radius: the diameter stays 2r and the centre stays.  Otherwise e lies
 # on the deepest level, the diameter grows to 2r + 2 and the centre moves
 # one step, to the root's child on the path to e (to the new V node when
-# the parent is a single edge).  ``_grown_key`` appends the new nodes to
+# the parent is a single edge).  ``_encode_grown`` appends the new nodes to
 # copies of the parent's lists, or runs one search from the moved centre,
 # and hands the levels to ``_ahu``.  ``_growth_context`` is computed once
 # per parent and ``_attach_pendent_edge`` records it on each candidate.
+#
+# Growing at two vertices that an automorphism of the parent swaps gives
+# isomorphic candidates, so ``_grown_key`` encodes one key per orbit and
+# reads it back from the context's memo for the rest.  Every automorphism
+# fixes the centre and keeps each node's AHU label, and two children of one
+# node with equal labels root isomorphic subtrees that can be swapped, so two
+# nodes share an orbit exactly when the labels on their paths from the centre
+# agree.  ``_growth_context`` runs ``_ahu`` on the parent to get its labels
+# and numbers the orbits in the pass that fills depth and branch: the centre
+# is 0 and a child interns the pair (its parent's orbit, its own label).  A
+# pendent vertex takes its edge's orbit, since an edge's pendent vertices are
+# interchangeable; an E node and a V node never share a number, as the first
+# entries of their pairs come from nodes of the other type.  The keys need
+# only that equal orbits give isomorphic candidates; that the numbers are
+# exactly the automorphism orbits keeps the passes to one per orbit: two for
+# a hyperstar parent, 1,612 for the verify-exhaustive benchmark's 3,719
+# candidates.
 
 
 def canonical_key(h: Hypergraph) -> bytes:
@@ -273,12 +290,16 @@ def canonical_key(h: Hypergraph) -> bytes:
     An enumeration candidate carries the attribute ``_grow``, its parent's
     growth context and the vertex it grew at (``_attach_pendent_edge``).
     Its key is built from the parent's centred tree, not from the edge list,
-    with the same bytes, and ``_grow`` is dropped, so a candidate keeps no
-    parent's tree alive once keyed.  Over the verify-exhaustive benchmark's
-    3,719 candidates a grown key costs 15-18 us, of which the AHU pass is
-    12-14 us, against 23-27 us from the edge list (best of 30 in each of
-    five runs, Python 3.11.7, shared 2-core machine).  Every other
-    hypergraph is keyed from its edges.
+    with the same bytes, once per automorphism orbit of the parent's
+    vertices; the other candidates of an orbit read it from the context.
+    ``_grow`` is then dropped, so a candidate keeps no parent's tree alive
+    once keyed.  The verify-exhaustive benchmark's 3,719 candidates fall into
+    1,612 orbits of their 271 parents.  There a candidate's key, its share of
+    the parent's context included, costs about 11 us, against 19.5 us when
+    every candidate was encoded from the parent's tree and 30 us from the
+    edge list (medians of five runs, each the best of 15 passes, Python
+    3.11.7, shared 2-core machine).  Every other hypergraph is keyed from
+    its edges.
     """
     key = h.__dict__.get("_key")
     if key is None:
@@ -360,9 +381,16 @@ def _levels(adj: list[list[int]], root: int) -> list[list[int]]:
     return levels
 
 
-def _ahu(k: int, kind: list[str], adj: list[list[int]], levels: list[list[int]]) -> bytes:
-    """The key bytes of the rooted tree given by its levels (see above)."""
-    label = [""] * len(adj)
+def _ahu(
+    k: int, kind: list[str], adj: list[list[int]], levels: list[list[int]], label=None
+) -> bytes:
+    """The key bytes of the rooted tree given by its levels (see above).
+
+    ``label``, when given, is a list of ``len(adj)`` strings that the pass
+    fills with each non-root node's label; otherwise it uses its own.
+    """
+    if label is None:
+        label = [""] * len(adj)
     get = label.__getitem__
     tables = []
     for level in reversed(levels[1:]):
@@ -388,31 +416,49 @@ def _growth_context(h: Hypergraph) -> tuple:
     """What keying ``h`` plus one pendent edge needs from ``h``: its centred
     tree (``kind, adj, levels``), each node's depth and branch (the centre's
     neighbour it lies under; the centre is its own), each vertex's node (-1
-    when pendent) and the edge that holds each pendent vertex.  Raises
+    when pendent), the edge that holds each pendent vertex, each vertex's
+    attachment orbit and a memo from orbit to grown key, empty here.  Raises
     ValueError for a non-supertree.
     """
     kind, adj, levels, node = _centred_tree(h)
+    label = [""] * len(adj)
+    _ahu(h.k, kind, adj, levels, label)
     depth = [0] * len(adj)
     branch = list(range(len(adj)))
+    orbit = [0] * len(adj)
+    ids: dict[tuple[int, str], int] = {}
     for d, level in enumerate(levels):
         for x in level:
             depth[x] = d
-    for level in levels[1:]:
+    for level in levels[:-1]:
         for x in level:
             for c in adj[x]:
                 if depth[c] > depth[x]:
-                    branch[c] = branch[x]
+                    orbit[c] = ids.setdefault((orbit[x], label[c]), len(ids) + 1)
+                    if depth[x]:
+                        branch[c] = branch[x]
     edge_of = [0] * h.n
     for i, e in enumerate(h.edges):
         for v in e:
             edge_of[v] = i
-    return kind, adj, levels, depth, branch, node, edge_of
+    attach = [orbit[e if x < 0 else x] for x, e in zip(node, edge_of)]
+    return kind, adj, levels, depth, branch, node, edge_of, attach, {}
 
 
 def _grown_key(k: int, ctx: tuple, v: int) -> bytes:
+    """The key of the parent of ``ctx`` plus a pendent edge at vertex ``v``:
+    the one its attachment orbit already has, else ``_encode_grown``'s."""
+    orbit, keys = ctx[7:]
+    key = keys.get(orbit[v])
+    if key is None:
+        key = keys[orbit[v]] = _encode_grown(k, ctx, v)
+    return key
+
+
+def _encode_grown(k: int, ctx: tuple, v: int) -> bytes:
     """The key of the parent of ``ctx`` plus a pendent edge at vertex ``v``,
     from the parent's centred tree (see the comment above)."""
-    kind, adj, levels, depth, branch, node, edge_of = ctx
+    kind, adj, levels, depth, branch, node, edge_of, _, _ = ctx
     size = len(adj)
     adj = adj.copy()
     x = node[v]

@@ -8,8 +8,9 @@ one edge and one coordinate at a time, the certificate propagation from
 a loop that visits every child vertex, pendent ones included, the
 propagation plan from incidence lists for every vertex and a scan of every
 edge's members, the canonical key from separate reduce, peel and encode
-stages, and the constructor's edge validation from a loop over each vertex
-and then each sorted edge.  The
+stages, the constructor's edge validation from a loop over each vertex
+and then each sorted edge, and the automorphism orbits of vertices from
+networkx's VF2 matcher on the vertex-edge incidence graph.  The
 count-meeting non-supertrees and the ``edge_sets`` strategy feed the
 rejection tests of every module that demands a supertree.
 """
@@ -20,8 +21,10 @@ import itertools
 import math
 import random
 
+import networkx as nx
 import numpy as np
 from hypothesis import strategies as hs
+from networkx.algorithms.isomorphism import GraphMatcher
 
 from supertrees import Hypergraph, MultipleEdgeError, NonConvergenceError, PrincipalPair
 from supertrees.certificates import _Plan
@@ -337,6 +340,45 @@ def reference_canonical_key(h: Hypergraph) -> bytes:
         raise ValueError("canonical_key requires a supertree")
     best = min(_key_centred_code(c, types, adj) for c in centres)
     return f"{h.k}|{best}".encode("ascii")
+
+
+def vertex_orbits(h: Hypergraph) -> list[list[int]]:
+    """The orbits of the automorphism group of ``h`` on its vertices, each
+    sorted, in order of their least vertex.
+
+    Vertices u and w share an orbit when networkx's VF2 matcher finds an
+    isomorphism of the vertex-edge incidence graph onto itself that keeps
+    every node's type and sends u to w; u in the first graph and w in the
+    second are the only nodes of their type "marked".  Each marked node is
+    added first, so the matcher starts by pairing the two and grows its
+    mapping outward from them.  One matcher run per pair tried, so for
+    small hypergraphs only.
+    """
+
+    def incidence(marked: int) -> nx.Graph:
+        g = nx.Graph()
+        g.add_node(("v", marked), type="marked")
+        for v in range(h.n):
+            if v != marked:
+                g.add_node(("v", v), type="vertex")
+        for i, e in enumerate(h.edges):
+            g.add_node(("e", i), type="edge")
+            g.add_edges_from((("e", i), ("v", v)) for v in e)
+        return g
+
+    def same_type(a: dict, b: dict) -> bool:
+        return a["type"] == b["type"]
+
+    graphs = [incidence(v) for v in range(h.n)]
+    orbits = []
+    left = list(range(h.n))
+    while left:
+        u, *rest = left
+        matcher = (GraphMatcher(graphs[u], graphs[w], node_match=same_type) for w in rest)
+        orbit = [u] + [w for w, gm in zip(rest, matcher) if gm.is_isomorphic()]
+        orbits.append(orbit)
+        left = [w for w in rest if w not in orbit]
+    return orbits
 
 
 def reference_edges(k: int, n: int, edges) -> tuple[tuple[int, ...], ...]:

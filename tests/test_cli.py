@@ -77,6 +77,13 @@ def test_gen_parameter_error(capsys):
         ("tree-power --k 3 --tree f:4", "--tree f:N needs N >= 5 vertices, got 4"),
         ("path-power --k 1 --m 3", "gen path-power needs --k >= 2, got 1"),
         ("hyperstar --k 0 --m 3", "gen hyperstar needs --k >= 2, got 0"),
+        ("hyperstar --k 3 --m 0", "gen hyperstar needs --m >= 1 edge, got 0"),
+        (
+            "broom --k 2 --t 1,1,1",
+            "gen broom needs --k >= 3 (a 2-edge cannot hold three branch vertices), got 2",
+        ),
+        ("broom --k 3 --t 2,1,1", "gen broom needs --t T1,T2,T3 with 1 <= T1 <= T2 <= T3, got 2,1,1"),
+        ("double-star-power --k 3 --t 0,1", "gen double-star-power needs --t A,B with A, B >= 1, got 0,1"),
     ],
 )
 def test_gen_errors_name_the_flag_in_its_units(capsys, args, message):

@@ -39,6 +39,7 @@ from oracles import (
     edge_sets,
     reference_canonical_key,
     reference_edges,
+    vertex_orbits,
 )
 
 
@@ -374,7 +375,7 @@ def test_a_grown_key_survives_relabelling_and_a_moving_centre(k, m, seed, deepes
     rng = random.Random(seed)
     h = shuffled(random_supertree(m, k, rng), rng)
     ctx = _growth_context(h)
-    _, _, levels, depth, _, node, edge_of = ctx
+    _, _, levels, depth, _, node, edge_of, _, _ = ctx
     if deepest:
         e = data.draw(hs.sampled_from(levels[-1]))
         v = data.draw(hs.sampled_from([u for u in h.edges[e] if node[u] < 0]))
@@ -383,6 +384,34 @@ def test_a_grown_key_survives_relabelling_and_a_moving_centre(k, m, seed, deepes
         v = data.draw(hs.integers(0, h.n - 1))
     cand = _attach_pendent_edge(h, v, ctx)
     assert canonical_key(cand) == _encode(cand) == reference_canonical_key(cand)
+
+
+def attachment_orbits(h: Hypergraph) -> list[list[int]]:
+    """The vertices of ``h`` grouped by their growth context's attachment
+    orbit, in the order ``vertex_orbits`` uses."""
+    *_, orbits, _ = _growth_context(h)
+    groups: dict[int, list[int]] = {}
+    for v, orbit in enumerate(orbits):
+        groups.setdefault(orbit, []).append(v)
+    return sorted(groups.values())
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_attachment_orbits_are_the_automorphism_orbits(k):
+    # two vertices share an attachment orbit, and so a grown key, exactly
+    # when an automorphism maps one onto the other
+    for m in range(1, 7):
+        for h in enumerate_supertrees(m, k):
+            assert attachment_orbits(h) == vertex_orbits(h)
+
+
+def test_attachment_orbits_survive_relabelling():
+    # k stays at most 4: the matcher's failed searches try every order of
+    # each edge's pendent vertices
+    rng = random.Random(20)
+    for _ in range(20):
+        h = shuffled(random_supertree(rng.randint(1, 10), rng.randint(2, 4), rng), rng)
+        assert attachment_orbits(h) == vertex_orbits(h)
 
 
 def test_a_grown_candidate_hides_its_growth_context():

@@ -248,9 +248,41 @@ def test_no_class_keeps_its_growth_context_or_its_ancestors(monkeypatch):
     assert all(ref() is None for ref in parents)
 
 
+def count_grown_encodings(monkeypatch) -> list:
+    """Record the arguments of every grown key that is encoded, not read
+    from its attachment orbit's memo."""
+    calls = []
+    encode = hypergraph._encode_grown
+    monkeypatch.setattr(hypergraph, "_encode_grown", lambda *a: calls.append(a) or encode(*a))
+    return calls
+
+
+@pytest.mark.parametrize("m, k", [(2, 2), (2, 6), (5, 3), (12, 4), (40, 2)])
+def test_a_hyperstar_parent_needs_two_grown_encodings(monkeypatch, m, k):
+    # one for the centre and one that every pendent vertex shares, at any size
+    calls = count_grown_encodings(monkeypatch)
+    h = hyperstar(m, k)
+    ctx = hypergraph._growth_context(h)
+    keys = {canonical_key(ordering._attach_pendent_edge(h, v, ctx)) for v in range(h.n)}
+    assert len(calls) == len(keys) == 2
+
+
+def test_the_benchmark_enumerations_encode_one_key_per_attachment_orbit(monkeypatch):
+    # the verify-exhaustive sizes: 3,719 candidates, 1,612 attachment orbits
+    calls = count_grown_encodings(monkeypatch)
+    for m, k in ((8, 3), (8, 4), (9, 2)):
+        enumerate_supertrees(m, k, limit=m)
+    assert len(calls) == 1612
+
+
 def test_enumeration_logs_one_record_per_grown_level(caplog, monkeypatch):
     m, k = 6, 3
-    levels = [enumerate_supertrees(j, k) for j in range(1, m + 1)]
+    calls = count_grown_encodings(monkeypatch)
+    levels, encoded = [], []
+    for j in range(1, m + 1):
+        levels.append(enumerate_supertrees(j, k))
+        encoded.append(len(calls))
+        calls.clear()
     gates = []
     debug_logger = ordering._debug_logger
     monkeypatch.setattr(ordering, "_debug_logger", lambda: gates.append(1) or debug_logger())
@@ -259,11 +291,13 @@ def test_enumeration_logs_one_record_per_grown_level(caplog, monkeypatch):
     assert len(gates) == 1
     records = [r for r in caplog.records if r.name == "supertrees"]
     assert all(r.levelno == logging.DEBUG for r in records)
+    # keys: the grown encodings this level adds to the run that stops a level lower
     assert [r.getMessage() for r in records] == [
         f"enumeration level: m={j} k={k} candidates={len(levels[j - 2]) * levels[j - 2][0].n} "
-        f"classes={len(levels[j - 1])}"
+        f"keys={encoded[j - 1] - encoded[j - 2]} classes={len(levels[j - 1])}"
         for j in range(2, m + 1)
     ]
+    assert len(calls) == encoded[-1]
     # the candidate counts sum to the benchmark harness's sum of classes * n
     counts = [dict(f.split("=") for f in r.getMessage().split()[2:]) for r in records]
     assert sum(int(c["candidates"]) for c in counts) == sum(len(r) * r[0].n for r in levels[:-1])
