@@ -1,8 +1,8 @@
 """Command-line front end: gen, rho, certify, verify, enumerate.
 
 Human output prints 9 significant digits; json and csv print full
-round-trip precision.  All randomness flows through the --seed flag.
-The SUPERTREE_ENUM_LIMIT environment variable overrides the enumeration cap.
+round-trip precision.  The SUPERTREE_ENUM_LIMIT environment variable
+overrides the enumeration cap, for every exhaustive verifier.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ from .ordering import (
     verify_top_four,
 )
 from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, power_iteration
-
-DEFAULT_SEED = 1729
 
 
 def _enum_limit() -> int:
@@ -318,12 +316,11 @@ def _cmd_verify(args) -> int:
                 raise SupertreeError("verify sandwich needs --k and --m")
             rec = verify_sandwich(args.m, args.k)
         else:  # moving-edges
-            rec = verify_moving_edges(
-                trials=args.trials,
-                seed=args.seed,
-                k=args.k if args.k is not None else 3,
-                m_max=args.m if args.m is not None else 6,
-            )
+            m_max = args.m if args.m is not None else 6
+            if m_max < 3:
+                raise SupertreeError(f"verify moving-edges needs --m >= 3, got {m_max}")
+            k = args.k if args.k is not None else 3
+            rec = verify_moving_edges(k=k, m_max=m_max, limit=_enum_limit())
     except CounterexampleFound as exc:
         print(f"FAIL {name}: {exc}")
         if exc.offending is not None:
@@ -398,8 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     v.add_argument("--k", type=int)
     v.add_argument("--m", type=int)
-    v.add_argument("--trials", type=int, default=50)
-    v.add_argument("--seed", type=int, default=DEFAULT_SEED)
     v.set_defaults(func=_cmd_verify)
 
     e = sub.add_parser("enumerate", help="rank all classes at (k, m) by spectral radius")

@@ -16,13 +16,15 @@ key costs about 11 us there, the parent's share included, against 19.5 us
 with one pass per candidate and 30 us from the edge list.  The
 verifiers rank the classes by spectral radius and check the expected
 top-of-order families, the branch-count partition ordering, the edge-moving
-monotonicity, and the non-pendent reduction step.
+monotonicity on every admissible move of every class, and the non-pendent
+reduction step.  Only ``random_supertree`` draws random numbers.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -91,7 +93,8 @@ def enumerate_supertrees(m: int, k: int, limit: int = DEFAULT_ENUM_LIMIT) -> lis
     """One representative per isomorphism class of k-uniform supertrees with m edges.
 
     Output is sorted by canonical key, so the order is deterministic.  ``m``,
-    ``k`` and ``limit`` must be ints (bools and floats raise ValueError).
+    ``k`` and ``limit`` must be ints (bools and floats raise ValueError),
+    with m >= 1 and k >= 2.
 
     With DEBUG on for the ``supertrees`` logger, each grown level (edge
     counts 2..m; the one-edge seed is not grown) sends one record with its
@@ -100,6 +103,8 @@ def enumerate_supertrees(m: int, k: int, limit: int = DEFAULT_ENUM_LIMIT) -> lis
     """
     if _strict_int(m, "m") < 1:
         raise ValueError("m must be >= 1")
+    if _strict_int(k, "k") < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
     if m > _strict_int(limit, "limit"):
         raise EnumerationLimitError(f"m = {m} exceeds the enumeration limit {limit}")
     log = _debug_logger()
@@ -334,79 +339,74 @@ def verify_partition_lemma(m: int, k: int) -> VerificationRecord:
     )
 
 
-def verify_moving_edges(
-    trials: int = 50, seed: int = 1729, k: int = 3, m_max: int = 6
-) -> VerificationRecord:
-    """Randomized check that moving edges toward a heavier vertex raises the radius.
+def verify_moving_edges(k: int = 3, m_max: int = 6, limit: int = DEFAULT_ENUM_LIMIT) -> VerificationRecord:
+    """Exhaustive check that moving edges toward a heavier vertex raises the radius.
 
-    Each trial grows a random supertree g, picks an anchor edge, a target u
-    in it, and a nonempty set of adjacent edges whose shared vertices all
-    carry weight at most x_u in the eigenvector of ``power_iteration(g)``,
-    then moves them onto u.  Two edges of a supertree share at most one
-    vertex, so each moved branch is re-hung from a vertex of the anchor edge
-    to u: the result is a supertree, with no multiple edge.  A trial passes
-    only if its ``alpha_normal_bracket`` lies strictly above g's (low2 >
-    high); ``data["gaps"]`` holds these proven separations low2 - high, and
-    the smallest with its trial number is ``data["tightest"]`` and the last
-    detail line.
+    For every class g of ``enumerate_supertrees(m, k, limit)``, 3 <= m <=
+    m_max, every anchor edge e and every target u in e, the movable edges
+    are those f != e at a vertex v != u of e whose weight x_v in the
+    eigenvector of ``power_iteration(g)`` is at most x_u.  Every nonempty
+    subset of them is moved onto u.  Two edges of a supertree share at most
+    one vertex, so each moved branch is re-hung from v to u: the result is a
+    supertree, with no multiple edge.  A move passes only if its
+    ``alpha_normal_bracket`` lies strictly above g's (low2 > high);
+    ``data["gaps"]`` holds these proven separations low2 - high in loop
+    order, and ``data["tightest"]`` the smallest as (class key, u, moves,
+    separation), with ``moves`` as ``move_edges`` takes them.
 
     The lemma allows x_v = x_u, and symmetric vertices carry weights equal
     up to rounding noise, so a weight within a relative 1e-8 of x_u counts
-    as at most x_u: the choices do not hang on the last bits of the
-    eigenvector.  Raises ValueError unless ``trials >= 1`` and ``m_max >= 3``
-    are ints (bools and floats are rejected).
+    as at most x_u: the moves do not hang on the last bits of the
+    eigenvector.  Raises ValueError unless ``m_max`` is an int >= 3, and
+    EnumerationLimitError when it exceeds ``limit``.
     """
-    if _strict_int(trials, "trials") < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     if _strict_int(m_max, "m_max") < 3:
         raise ValueError(f"m_max must be >= 3, got {m_max}")
-    rng = random.Random(seed)
+    if m_max > _strict_int(limit, "limit"):
+        raise EnumerationLimitError(f"m = {m_max} exceeds the enumeration limit {limit}")
     gaps = []
-    attempts = 0
-    while len(gaps) < trials:
-        attempts += 1
-        if attempts > 1000 * trials:
-            raise SearchExhaustedError("could not assemble enough valid moving-edge trials")
-        g = random_supertree(rng.randint(3, m_max), k, rng)
-        x = power_iteration(g).x
-        edge_ids = list(range(g.m))
-        rng.shuffle(edge_ids)
-        for ei in edge_ids:
-            e = g.edges[ei]
-            u = rng.choice(e)
-            movable = []
-            for fi, f in enumerate(g.edges):
-                if fi == ei:
-                    continue
-                shared = set(f) & set(e)
-                if len(shared) != 1:
-                    continue
-                v = shared.pop()
-                if v != u and u not in f and x[u] >= x[v] * (1 - 1e-8):
-                    movable.append((fi, v))
-            if not movable:
-                continue
-            moves = rng.sample(movable, rng.randint(1, len(movable)))
-            g2 = move_edges(g, u, moves)
+    classes = 0
+    best = None
+    for m in range(3, m_max + 1):
+        for g in enumerate_supertrees(m, k, limit=limit):
+            classes += 1
+            x = power_iteration(g).x
             low, high = alpha_normal_bracket(g)
-            low2, high2 = alpha_normal_bracket(g2)
-            if low2 <= high:
-                raise CounterexampleFound(
-                    f"radius bracket [{low2!r}, {high2!r}] after moving {len(moves)} edges "
-                    f"is not strictly above [{low!r}, {high!r}]",
-                    offending=(g, u, tuple(moves)),
-                )
-            gaps.append(low2 - high)
-            break
-    separation, trial = min((gap, i + 1) for i, gap in enumerate(gaps))
+            inc = incidence_lists(g)
+            for ei, e in enumerate(g.edges):
+                for u in e:
+                    movable = [
+                        (fi, v) for v in e if v != u and x[u] >= x[v] * (1 - 1e-8)
+                        for fi in inc[v] if fi != ei
+                    ]
+                    for size in range(1, len(movable) + 1):
+                        for moves in itertools.combinations(movable, size):
+                            g2 = move_edges(g, u, moves)
+                            low2, high2 = alpha_normal_bracket(g2)
+                            if low2 <= high:
+                                raise CounterexampleFound(
+                                    f"radius bracket [{low2!r}, {high2!r}] after moving {size} "
+                                    f"edges is not strictly above [{low!r}, {high!r}]",
+                                    offending=(g, u, moves),
+                                )
+                            gaps.append(low2 - high)
+                            if best is None or gaps[-1] < best[-1]:
+                                best = (g, u, moves, g2, gaps[-1])
+    g, u, moves, g2, separation = best
+    key, moved_key = (canonical_key(h).decode("ascii") for h in (g, g2))
+    names = {}
+    for m in range(4, m_max + 1):
+        names.update((canonical_key(h).decode("ascii"), label) for label, h in _expected_top(m, k))
     return VerificationRecord(
         name="moving edges",
         details=(
-            f"{trials} trials at k={k}, m <= {m_max}, seed {seed}",
+            f"{len(gaps)} moves on {classes} classes at k={k}, 3 <= m <= {m_max}",
             f"radius gaps in [{separation:.9g}, {max(gaps):.9g}]",
-            f"tightest: trial {trial}, separation {separation:.3e}",
+            f"tightest: {names.get(key, key)} -> {names.get(moved_key, moved_key)}, "
+            f"edges {[fi for fi, _ in moves]} onto vertex {u}, separation {separation:.3e}",
         ),
-        data={"gaps": gaps, "seed": seed, "k": k, "m_max": m_max, "tightest": (trial, separation)},
+        data={"k": k, "m_max": m_max, "classes": classes, "moves": len(gaps), "gaps": gaps,
+              "tightest": (key, u, moves, separation)},
     )
 
 

@@ -3,7 +3,8 @@
 Nothing here shares code with the package's own algorithms: eigenvalues come
 from dense numpy decompositions, isomorphism from edge-bijection brute force
 and from degree-guided backtracking, class counts from labeled enumeration
-over all edge subsets, the tensor and the power method from loops written
+over all edge subsets and from Otter's dissimilarity theorem on cycle-index
+series, the tensor and the power method from loops written
 one edge and one coordinate at a time, the certificate propagation from
 a loop that visits every child vertex, pendent ones included, the
 propagation plan from incidence lists for every vertex and a scan of every
@@ -20,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import networkx as nx
 import numpy as np
@@ -251,6 +253,59 @@ def count_classes_brute(m: int, k: int, iso=brute_isomorphic) -> int:
         if not any(iso(h, r) for r in reps):
             reps.append(h)
     return sum(len(reps) for reps in buckets.values())
+
+
+def _series_product(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """Product of two power series, truncated to the length of ``a``."""
+    out = [Fraction(0)] * len(a)
+    for i, ai in enumerate(a):
+        for j in range(len(a) - i):
+            out[i + j] += ai * b[j]
+    return out
+
+
+def _symmetric_cycle_index(r: list[Fraction], size: int) -> list[Fraction]:
+    """Z(S_size; R), truncated to the length of ``r``: multisets of ``size``
+    objects counted by R, from Z(S_s) = (1/s) sum_{i=1..s} p_i Z(S_{s-i})
+    with p_i = R(x^i)."""
+    n = len(r)
+    z = [[Fraction(1)] + [Fraction(0)] * (n - 1)]
+    for s in range(1, size + 1):
+        acc = [Fraction(0)] * n
+        for i in range(1, s + 1):
+            p_i = [r[j // i] if j % i == 0 else Fraction(0) for j in range(n)]
+            acc = [a + c for a, c in zip(acc, _series_product(p_i, z[s - i]))]
+        z.append([a / s for a in acc])
+    return z[size]
+
+
+def supertree_counts(k: int, m_max: int) -> dict[int, int]:
+    """Number of isomorphism classes of k-uniform supertrees with m edges,
+    for m = 1..m_max, by Otter's dissimilarity theorem; no enumeration.
+
+    A supertree is a tree of vertex nodes and edge nodes, and no
+    automorphism flips an arc, whose two ends differ in type.  So the
+    classes number #(vertex-rooted) + #(edge-rooted) - #(arc-rooted).  In
+    series over x, counting edges: R counts vertex-rooted trees; B = x Z(S_{k-1}; R)
+    counts the branches at a root, an edge holding k-1 rooted trees;
+    R is the Euler transform of B (a root carries a multiset of branches);
+    E = x Z(S_k; R) counts edge-rooted trees; and an arc-rooted tree is a
+    pair, counted by R B.  The count is R + E - R B.
+    """
+    n = m_max + 1
+    r = [Fraction(1)] + [Fraction(0)] * (n - 1)
+    for _ in range(n):  # each pass fixes one more coefficient of R
+        b = [Fraction(0)] + _symmetric_cycle_index(r, k - 1)[:-1]
+        # the Euler transform: i r_i = sum_{j=1..i} c_j r_{i-j}, c_j = sum_{d | j} d b_d
+        c = [sum(d * b[d] for d in range(1, j + 1) if j % d == 0) for j in range(n)]
+        r = [Fraction(1)]
+        for i in range(1, n):
+            r.append(sum(c[j] * r[i - j] for j in range(1, i + 1)) / i)
+    e = [Fraction(0)] + _symmetric_cycle_index(r, k)[:-1]
+    arcs = _series_product(r, b)
+    counts = {m: r[m] + e[m] - arcs[m] for m in range(1, n)}
+    assert all(count.denominator == 1 for count in counts.values())
+    return {m: int(count) for m, count in counts.items()}
 
 
 def _key_reduced_tree(h: Hypergraph) -> tuple[list[str], list[list[int]]]:

@@ -367,9 +367,7 @@ def test_verify_subcommands_pass(capsys):
     assert run_cli(capsys, "verify", "hofmeister", "--m", "6")[0] == 0
     assert run_cli(capsys, "verify", "partition", "--k", "3", "--m", "6")[0] == 0
     assert run_cli(capsys, "verify", "sandwich", "--k", "3", "--m", "5")[0] == 0
-    code, stdout, _ = run_cli(
-        capsys, "verify", "moving-edges", "--k", "3", "--m", "5", "--trials", "10", "--seed", "5"
-    )
+    code, stdout, _ = run_cli(capsys, "verify", "moving-edges", "--k", "3", "--m", "5")
     assert code == 0 and "PASS" in stdout
 
 
@@ -403,13 +401,38 @@ def test_rho_power_and_alpha_agree_on_broom(tmp_path, capsys):
 
 
 def test_verify_moving_edges_prints_bracket_gaps_and_tightest(capsys):
-    code, stdout, _ = run_cli(
-        capsys, "verify", "moving-edges", "--k", "3", "--m", "6", "--trials", "50", "--seed", "1729"
-    )
+    code, stdout, _ = run_cli(capsys, "verify", "moving-edges", "--k", "3", "--m", "6")
     assert code == 0
-    lines = stdout.splitlines()
-    assert "  radius gaps in [0.0173990521, 0.138252921]" in lines
-    assert lines[-1].startswith("  tightest: trial ") and lines[-1].endswith(", separation 1.740e-02")
+    assert stdout.splitlines()[1:] == [
+        "  134 moves on 33 classes at k=3, 3 <= m <= 6",
+        "  radius gaps in [0.0124727944, 0.180594164]",
+        "  tightest: broom(1,1,3) -> S(2,3) power, edges [5] onto vertex 1, separation 1.247e-02",
+    ]
+
+
+@pytest.mark.parametrize("flag", ["--trials", "--seed"])
+def test_verify_moving_edges_takes_no_trial_flags(flag, capsys):
+    # the pass is exhaustive, so there is nothing to draw or count
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "moving-edges", flag, "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ("verify moving-edges --m 2", "verify moving-edges needs --m >= 3, got 2"),
+        ("verify moving-edges --k 3 --m 11", "m = 11 exceeds the enumeration limit 10"),
+        ("verify moving-edges --k 1", "k must be >= 2, got 1"),
+        ("verify main2 --k 1 --m 5", "k must be >= 2, got 1"),
+        ("enumerate --k 1 --m 3", "k must be >= 2, got 1"),
+    ],
+)
+def test_enumerating_commands_report_bad_sizes(capsys, args, message):
+    # --m 2 used to be reported as m_max, and --k 1 by hyperstar
+    code, stdout, stderr = run_cli(capsys, *shlex.split(args))
+    assert (code, stdout, stderr) == (1, "", f"error: {message}\n")
 
 
 def test_verify_sandwich_passes_at_a_thousand_and_three_edges(capsys):
@@ -460,7 +483,11 @@ def test_enumerate_limit_env_override(monkeypatch, capsys):
 @pytest.mark.parametrize("value", ["abc", "0", "-3", "", "7.5"])
 def test_enumerate_limit_env_must_be_positive(value, monkeypatch, capsys):
     monkeypatch.setenv("SUPERTREE_ENUM_LIMIT", value)
-    for argv in (["enumerate", "--k", "3", "--m", "4"], ["verify", "main2", "--k", "3", "--m", "4"]):
+    for argv in (
+        ["enumerate", "--k", "3", "--m", "4"],
+        ["verify", "main2", "--k", "3", "--m", "4"],
+        ["verify", "moving-edges", "--k", "3", "--m", "4"],
+    ):
         code, stdout, stderr = run_cli(capsys, *argv)
         assert code == 1 and stdout == ""
         assert stderr == f"error: SUPERTREE_ENUM_LIMIT must be a positive integer, got {value!r}\n"

@@ -45,7 +45,7 @@ import supertrees.hypergraph as hypergraph
 import supertrees.ordering as ordering
 from supertrees.spectral import TIE_TOL
 
-from oracles import are_isomorphic, count_classes_brute
+from oracles import are_isomorphic, count_classes_brute, supertree_counts
 
 
 # --- enumeration -----------------------------------------------------------------
@@ -66,6 +66,21 @@ def test_enumeration_matches_unlabeled_tree_counts():
     for m in range(1, 8):
         expected = sum(1 for _ in nx.nonisomorphic_trees(m + 1))
         assert len(enumerate_supertrees(m, 2, limit=8)) == expected
+
+
+def test_class_count_oracle_gives_the_known_counts():
+    # Otter's free trees at k = 2; the enumeration's own counts at k = 3
+    assert list(supertree_counts(2, 13).values()) == [
+        1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159
+    ]
+    counts = supertree_counts(3, 13)
+    assert [counts[m] for m in range(8, 14)] == [126, 355, 1037, 3124, 9676, 30604]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_enumeration_matches_the_class_count_oracle(k):
+    counts = supertree_counts(k, 10)
+    assert [len(enumerate_supertrees(m, k)) for m in range(1, 11)] == list(counts.values())
 
 
 def test_enumeration_outputs_are_supertrees():
@@ -187,6 +202,22 @@ def test_class_keys_are_pinned_at_the_benchmark_sizes(k, m, classes, digest):
 def test_sizes_must_be_ints(call):
     # bools and floats used to be coerced or to fail inside range()
     with pytest.raises(ValueError, match="must be an integer"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, k",
+    [
+        (lambda: enumerate_supertrees(3, 1), 1),
+        (lambda: rank_spectra(4, 0), 0),
+        (lambda: verify_top_four(5, 1), 1),
+        (lambda: verify_moving_edges(k=-1), -1),
+    ],
+    ids=["enumerate", "rank", "top-four", "moving-edges"],
+)
+def test_enumeration_names_a_k_below_two(call, k):
+    # these used to fail inside hyperstar, which the caller never called
+    with pytest.raises(ValueError, match=rf"^k must be >= 2, got {k}$"):
         call()
 
 
@@ -570,15 +601,42 @@ def test_partition_lemma_checks_the_power_oracle(monkeypatch):
 
 
 def test_moving_edges_verifier():
-    rec = verify_moving_edges(trials=20, seed=7, k=3, m_max=5)
+    rec = verify_moving_edges(k=3, m_max=5)
     assert min(rec.data["gaps"]) > 0
+
+
+@pytest.mark.parametrize(
+    "k, m_max, classes, moves, tightest",
+    [(3, 6, 33, 134, "1.247e-02"), (4, 6, 36, 195, "8.226e-03"), (3, 8, 207, 1487, "2.785e-03")],
+)
+def test_moving_edges_tries_every_move_of_every_class(k, m_max, classes, moves, tightest):
+    rec = verify_moving_edges(k=k, m_max=m_max)
+    separation = rec.data["tightest"][-1]
+    assert (rec.data["classes"], rec.data["moves"], f"{separation:.3e}") == (classes, moves, tightest)
+    assert len(rec.data["gaps"]) == moves and min(rec.data["gaps"]) == separation > 0
+    counts = supertree_counts(k, m_max)
+    assert rec.data["classes"] == sum(counts[m] for m in range(3, m_max + 1))
+
+
+def test_moving_edges_tightest_move_is_rank_four_onto_rank_three():
+    # the paper's own step at m = 6: broom(1,1,3) onto the S(2,3) power
+    rec = verify_moving_edges(k=3, m_max=6)
+    key, u, moves, separation = rec.data["tightest"]
+    assert key == canonical_key(broom(1, 1, 3, 3)).decode("ascii")
+    g = next(h for h in enumerate_supertrees(6, 3) if canonical_key(h).decode("ascii") == key)
+    moved = move_edges(g, u, moves)
+    assert canonical_key(moved) == canonical_key(tree_power(double_star(2, 3), 3))
+    assert separation == alpha_normal_bracket(moved)[0] - alpha_normal_bracket(g)[1]
+    assert rec.details[-1] == (
+        f"tightest: broom(1,1,3) -> S(2,3) power, edges {[fi for fi, _ in moves]} "
+        f"onto vertex {u}, separation 1.247e-02"
+    )
 
 
 def test_moving_edges_choices_ignore_rounding_noise(monkeypatch):
     # Symmetric vertices carry eigenvector weights equal up to rounding, so
     # nudging every weight by a few ulps must not change which edges move.
-    runs = [(k, seed) for k in (3, 4) for seed in (1, 2, 3)]
-    clean = [verify_moving_edges(trials=15, seed=seed, k=k).data["gaps"] for k, seed in runs]
+    clean = [verify_moving_edges(k=k).data["gaps"] for k in (3, 4)]
     noise = random.Random(0)
 
     def nudged(h, **kwargs):
@@ -591,63 +649,73 @@ def test_moving_edges_choices_ignore_rounding_noise(monkeypatch):
         return dataclasses.replace(pair, x=tuple(x))
 
     monkeypatch.setattr(ordering, "power_iteration", nudged)
-    noisy = [verify_moving_edges(trials=15, seed=seed, k=k).data["gaps"] for k, seed in runs]
+    noisy = [verify_moving_edges(k=k).data["gaps"] for k in (3, 4)]
     assert noisy == clean
 
 
 def test_moving_edges_reports_its_tightest_verdict():
-    for k, seed in ((3, 1729), (4, 7)):
-        rec = verify_moving_edges(trials=30, seed=seed, k=k)
-        gaps = rec.data["gaps"]
-        trial, separation = rec.data["tightest"]
-        assert separation == min(gaps) == gaps[trial - 1]
-        assert rec.details[-1] == f"tightest: trial {trial}, separation {separation:.3e}"
+    for k in (3, 4):
+        rec = verify_moving_edges(k=k)
+        key, u, moves, separation = rec.data["tightest"]
+        assert separation == min(rec.data["gaps"])
+        assert rec.details[-1].startswith("tightest: ")
+        assert rec.details[-1].endswith(f"onto vertex {u}, separation {separation:.3e}")
 
 
 def test_moving_edges_gaps_are_bracket_separations(monkeypatch):
-    # each gap is the moved supertree's low end minus the original's high end
-    calls = []
+    # each gap is the moved supertree's low end minus its class's high end
+    classes, calls = [], []
+
+    def enumerated(*args, **kwargs):
+        reps = enumerate_supertrees(*args, **kwargs)
+        classes.extend(reps)
+        return reps
 
     def recording(h):
-        calls.append(alpha_normal_bracket(h))
-        return calls[-1]
+        calls.append((any(h is c for c in classes), alpha_normal_bracket(h)))
+        return calls[-1][1]
 
+    monkeypatch.setattr(ordering, "enumerate_supertrees", enumerated)
     monkeypatch.setattr(ordering, "alpha_normal_bracket", recording)
-    rec = verify_moving_edges(trials=10, seed=3, k=3)
-    assert len(calls) == 20
-    assert rec.data["gaps"] == [
-        moved[0] - original[1] for original, moved in zip(calls[::2], calls[1::2])
-    ]
+    rec = verify_moving_edges(k=3, m_max=5)
+    expected = []
+    for is_class, (low, high) in calls:
+        if is_class:
+            class_high = high
+        else:
+            expected.append(low - class_high)
+    assert sum(is_class for is_class, _ in calls) == rec.data["classes"] == len(classes)
+    assert rec.data["gaps"] == expected
 
 
 def test_moving_edges_fails_unless_the_brackets_separate(monkeypatch):
-    # a bracket that does not move makes every trial a counterexample
+    # a bracket that does not move makes every move a counterexample
     monkeypatch.setattr(ordering, "alpha_normal_bracket", lambda h: (1.5, 1.5))
     with pytest.raises(CounterexampleFound, match="not strictly above"):
-        verify_moving_edges(trials=3, seed=1)
+        verify_moving_edges()
 
 
 def test_moving_edges_ignores_the_power_radius(monkeypatch):
     # power iteration supplies only the eigenvector
-    clean = verify_moving_edges(trials=15, seed=2, k=3).data["gaps"]
+    clean = verify_moving_edges(k=3).data["gaps"]
     monkeypatch.setattr(
         ordering, "power_iteration",
         lambda h: dataclasses.replace(power_iteration(h), rho=math.nan),
     )
-    assert verify_moving_edges(trials=15, seed=2, k=3).data["gaps"] == clean
+    assert verify_moving_edges(k=3).data["gaps"] == clean
 
 
-@pytest.mark.parametrize("kwargs", [{"tol": 1e-9}, {"max_iter": 5}])
-def test_moving_edges_takes_no_power_settings(kwargs):
+@pytest.mark.parametrize(
+    "kwargs", [{"tol": 1e-9}, {"max_iter": 5}, {"trials": 50}, {"seed": 1729}]
+)
+def test_moving_edges_takes_no_power_or_trial_settings(kwargs):
     with pytest.raises(TypeError):
-        verify_moving_edges(trials=2, **kwargs)
+        verify_moving_edges(**kwargs)
 
 
 @pytest.mark.parametrize(
     "kwargs, message",
     [
-        ({"trials": 0}, "trials must be >= 1"),
-        ({"trials": -2}, "trials must be >= 1"),
         ({"m_max": 2}, "m_max must be >= 3"),
         ({"m_max": 0}, "m_max must be >= 3"),
     ],
@@ -657,16 +725,25 @@ def test_moving_edges_rejects_empty_runs(kwargs, message):
         verify_moving_edges(**kwargs)
 
 
+def test_moving_edges_rejects_m_max_above_the_limit(monkeypatch):
+    # checked before any class is enumerated
+    monkeypatch.setattr(ordering, "enumerate_supertrees", None)
+    for kwargs in ({"m_max": 11}, {"m_max": 7, "limit": 6}):
+        with pytest.raises(EnumerationLimitError, match=f"m = {kwargs['m_max']} exceeds"):
+            verify_moving_edges(**kwargs)
+
+
 @pytest.mark.parametrize(
     "kwargs, message",
     [
-        ({"trials": 2.5}, "trials must be an integer, got 2.5"),
-        ({"trials": True}, "trials must be an integer, got True"),
-        ({"m_max": 5.0, "trials": 2}, "m_max must be an integer, got 5.0"),
+        ({"m_max": 5.0}, "m_max must be an integer, got 5.0"),
+        ({"m_max": True}, "m_max must be an integer, got True"),
+        ({"k": 3.0}, "k must be an integer, got 3.0"),
+        ({"limit": 7.5}, "limit must be an integer, got 7.5"),
     ],
 )
 def test_moving_edges_rejects_sizes_that_are_not_ints(kwargs, message):
-    # these used to run and report "2.5 trials", "True trials" or "m <= 5.0"
+    # a float m_max used to run and report "m <= 5.0"
     with pytest.raises(ValueError, match=message):
         verify_moving_edges(**kwargs)
 
