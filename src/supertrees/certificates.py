@@ -19,12 +19,11 @@ midpoint.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 from .constructors import broom
 from .errors import BracketError, IncidenceMismatchError, PositivityError
-from .hypergraph import Hypergraph, incidence_lists, is_supertree, vertex_stats
+from .hypergraph import Hypergraph, _debug_logger, incidence_lists, is_supertree, vertex_stats
 
 DEFAULT_CERT_TOL = 1e-9
 #: The radius solver stops once its bracket is this many ulps wide.
@@ -494,20 +493,6 @@ def _anderson_bjorck(defect, k: int, low: float, f_low: float, high: float, f_hi
         f"radius bracket [{low!r}, {high!r}] still open after {ALPHA_MAX_EVALS} evaluations",
         bracket=(low, high),
     )
-
-
-def _debug_logger():
-    """The ``supertrees`` logger if it is enabled for DEBUG, else None.
-
-    The package does not import ``logging`` itself: that import takes 7-10
-    ms, a tenth of a cold start that solves a few radii.  Until some other
-    code imports it, no level or handler can have been set, so DEBUG is off.
-    """
-    logging = sys.modules.get("logging")
-    if logging is None:
-        return None
-    log = logging.getLogger("supertrees")
-    return log if log.isEnabledFor(logging.DEBUG) else None
 
 
 def _radius_bracket(h: Hypergraph, caller: str) -> tuple[float, float, int]:

@@ -36,7 +36,7 @@ from .ordering import (
     verify_sandwich,
     verify_top_four,
 )
-from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, power_iteration
+from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, power_iteration, tensor_apply
 
 
 def _enum_limit() -> int:
@@ -168,7 +168,16 @@ def _cmd_rho(args) -> int:
         method = "alpha" if is_supertree(h) else "power"
     if method == "power":
         pair = power_iteration(h, tol=args.tol, max_iter=args.max_iter)
-        payload = {"rho": pair.rho, "residual": pair.residual, "iterations": pair.iterations}
+        # the returned vector's Collatz-Wielandt bracket, with the stop
+        # test's formula: the bracket that stopped the solve, rho its midpoint
+        ratios = [a / xi ** (h.k - 1) for a, xi in zip(tensor_apply(h, pair.x), pair.x)]
+        payload = {
+            "rho": pair.rho,
+            "low": min(ratios),
+            "high": max(ratios),
+            "residual": pair.residual,
+            "iterations": pair.iterations,
+        }
         line = (
             f"rho = {_fmt(pair.rho)}  method = power  "
             f"residual = {pair.residual:.3e}  iterations = {pair.iterations}"

@@ -8,6 +8,7 @@ when their edge sets are equal.  All operations here are pure;
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -21,6 +22,20 @@ def _strict_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def _debug_logger():
+    """The ``supertrees`` logger if it is enabled for DEBUG, else None.
+
+    The package does not import ``logging`` itself: that import takes 7-10
+    ms, a tenth of a cold start that solves a few radii.  Until some other
+    code imports it, no level or handler can have been set, so DEBUG is off.
+    """
+    logging = sys.modules.get("logging")
+    if logging is None:
+        return None
+    log = logging.getLogger("supertrees")
+    return log if log.isEnabledFor(logging.DEBUG) else None
 
 
 def _strict_vertices(edges: tuple[tuple, ...]) -> None:

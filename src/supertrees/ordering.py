@@ -33,7 +33,6 @@ from fractions import Fraction
 from .certificates import (
     STRICTLY_SUBNORMAL,
     STRICTLY_SUPERNORMAL,
-    _debug_logger,
     alpha_normal_bracket,
     alpha_normal_radius,
     classify,
@@ -44,6 +43,7 @@ from .errors import CounterexampleFound, EnumerationLimitError, SearchExhaustedE
 from .hypergraph import (
     Hypergraph,
     _attach_pendent_edge,
+    _debug_logger,
     _growth_context,
     _strict_int,
     canonical_key,

@@ -482,15 +482,26 @@ def reference_tensor_apply(h: Hypergraph, x) -> list[float]:
     return out
 
 
-def reference_power_iteration(h: Hypergraph, tol: float = 1e-10, max_iter: int = 100_000) -> PrincipalPair:
+def reference_power_iteration(
+    h: Hypergraph, tol: float = 1e-10, max_iter: int = 100_000, *, extrapolate: bool = True
+) -> PrincipalPair:
     """The power method of ``power_iteration``, one coordinate at a time on
     ``reference_tensor_apply``: the step is ``y = Ax + x^[k-1]`` at k = 2
     and ``y = Ax`` at k >= 3, where the tensor of a connected hypergraph is
     weakly primitive, so for connected input it converges.  Past
-    ``max_iter`` it raises NonConvergenceError with the last bracket."""
+    ``max_iter`` it raises NonConvergenceError with the last bracket.
+
+    With ``extrapolate`` each step also estimates the ratio of its slowest
+    mode, mu = <d, d_prev> / <d_prev, d_prev> for the differences d of
+    successive iterates (from ``math.dist`` by the polarization identity,
+    as ``power_iteration`` forms it).  When two consecutive estimates lie
+    in (0, 1) and agree within 1e-2 (1 - mu), it jumps to
+    x + mu / (1 - mu) d, renormalised, if that is positive and finite, and
+    restarts the estimate.  Without it this is the plain loop."""
     k = h.k
     km1 = k - 1
     x = [h.n ** (-1.0 / k)] * h.n
+    xp, dd_prev, mu_prev = x, 0.0, math.nan
     for it in range(1, max_iter + 1):
         ax = reference_tensor_apply(h, x)
         pw = [xi**km1 for xi in x]
@@ -502,9 +513,29 @@ def reference_power_iteration(h: Hypergraph, tol: float = 1e-10, max_iter: int =
             residual = max(abs(a - rho * p) for a, p in zip(ax, pw))
             return PrincipalPair(rho=rho, x=tuple(x), residual=residual, iterations=it)
         y = [a + p for a, p in zip(ax, pw)] if k == 2 else ax
-        x = [yi ** (1.0 / km1) for yi in y]
-        norm = sum(xi**k for xi in x) ** (1.0 / k)
-        x = [xi / norm for xi in x]
+        y = [yi ** (1.0 / km1) for yi in y]
+        norm = sum(yi**k for yi in y) ** (1.0 / k)
+        y = [yi / norm for yi in y]
+        if not extrapolate:
+            x = y
+            continue
+        dd = math.dist(y, x) ** 2
+        if dd_prev > 0.0:
+            # <y - x, x - xp> by the polarization identity
+            mu = (math.dist(y, xp) ** 2 - dd - dd_prev) / (2.0 * dd_prev)
+        else:
+            mu = math.nan
+        if 0.0 < mu_prev < 1.0 and 0.0 < mu < 1.0 and abs(mu - mu_prev) <= 1e-2 * (1.0 - mu):
+            c = mu / (1.0 - mu)
+            z = [yi + c * (yi - xi) for yi, xi in zip(y, x)]
+            total = sum(zi**k for zi in z)
+            if 0.0 < total < math.inf:
+                norm = total ** (1.0 / k)
+                z = [zi / norm for zi in z]
+                if all(0.0 < zi < math.inf for zi in z):
+                    x, dd_prev, mu_prev = z, 0.0, math.nan
+                    continue
+        xp, x, dd_prev, mu_prev = x, y, dd, mu
     raise NonConvergenceError(
         f"reference power iteration did not converge in {max_iter} steps", bracket=(lam_lo, lam_hi)
     )

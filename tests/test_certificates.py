@@ -525,6 +525,7 @@ def test_solves_format_no_record_with_debug_off(caplog, monkeypatch):
     monkeypatch.setattr(log, "debug", lambda *args: pytest.fail("record formatted"))
     with caplog.at_level(logging.INFO, logger="supertrees"):
         alpha_normal_radius(broom(1, 1, 97, 3))
+        power_iteration(broom(1, 1, 97, 3))
     assert caplog.records == []
 
 
@@ -532,7 +533,8 @@ def test_solving_does_not_import_logging():
     # logging that nothing imported cannot be on, and importing it would
     # slow every cold start
     code = (
-        "import sys, supertrees; supertrees.alpha_normal_radius(supertrees.broom(1, 1, 7, 3)); "
+        "import sys, supertrees; h = supertrees.broom(1, 1, 7, 3); "
+        "supertrees.alpha_normal_radius(h); supertrees.power_iteration(h); "
         "print('logging' in sys.modules)"
     )
     # -S: no site hooks, which might import logging themselves

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: file round trips, output formats, exit codes."""
 
 import json
+import logging
 import math
 import shlex
 import time
@@ -14,8 +15,10 @@ from supertrees import (
     alpha_normal_radius,
     broom,
     hyperstar,
+    path,
     power_iteration,
     to_interchange,
+    tree_power,
 )
 from supertrees.certificates import DEFAULT_CERT_TOL
 from supertrees.cli import build_parser, main
@@ -136,7 +139,8 @@ def test_rho_auto_runs_power_iteration_off_supertrees(tmp_path, capsys):
 
 
 def test_rho_auto_answers_a_long_path_power_within_a_second(tmp_path, capsys):
-    # power iteration does not converge here within its default step cap
+    # power iteration needs about 9k steps (3 s) here, the certificate solver
+    # a few milliseconds
     out = tmp_path / "long.json"
     run_cli(capsys, "gen", "path-power", "--k", "3", "--m", "400", "--out", str(out))
     start = time.perf_counter()
@@ -159,6 +163,23 @@ def test_rho_json_reports_the_certified_bracket_and_its_evaluations(tmp_path, ca
     # the human output carries no bracket
     _, human, _ = run_cli(capsys, "rho", str(out), "--method", method)
     assert "rho = 9.99333558  method = alpha" in human.splitlines()
+
+
+def test_rho_power_json_reports_the_stopping_bracket(tmp_path, capsys, caplog):
+    out = tmp_path / "p.json"
+    run_cli(capsys, "gen", "path-power", "--k", "3", "--m", "20", "--out", str(out))
+    with caplog.at_level(logging.DEBUG, logger="supertrees"):
+        code, stdout, _ = run_cli(capsys, "rho", str(out), "--method", "power", "--output", "json")
+    assert code == 0
+    payload = json.loads(stdout)["power"]
+    assert sorted(payload) == ["high", "iterations", "low", "residual", "rho"]
+    pair = power_iteration(tree_power(path(21), 3))
+    assert (payload["rho"], payload["residual"], payload["iterations"]) == (pair.rho, pair.residual, 110)
+    # the bracket the stop test read, as the solve logged it; rho is its midpoint
+    (record,) = [r.getMessage() for r in caplog.records if r.name == "supertrees"]
+    assert record.endswith(f" bracket=[{payload['low']!r}, {payload['high']!r}]")
+    assert payload["rho"] == 0.5 * (payload["low"] + payload["high"])
+    assert 0.0 < payload["high"] - payload["low"] <= 1e-10 * payload["low"]
 
 
 @pytest.mark.parametrize("method", ["power", "alpha", "auto"])

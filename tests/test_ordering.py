@@ -69,12 +69,17 @@ def test_enumeration_matches_unlabeled_tree_counts():
 
 
 def test_class_count_oracle_gives_the_known_counts():
-    # Otter's free trees at k = 2; the enumeration's own counts at k = 3
-    assert list(supertree_counts(2, 13).values()) == [
-        1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159
+    # Otter's free trees at k = 2 (OEIS A000055); the enumeration's own
+    # counts at k = 3 up to m = 12, and the series' own past that
+    assert list(supertree_counts(2, 16).values()) == [
+        1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551, 1301, 3159, 7741, 19320, 48629
     ]
-    counts = supertree_counts(3, 13)
-    assert [counts[m] for m in range(8, 14)] == [126, 355, 1037, 3124, 9676, 30604]
+    counts = supertree_counts(3, 16)
+    assert [counts[m] for m in range(8, 17)] == [
+        126, 355, 1037, 3124, 9676, 30604, 98473, 321572, 1063146
+    ]
+    counts = supertree_counts(4, 16)
+    assert [counts[m] for m in range(12, 17)] == [14427, 48056, 162779, 560020, 1950724]
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])

@@ -5,6 +5,7 @@ of the underlying trees, the cosine formula for paths, and direct evaluation
 of the defining quartics.
 """
 
+import logging
 import math
 import random
 import struct
@@ -96,15 +97,19 @@ def supertrees_relabelled(draw, min_k: int = 2, max_k: int = 8) -> Hypergraph:
     return Hypergraph(k=k, n=h.n, edges=tuple(tuple(perm[v] for v in e) for e in h.edges))
 
 
+def cyclic_hypergraph(k: int, n: int, draws: int, rng: random.Random) -> Hypergraph:
+    """``draws`` random k-sets on n vertices, repeats dropped: cycles,
+    repeated degrees and isolated vertices all occur."""
+    edges = {tuple(sorted(rng.sample(range(n), k))) for _ in range(draws)}
+    return Hypergraph(k=k, n=n, edges=tuple(edges))
+
+
 @hs.composite
 def cyclic_hypergraphs(draw) -> Hypergraph:
-    """Random distinct k-sets on n vertices: cycles, repeated degrees and
-    isolated vertices all occur."""
     k = draw(hs.integers(2, 6))
     n = draw(hs.integers(k + 1, 16))
     rng = random.Random(draw(hs.integers(0, 2**32)))
-    edges = {tuple(sorted(rng.sample(range(n), k))) for _ in range(draw(hs.integers(1, 3 * n)))}
-    return Hypergraph(k=k, n=n, edges=tuple(edges))
+    return cyclic_hypergraph(k, n, draw(hs.integers(1, 3 * n)), rng)
 
 
 @settings(max_examples=150, deadline=None)
@@ -181,9 +186,50 @@ def test_unshifted_iteration_converges_at_k_above_two(h):
 
 
 def test_step_counts_are_pinned():
-    # exact counts of the unshifted step at k >= 3, so a slower step rule shows
-    assert power_iteration(tree_power(path(21), 3)).iterations == 493
+    # exact counts of the unshifted step at k >= 3, so a slower step rule
+    # shows; the path jumps along its slow mode (493 steps without), the
+    # hyperstar converges before any jump
+    assert power_iteration(tree_power(path(21), 3)).iterations == 110
     assert power_iteration(hyperstar(1000, 3)).iterations == 38
+
+
+def cw_bracket(h, x) -> tuple[float, float]:
+    ratios = [a / xi ** (h.k - 1) for a, xi in zip(tensor_apply(h, x), x)]
+    return min(ratios), max(ratios)
+
+
+def test_long_path_power_takes_a_quarter_of_the_plain_steps():
+    # the plain loop converges linearly at a rate near 1: about 9k steps here
+    h = tree_power(path(101), 3)
+    pair = power_iteration(h)
+    exact = path_radius(101) ** (2 / 3)
+    assert pair.rho == pytest.approx(exact, rel=1e-10)
+    low, high = cw_bracket(h, pair.x)
+    slack = h.k * sys.float_info.epsilon  # as in the bracket property above
+    assert low * (1.0 - slack) <= exact <= high * (1.0 + slack)
+    plain = reference_power_iteration(h, extrapolate=False)
+    assert 4 * pair.iterations <= plain.iterations
+
+
+def test_extrapolation_halves_the_steps_of_a_seeded_sweep():
+    rng = random.Random(20261019)
+    hosts = [random_supertree(rng.randint(1, 40), rng.randint(2, 6), rng) for _ in range(24)]
+    while len(hosts) < 40:
+        k = rng.randint(2, 6)
+        n = rng.randint(k + 1, 16)
+        h = cyclic_hypergraph(k, n, rng.randint(1, 3 * n), rng)
+        if is_connected(h):
+            hosts.append(h)
+    steps = plain_steps = 0
+    for h in hosts:
+        pair = power_iteration(h)
+        plain = reference_power_iteration(h, extrapolate=False)
+        low, high = cw_bracket(h, pair.x)
+        plain_low, plain_high = cw_bracket(h, plain.x)
+        assert low <= plain_high and plain_low <= high
+        steps += pair.iterations
+        plain_steps += plain.iterations
+    assert 2 * steps <= plain_steps
 
 
 @pytest.mark.parametrize(
@@ -206,6 +252,21 @@ def test_step_budget_boundaries_match_the_reference(h):
         with pytest.raises(NonConvergenceError) as ref_err:
             reference_power_iteration(h, max_iter=budget)
         assert bits(err.value.bracket) == bits(ref_err.value.bracket)
+
+
+def test_each_power_solve_logs_one_debug_record(caplog):
+    h = tree_power(path(21), 3)
+    with caplog.at_level(logging.DEBUG, logger="supertrees"):
+        pair = power_iteration(h)
+        with pytest.raises(NonConvergenceError) as err:
+            power_iteration(h, max_iter=5)
+    records = [r for r in caplog.records if r.name == "supertrees"]
+    assert all(r.levelno == logging.DEBUG for r in records)
+    low, high = cw_bracket(h, pair.x)
+    assert [r.getMessage() for r in records] == [
+        f"power solve: n=41 k=3 steps=110 jumps=8 bracket=[{low!r}, {high!r}]",
+        "power solve: n=41 k=3 steps=5 jumps=0 bracket=[{!r}, {!r}]".format(*err.value.bracket),
+    ]
 
 
 # --- power iteration -------------------------------------------------------------
