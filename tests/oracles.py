@@ -482,8 +482,82 @@ def reference_tensor_apply(h: Hypergraph, x) -> list[float]:
     return out
 
 
+def _reference_solve(a: list[list[float]], b: list[float]) -> list[float] | None:
+    """Gaussian elimination with partial pivoting, written out: None when a
+    pivot is 0 or NaN, or the solution is not finite."""
+    n = len(b)
+    for j in range(n):
+        p = j
+        for r in range(j + 1, n):
+            if abs(a[r][j]) > abs(a[p][j]):
+                p = r
+        if not abs(a[p][j]) > 0.0:
+            return None
+        a[j], a[p] = a[p], a[j]
+        b[j], b[p] = b[p], b[j]
+        for r in range(j + 1, n):
+            f = a[r][j] / a[j][j]
+            for col in range(j + 1, n):
+                a[r][col] = a[r][col] - f * a[j][col]
+            b[r] = b[r] - f * b[j]
+    c = [0.0] * n
+    for j in reversed(range(n)):
+        t = b[j]
+        for r in range(j + 1, n):
+            t = t - a[j][r] * c[r]
+        c[j] = t / a[j][j]
+    if not all(math.isfinite(v) for v in c):
+        return None
+    return c
+
+
+def reference_extrapolate(xs: list[list[float]], k: int) -> list[float] | None:
+    """Minimal polynomial extrapolation of the iterates x_0 .. x_(W+1), one
+    coordinate at a time.  With u_j = x_(j+1) - x_j, it takes c_W = 1 and
+    solves the normal equations sum_j <u_i, u_j> c_j = -<u_i, u_W>, i < W,
+    with each inner product from squared ``math.dist``s by the polarization
+    identity (times 2, which cancels).  Then z = sum_j c_j x_(j+1) / sum(c),
+    renormalised to k-norm 1; None unless that is positive and finite."""
+    w = len(xs) - 2
+
+    def d(p: int, q: int) -> float:
+        return math.dist(xs[p], xs[q]) ** 2 if p != q else 0.0
+
+    def gram(i: int, j: int) -> float:
+        return d(i + 1, j) + d(i, j + 1) - d(i, j) - d(i + 1, j + 1)
+
+    a = [[gram(i, j) for j in range(w)] for i in range(w)]
+    b = [-gram(i, w) for i in range(w)]
+    c = _reference_solve(a, b)
+    if c is None:
+        return None
+    c.append(1.0)
+    total = c[0]
+    for cj in c[1:]:
+        total = total + cj
+    if not 0.0 < abs(total) < math.inf:
+        return None
+    gamma = [cj / total for cj in c]
+    z = [gamma[0] * v for v in xs[1]]
+    for g, x in zip(gamma[1:], xs[2:]):
+        z = [zi + g * xi for zi, xi in zip(z, x)]
+    total = sum(zi**k for zi in z)
+    if not 0.0 < total < math.inf:
+        return None
+    norm = total ** (1.0 / k)
+    z = [zi / norm for zi in z]
+    if not all(0.0 < zi < math.inf for zi in z):
+        return None
+    return z
+
+
 def reference_power_iteration(
-    h: Hypergraph, tol: float = 1e-10, max_iter: int = 100_000, *, extrapolate: bool = True
+    h: Hypergraph,
+    tol: float = 1e-10,
+    max_iter: int = 100_000,
+    *,
+    extrapolate: bool = True,
+    window: int = 8,
 ) -> PrincipalPair:
     """The power method of ``power_iteration``, one coordinate at a time on
     ``reference_tensor_apply``: the step is ``y = Ax + x^[k-1]`` at k = 2
@@ -491,17 +565,15 @@ def reference_power_iteration(
     weakly primitive, so for connected input it converges.  Past
     ``max_iter`` it raises NonConvergenceError with the last bracket.
 
-    With ``extrapolate`` each step also estimates the ratio of its slowest
-    mode, mu = <d, d_prev> / <d_prev, d_prev> for the differences d of
-    successive iterates (from ``math.dist`` by the polarization identity,
-    as ``power_iteration`` forms it).  When two consecutive estimates lie
-    in (0, 1) and agree within 1e-2 (1 - mu), it jumps to
-    x + mu / (1 - mu) d, renormalised, if that is positive and finite, and
-    restarts the estimate.  Without it this is the plain loop."""
+    With ``extrapolate``, every ``window + 1`` steps it replaces the iterate
+    by ``reference_extrapolate`` of the ``window + 2`` iterates since the
+    last replacement (``window`` is ``spectral.MPE_WINDOW``), when that is
+    not None, and starts the next cycle from it either way.  Without it
+    this is the plain loop."""
     k = h.k
     km1 = k - 1
     x = [h.n ** (-1.0 / k)] * h.n
-    xp, dd_prev, mu_prev = x, 0.0, math.nan
+    cycle = [x]
     for it in range(1, max_iter + 1):
         ax = reference_tensor_apply(h, x)
         pw = [xi**km1 for xi in x]
@@ -515,27 +587,15 @@ def reference_power_iteration(
         y = [a + p for a, p in zip(ax, pw)] if k == 2 else ax
         y = [yi ** (1.0 / km1) for yi in y]
         norm = sum(yi**k for yi in y) ** (1.0 / k)
-        y = [yi / norm for yi in y]
+        x = [yi / norm for yi in y]
         if not extrapolate:
-            x = y
             continue
-        dd = math.dist(y, x) ** 2
-        if dd_prev > 0.0:
-            # <y - x, x - xp> by the polarization identity
-            mu = (math.dist(y, xp) ** 2 - dd - dd_prev) / (2.0 * dd_prev)
-        else:
-            mu = math.nan
-        if 0.0 < mu_prev < 1.0 and 0.0 < mu < 1.0 and abs(mu - mu_prev) <= 1e-2 * (1.0 - mu):
-            c = mu / (1.0 - mu)
-            z = [yi + c * (yi - xi) for yi, xi in zip(y, x)]
-            total = sum(zi**k for zi in z)
-            if 0.0 < total < math.inf:
-                norm = total ** (1.0 / k)
-                z = [zi / norm for zi in z]
-                if all(0.0 < zi < math.inf for zi in z):
-                    x, dd_prev, mu_prev = z, 0.0, math.nan
-                    continue
-        xp, x, dd_prev, mu_prev = x, y, dd, mu
+        cycle.append(x)
+        if len(cycle) == window + 2:
+            z = reference_extrapolate(cycle, k)
+            if z is not None:
+                x = z
+            cycle = [x]
     raise NonConvergenceError(
         f"reference power iteration did not converge in {max_iter} steps", bracket=(lam_lo, lam_hi)
     )

@@ -37,12 +37,13 @@ from supertrees import (
     tensor_apply,
     tree_power,
 )
-from supertrees.spectral import DEFAULT_MAX_ITER
+from supertrees.spectral import DEFAULT_MAX_ITER, _extrapolate
 
 from oracles import (
     eig_tree_radius,
     path_radius,
     random_tree,
+    reference_extrapolate,
     reference_power_iteration,
     reference_tensor_apply,
     star_radius,
@@ -81,6 +82,22 @@ def test_tensor_apply_scale_invariance():
 def test_tensor_apply_handles_zero_coordinates():
     h = Hypergraph(k=3, n=3, edges=((0, 1, 2),))
     assert tensor_apply(h, [0.0, 2.0, 3.0]) == [6.0, 0.0, 0.0]
+
+
+def test_tensor_apply_rejects_coordinates_that_are_not_floats():
+    # an int or bool once passed through a leaf's one-slot gather unconverted:
+    # [1] * 7 gave [3.0, 1, 1, 1, 1, 1, 1], and True read as 1
+    h = hyperstar(3, 3)
+    for x, bad in (
+        ([1] * 7, "coordinate 0 of x is 1,"),
+        ([True] * 7, "coordinate 0 of x is True,"),
+        ([1.0] * 6 + [2], "coordinate 6 of x is 2,"),
+        ([1.0] * 6 + ["1"], "coordinate 6 of x is '1',"),
+    ):
+        with pytest.raises(ValueError, match=bad):
+            tensor_apply(h, x)
+    with pytest.raises(ValueError, match="not a float"):
+        eigen_residual(h, 2.0, [1] * 7)
 
 
 def bits(xs) -> list[bytes]:
@@ -187,10 +204,44 @@ def test_unshifted_iteration_converges_at_k_above_two(h):
 
 def test_step_counts_are_pinned():
     # exact counts of the unshifted step at k >= 3, so a slower step rule
-    # shows; the path jumps along its slow mode (493 steps without), the
-    # hyperstar converges before any jump
-    assert power_iteration(tree_power(path(21), 3)).iterations == 110
-    assert power_iteration(hyperstar(1000, 3)).iterations == 38
+    # shows.  Without extrapolation the path takes 493 steps; the random
+    # supertree has two slow modes close together, and the slowest mode the
+    # hyperstar and the broom excite is negative, at -1/2
+    assert power_iteration(tree_power(path(21), 3)).iterations == 51
+    assert power_iteration(hyperstar(1000, 3)).iterations == 19
+    random_k5 = random_supertree(300, 5, random.Random("supertree-k5-m300"))
+    assert power_iteration(random_k5).iterations == 85
+    assert power_iteration(broom(1, 1, 997, 3)).iterations == 23
+
+
+def _two_mode_iterates(limit: list[float]) -> list[list[float]]:
+    # x_j = limit + 0.9^j e1 + (-0.5)^j e2: two modes, so a window of 2
+    # (four iterates) recovers the limit up to rounding
+    e1, e2 = [0.3, 0.2, 0.2], [-0.2, 0.1, 0.1]
+    return [[v + 0.9**j * a + (-0.5) ** j * b for v, a, b in zip(limit, e1, e2)] for j in range(4)]
+
+
+def test_extrapolation_recovers_the_limit_of_two_modes():
+    limit = [0.5, 0.7, 0.4]
+    z = _extrapolate(_two_mode_iterates(limit), 3.0)
+    norm = sum(v**3 for v in limit) ** (1 / 3)
+    assert z == pytest.approx([v / norm for v in limit], rel=1e-9)
+    assert bits(z) == bits(reference_extrapolate(_two_mode_iterates(limit), 3))
+
+
+def test_extrapolation_rejects_a_negative_coordinate():
+    # every iterate is positive, but the combination they point to is not
+    xs = _two_mode_iterates([0.5, -0.05, 0.4])
+    assert all(v > 0.0 for x in xs for v in x)
+    assert _extrapolate(xs, 3.0) is None
+    assert reference_extrapolate(xs, 3) is None
+
+
+def test_extrapolation_rejects_a_singular_solve():
+    # iterates that no longer move give an all-zero Gram matrix
+    xs = [[0.5, 0.7, 0.4]] * 4
+    assert _extrapolate(xs, 3.0) is None
+    assert reference_extrapolate(xs, 3) is None
 
 
 def cw_bracket(h, x) -> tuple[float, float]:
@@ -264,9 +315,20 @@ def test_each_power_solve_logs_one_debug_record(caplog):
     assert all(r.levelno == logging.DEBUG for r in records)
     low, high = cw_bracket(h, pair.x)
     assert [r.getMessage() for r in records] == [
-        f"power solve: n=41 k=3 steps=110 jumps=8 bracket=[{low!r}, {high!r}]",
-        "power solve: n=41 k=3 steps=5 jumps=0 bracket=[{!r}, {!r}]".format(*err.value.bracket),
+        f"power solve: n=41 k=3 steps=51 jumps=5 rejected=0 bracket=[{low!r}, {high!r}]",
+        "power solve: n=41 k=3 steps=5 jumps=0 rejected=0 bracket=[{!r}, {!r}]".format(
+            *err.value.bracket
+        ),
     ]
+
+
+def test_debug_record_counts_rejected_extrapolations(caplog):
+    # the first extrapolation from the uniform start has a negative coordinate
+    h = random_supertree(300, 3, random.Random("supertree-k3-m300"))
+    with caplog.at_level(logging.DEBUG, logger="supertrees"):
+        power_iteration(h)
+    (record,) = [r for r in caplog.records if r.name == "supertrees"]
+    assert "steps=89 jumps=8 rejected=1 " in record.getMessage()
 
 
 # --- power iteration -------------------------------------------------------------
@@ -371,6 +433,19 @@ def test_residual_detects_perturbation():
     x = list(pair.x)
     x[1] += 0.1
     assert eigen_residual(hyperstar(3, 3), pair.rho, x) > 1e-10
+
+
+def test_residual_rejects_a_rho_that_is_not_a_finite_real():
+    # True was read as 1: eigen_residual(hyperstar(3, 3), True, x) gave 2.0
+    h = hyperstar(3, 3)
+    x = [1.0] * h.n
+    for rho in (True, False, "3", 3j, None):
+        with pytest.raises(ValueError, match="rho must be a real number"):
+            eigen_residual(h, rho, x)
+    for rho in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="rho must be finite"):
+            eigen_residual(h, rho, x)
+    assert eigen_residual(h, 3, x) == eigen_residual(h, 3.0, x) == 2.0
 
 
 def test_power_iteration_residual_within_tolerance():
