@@ -557,7 +557,6 @@ def reference_power_iteration(
     max_iter: int = 100_000,
     *,
     extrapolate: bool = True,
-    window: int = 8,
 ) -> PrincipalPair:
     """The power method of ``power_iteration``, one coordinate at a time on
     ``reference_tensor_apply``: the step is ``y = Ax + x^[k-1]`` at k = 2
@@ -567,9 +566,9 @@ def reference_power_iteration(
 
     With ``extrapolate``, every ``window + 1`` steps it replaces the iterate
     by ``reference_extrapolate`` of the ``window + 2`` iterates since the
-    last replacement (``window`` is ``spectral.MPE_WINDOW``), when that is
-    not None, and starts the next cycle from it either way.  Without it
-    this is the plain loop."""
+    last replacement, when that is not None, and starts the next cycle from
+    it either way.  Without it this is the plain loop."""
+    window = 8  # spectral.MPE_WINDOW; the oracle imports nothing from spectral
     k = h.k
     km1 = k - 1
     x = [h.n ** (-1.0 / k)] * h.n
