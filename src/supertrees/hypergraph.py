@@ -263,8 +263,8 @@ def is_supertree(h: Hypergraph) -> bool:
 # one step, to the root's child on the path to e (to the new V node when
 # the parent is a single edge).  ``_encode_grown`` appends the new nodes to
 # copies of the parent's lists, or runs one search from the moved centre,
-# and hands the levels to ``_ahu``.  ``_growth_context`` is computed once
-# per parent and ``_attach_pendent_edge`` records it on each candidate.
+# and hands the levels to ``_ahu``.  A parent's growth context is computed
+# once and ``_attach_pendent_edge`` records it on each candidate.
 #
 # Growing at two vertices that an automorphism of the parent swaps gives
 # isomorphic candidates, so ``_grown_key`` encodes one key per orbit and
@@ -272,16 +272,30 @@ def is_supertree(h: Hypergraph) -> bool:
 # fixes the centre and keeps each node's AHU label, and two children of one
 # node with equal labels root isomorphic subtrees that can be swapped, so two
 # nodes share an orbit exactly when the labels on their paths from the centre
-# agree.  ``_growth_context`` runs ``_ahu`` on the parent to get its labels
-# and numbers the orbits in the pass that fills depth and branch: the centre
-# is 0 and a child interns the pair (its parent's orbit, its own label).  A
-# pendent vertex takes its edge's orbit, since an edge's pendent vertices are
-# interchangeable; an E node and a V node never share a number, as the first
-# entries of their pairs come from nodes of the other type.  The keys need
-# only that equal orbits give isomorphic candidates; that the numbers are
-# exactly the automorphism orbits keeps the passes to one per orbit: two for
-# a hyperstar parent, 1,612 for the verify-exhaustive benchmark's 3,719
-# candidates.
+# agree.  ``_tree_context`` takes the parent's labels from the AHU pass that
+# keyed it and numbers the orbits in the pass that fills depth and branch:
+# the centre is 0 and a child interns the pair (its parent's orbit, its own
+# label).  A pendent vertex takes its edge's orbit, since an edge's pendent
+# vertices are interchangeable; an E node and a V node never share a number,
+# as the first entries of their pairs come from nodes of the other type.  The
+# keys need only that equal orbits give isomorphic candidates; that the
+# numbers are exactly the automorphism orbits keeps the passes to one per
+# orbit: two for a hyperstar parent, 1,612 for the verify-exhaustive
+# benchmark's 3,719 candidates.
+#
+# A class's own context comes from the tree its key was encoded from, so no
+# class is rebuilt from its edges or labelled twice.  The orbit memo maps
+# each orbit to its key and to the grown tree that ``_encode_grown`` built
+# and ``_ahu`` labelled: kinds, adjacency, levels and labels, and the
+# parent's vertex-to-node and vertex-to-edge-node maps extended by the k - 1
+# new vertices (new nodes are numbered after the parent's, so an edge's
+# node need not be its index in the edge tuple).  The enumeration keeps a
+# class's first candidate as its representative, and that candidate is the
+# first of its orbit, so the memo holds exactly its tree; ``_kept_tree``
+# copies it into tuples, which the garbage collector stops scanning, and
+# ``_tree_context`` derives depth, branch, orbits and attachments from it
+# when the class is grown.  Only the one-edge seed's context is built from
+# its edges, by ``_growth_context``.
 
 
 def canonical_key(h: Hypergraph) -> bytes:
@@ -306,15 +320,18 @@ def canonical_key(h: Hypergraph) -> bytes:
     growth context and the vertex it grew at (``_attach_pendent_edge``).
     Its key is built from the parent's centred tree, not from the edge list,
     with the same bytes, once per automorphism orbit of the parent's
-    vertices; the other candidates of an orbit read it from the context.
+    vertices; the other candidates of an orbit read it from the context,
+    whose memo also holds the tree each orbit's key was encoded from.
     ``_grow`` is then dropped, so a candidate keeps no parent's tree alive
     once keyed.  The verify-exhaustive benchmark's 3,719 candidates fall into
-    1,612 orbits of their 271 parents.  There a candidate's key, its share of
-    the parent's context included, costs about 11 us, against 19.5 us when
-    every candidate was encoded from the parent's tree and 30 us from the
-    edge list (medians of five runs, each the best of 15 passes, Python
-    3.11.7, shared 2-core machine).  Every other hypergraph is keyed from
-    its edges.
+    1,612 orbits of their 271 parents, and each parent but the three
+    one-edge seeds takes its context from the tree it was keyed from.  There
+    a candidate's key, its share of the parent's context included, costs
+    about 9 us, against 10.5 us when each parent's context was rebuilt from
+    its edges, 19.5 us when every candidate was encoded from the parent's
+    tree and 30 us from the edge list (medians of five runs, each the best
+    of 15 passes, Python 3.11.7, shared 2-core machine).  Every other
+    hypergraph is keyed from its edges.
     """
     key = h.__dict__.get("_key")
     if key is None:
@@ -374,7 +391,7 @@ def _centred_tree(h: Hypergraph):
                 if degree[w] == 1:
                     inner.append(w)
         layer = inner
-    kind = ["E"] * m + ["V"] * (size - m)
+    kind = "E" * m + "V" * (size - m)
     return kind, adj, _levels(adj, layer[0]), node
 
 
@@ -397,7 +414,7 @@ def _levels(adj: list[list[int]], root: int) -> list[list[int]]:
 
 
 def _ahu(
-    k: int, kind: list[str], adj: list[list[int]], levels: list[list[int]], label=None
+    k: int, kind: str, adj: list, levels: list, label=None
 ) -> bytes:
     """The key bytes of the rooted tree given by its levels (see above).
 
@@ -428,16 +445,32 @@ def _ahu(
 
 
 def _growth_context(h: Hypergraph) -> tuple:
-    """What keying ``h`` plus one pendent edge needs from ``h``: its centred
-    tree (``kind, adj, levels``), each node's depth and branch (the centre's
-    neighbour it lies under; the centre is its own), each vertex's node (-1
-    when pendent), the edge that holds each pendent vertex, each vertex's
-    attachment orbit and a memo from orbit to grown key, empty here.  Raises
-    ValueError for a non-supertree.
+    """The growth context of ``h``, built from its edge list: ``h``'s centred
+    tree, one more AHU pass for its labels, and the edge of each vertex.
+    The enumeration builds only its one-edge seed's context this way; every
+    other class's comes from ``_tree_context``.  Raises ValueError for a
+    non-supertree.
     """
     kind, adj, levels, node = _centred_tree(h)
     label = [""] * len(adj)
     _ahu(h.k, kind, adj, levels, label)
+    edge_of = [0] * h.n
+    for i, e in enumerate(h.edges):
+        for v in e:
+            edge_of[v] = i
+    return _tree_context((kind, adj, levels, label, node, edge_of))
+
+
+def _tree_context(tree: tuple) -> tuple:
+    """What keying a supertree plus one pendent edge needs, from its labelled
+    centred tree ``(kind, adj, levels, label, node, edge_of)``: ``kind, adj,
+    levels``, each node's depth and branch (the centre's neighbour it lies
+    under; the centre is its own), ``node`` (each vertex's node, -1 when
+    pendent), ``edge_of`` (the edge node that holds each pendent vertex),
+    each vertex's attachment orbit, numbered from ``label``, and a memo from
+    orbit to grown key and tree, empty here.
+    """
+    kind, adj, levels, label, node, edge_of = tree
     depth = [0] * len(adj)
     branch = list(range(len(adj)))
     orbit = [0] * len(adj)
@@ -452,10 +485,6 @@ def _growth_context(h: Hypergraph) -> tuple:
                     orbit[c] = ids.setdefault((orbit[x], label[c]), len(ids) + 1)
                     if depth[x]:
                         branch[c] = branch[x]
-    edge_of = [0] * h.n
-    for i, e in enumerate(h.edges):
-        for v in e:
-            edge_of[v] = i
     attach = [orbit[e if x < 0 else x] for x, e in zip(node, edge_of)]
     return kind, adj, levels, depth, branch, node, edge_of, attach, {}
 
@@ -463,42 +492,69 @@ def _growth_context(h: Hypergraph) -> tuple:
 def _grown_key(k: int, ctx: tuple, v: int) -> bytes:
     """The key of the parent of ``ctx`` plus a pendent edge at vertex ``v``:
     the one its attachment orbit already has, else ``_encode_grown``'s."""
-    orbit, keys = ctx[7:]
-    key = keys.get(orbit[v])
-    if key is None:
-        key = keys[orbit[v]] = _encode_grown(k, ctx, v)
-    return key
+    orbit, trees = ctx[7:]
+    grown = trees.get(orbit[v])
+    if grown is None:
+        grown = trees[orbit[v]] = _encode_grown(k, ctx, v)
+    return grown[0]
 
 
-def _encode_grown(k: int, ctx: tuple, v: int) -> bytes:
+def _encode_grown(k: int, ctx: tuple, v: int) -> tuple:
     """The key of the parent of ``ctx`` plus a pendent edge at vertex ``v``,
-    from the parent's centred tree (see the comment above)."""
+    from the parent's centred tree (see the comment above), and the grown
+    tree it encoded, labelled, as ``_tree_context`` takes it."""
     kind, adj, levels, depth, branch, node, edge_of, _, _ = ctx
     size = len(adj)
-    adj = adj.copy()
+    adj = [*adj]
     x = node[v]
+    node = [*node, *[-1] * (k - 1)]
     if x >= 0:
         # one E leaf under v's node, never below the deepest level
-        adj[x] = adj[x] + [size]
-        adj.append([x])
-        levels = levels.copy()
+        leaf = size
+        adj[x] = (*adj[x], leaf)
+        adj.append((x,))
+        kind += "E"
+        levels = [*levels]
         d = depth[x] + 1
-        levels[d] = levels[d] + [size]
-        return _ahu(k, kind + ["E"], adj, levels)
-    # v turns non-pendent: its V node under its edge e, the E leaf under that
-    e = edge_of[v]
-    adj[e] = adj[e] + [size]
-    adj += ([e, size + 1], [size])
-    kind = kind + ["V", "E"]
-    d = depth[e]
-    if d + 2 < len(levels):
-        levels = levels.copy()
-        levels[d + 1] = levels[d + 1] + [size]
-        levels[d + 2] = levels[d + 2] + [size + 1]
-        return _ahu(k, kind, adj, levels)
-    # e is on the deepest level: the centre moves one step toward it, to its
-    # branch, or to the new V node when the parent is a single edge
-    return _ahu(k, kind, adj, _levels(adj, branch[e] if d else size))
+        levels[d] = (*levels[d], leaf)
+    else:
+        # v turns non-pendent: its V node under its edge e, the E leaf under that
+        e = edge_of[v]
+        leaf = size + 1
+        adj[e] = (*adj[e], size)
+        adj += ((e, leaf), (size,))
+        kind += "VE"
+        node[v] = size
+        d = depth[e]
+        if d + 2 < len(levels):
+            levels = [*levels]
+            levels[d + 1] = (*levels[d + 1], size)
+            levels[d + 2] = (*levels[d + 2], leaf)
+        else:
+            # e is on the deepest level: the centre moves one step toward
+            # it, to its branch, or to the new V node when the parent is a
+            # single edge
+            levels = _levels(adj, branch[e] if d else size)
+    # the new edge's k - 1 new vertices are pendent, in its E leaf
+    edge_of = [*edge_of, *[leaf] * (k - 1)]
+    label = [""] * len(adj)
+    return _ahu(k, kind, adj, levels, label), (kind, adj, levels, label, node, edge_of)
+
+
+def _kept_tree(ctx: tuple, v: int) -> tuple:
+    """The tree that the parent of ``ctx`` grown at ``v`` was encoded from,
+    copied into tuples: a tree of ints and strs only, which the garbage
+    collector stops scanning.  ``v`` must be the first vertex of its
+    attachment orbit that was keyed, so the orbit's memo holds its own tree."""
+    kind, adj, levels, label, node, edge_of = ctx[8][ctx[7][v]][1]
+    return (
+        kind,
+        tuple(map(tuple, adj)),
+        tuple(map(tuple, levels)),
+        tuple(label),
+        tuple(node),
+        tuple(edge_of),
+    )
 
 
 def _attach_pendent_edge(h: Hypergraph, v: int, ctx: tuple) -> Hypergraph:
@@ -512,7 +568,9 @@ def _attach_pendent_edge(h: Hypergraph, v: int, ctx: tuple) -> Hypergraph:
     ``v`` must be an int (a bool or float raises ValueError), since
     ``canonical_key`` trusts the edge built here.
 
-    ``ctx`` must be ``_growth_context(h)``.  It is recorded with ``v`` on the
+    ``ctx`` must be ``h``'s growth context: ``_growth_context(h)``, or
+    ``_tree_context`` of the tree ``h`` was keyed from, whose vertex maps
+    follow ``h``'s numbering.  It is recorded with ``v`` on the
     result as the attribute ``_grow``, from which ``canonical_key`` keys the
     result without reading its edges; like ``_key`` it is no dataclass
     field, so ``==``, hashing, ``repr`` and ``to_interchange`` ignore it.

@@ -7,13 +7,16 @@ isomorphism classes.  Each candidate is spliced: its new edge, whose vertices
 are fresh and larger than every old one, goes into the parent's sorted edge
 tuple by bisection, with no re-sort or revalidation, which is exact (see
 ``hypergraph._attach_pendent_edge``), and is keyed once.  Its key comes from
-its parent's centred tree, built once per parent (``_growth_context``): the
-candidate's tree is that tree plus one or two nodes, so no candidate's edge
-list is read again.  Candidates grown at vertices in one automorphism orbit
-of their parent are isomorphic and share one encoding, so the
-verify-exhaustive benchmark's 3,719 candidates take 1,612 AHU passes; a
-key costs about 11 us there, the parent's share included, against 19.5 us
-with one pass per candidate and 30 us from the edge list.  The
+its parent's centred tree: the candidate's tree is that tree plus one or two
+nodes, so no candidate's edge list is read again.  Candidates grown at
+vertices in one automorphism orbit of their parent are isomorphic and share
+one encoding, so the verify-exhaustive benchmark's 3,719 candidates take
+1,612 AHU passes.  Each new class keeps, in tuples, the labelled tree its key
+was encoded from, and its growth context is derived from that tree when it
+is grown (``_tree_context``); only the one-edge seed's is built from its
+edges.  A key costs about 9 us there, the parent's context included,
+against 10.5 us with contexts rebuilt from edges, 19.5 us with one pass per
+candidate and 30 us from the edge list.  The
 verifiers rank the classes by spectral radius and check the expected
 top-of-order families, the branch-count partition ordering, the edge-moving
 monotonicity on every admissible move of every class, and the non-pendent
@@ -45,7 +48,9 @@ from .hypergraph import (
     _attach_pendent_edge,
     _debug_logger,
     _growth_context,
+    _kept_tree,
     _strict_int,
+    _tree_context,
     canonical_key,
     incidence_lists,
     is_supertree,
@@ -109,24 +114,29 @@ def enumerate_supertrees(m: int, k: int, limit: int = DEFAULT_ENUM_LIMIT) -> lis
         raise EnumerationLimitError(f"m = {m} exceeds the enumeration limit {limit}")
     log = _debug_logger()
     first = hyperstar(1, k)
-    reps = {canonical_key(first): first}
+    reps = {canonical_key(first): (first, None)}
     for size in range(2, m + 1):
-        grown: dict[bytes, Hypergraph] = {}
+        grown: dict[bytes, tuple] = {}
         encoded = 0
-        for h in reps.values():
-            ctx = _growth_context(h)
+        for h, tree in reps.values():
+            # only the one-edge seed is read from its edges; every other
+            # class grows from the tree its key was encoded from
+            ctx = _growth_context(h) if tree is None else _tree_context(tree)
             for v in range(h.n):
                 cand = _attach_pendent_edge(h, v, ctx)
-                grown.setdefault(canonical_key(cand), cand)
-            # the context's last field memoizes one key per orbit encoded
+                key = canonical_key(cand)
+                if key not in grown:
+                    # a new key is its orbit's first, so the memo holds its tree
+                    grown[key] = cand, _kept_tree(ctx, v) if size < m else None
+            # the context's last field memoizes one key and tree per orbit encoded
             encoded += len(ctx[-1])
         if log is not None:
             log.debug(
                 "enumeration level: m=%d k=%d candidates=%d keys=%d classes=%d",
-                size, k, sum(h.n for h in reps.values()), encoded, len(grown),
+                size, k, sum(h.n for h, _ in reps.values()), encoded, len(grown),
             )
         reps = grown
-    return [reps[key] for key in sorted(reps)]
+    return [reps[key][0] for key in sorted(reps)]
 
 
 def random_supertree(m: int, k: int, rng: random.Random) -> Hypergraph:

@@ -1,6 +1,7 @@
 """Structure, predicates, canonical keys, and the isomorphism oracle."""
 
 import dataclasses
+import gc
 import random
 import signal
 import tracemalloc
@@ -28,7 +29,15 @@ from supertrees import (
     tree_power,
     vertex_stats,
 )
-from supertrees.hypergraph import _attach_pendent_edge, _encode, _growth_context
+import supertrees.ordering as ordering
+from supertrees.hypergraph import (
+    _attach_pendent_edge,
+    _encode,
+    _encode_grown,
+    _growth_context,
+    _kept_tree,
+    _tree_context,
+)
 
 from oracles import (
     COUNT_ONLY_NON_SUPERTREES,
@@ -39,6 +48,7 @@ from oracles import (
     edge_sets,
     reference_canonical_key,
     reference_edges,
+    supertree_counts,
     vertex_orbits,
 )
 
@@ -386,14 +396,20 @@ def test_a_grown_key_survives_relabelling_and_a_moving_centre(k, m, seed, deepes
     assert canonical_key(cand) == _encode(cand) == reference_canonical_key(cand)
 
 
-def attachment_orbits(h: Hypergraph) -> list[list[int]]:
-    """The vertices of ``h`` grouped by their growth context's attachment
-    orbit, in the order ``vertex_orbits`` uses."""
-    *_, orbits, _ = _growth_context(h)
+def orbit_groups(orbits: list[int]) -> list[list[int]]:
+    """The vertices grouped by their attachment orbit numbers, in the order
+    ``vertex_orbits`` uses."""
     groups: dict[int, list[int]] = {}
     for v, orbit in enumerate(orbits):
         groups.setdefault(orbit, []).append(v)
     return sorted(groups.values())
+
+
+def attachment_orbits(h: Hypergraph) -> list[list[int]]:
+    """The vertices of ``h`` grouped by the attachment orbits of the growth
+    context built from its edges."""
+    *_, orbits, _ = _growth_context(h)
+    return orbit_groups(orbits)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -412,6 +428,75 @@ def test_attachment_orbits_survive_relabelling():
     for _ in range(20):
         h = shuffled(random_supertree(rng.randint(1, 10), rng.randint(2, 4), rng), rng)
         assert attachment_orbits(h) == vertex_orbits(h)
+
+
+def assert_keys_like_the_edges(h: Hypergraph, ctx: tuple) -> None:
+    """Every splice of ``h`` keys from ``ctx`` as the same splice built
+    through the constructor keys from its edges, and ``ctx`` has the
+    attachment orbits of the context built from ``h``'s edges.  Keys go
+    through a copy of ``ctx`` with an empty memo, so ``ctx``'s own memo keeps
+    the trees its enumeration kept."""
+    k = h.k
+    fresh = (*ctx[:-1], {})
+    for v in range(h.n):
+        built = Hypergraph(k=k, n=h.n + k - 1, edges=h.edges + ((v, *range(h.n, h.n + k - 1)),))
+        key = _encode(built)
+        assert _encode_grown(k, ctx, v)[0] == key
+        assert canonical_key(_attach_pendent_edge(h, v, fresh)) == key
+    assert orbit_groups(ctx[7]) == attachment_orbits(h)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_a_derived_context_keys_like_one_built_from_the_edges(monkeypatch, k):
+    # every class with m <= 7 is a parent on the way to 8 edges; all but the
+    # one-edge seed grow from the tree their key was encoded from
+    contexts = []
+    attach = ordering._attach_pendent_edge
+
+    def tracked(h, v, ctx):
+        if v == 0:
+            contexts.append((h, ctx))
+        return attach(h, v, ctx)
+
+    monkeypatch.setattr(ordering, "_attach_pendent_edge", tracked)
+    enumerate_supertrees(8, k, limit=8)
+    assert len(contexts) == sum(supertree_counts(k, 7).values())
+    for h, ctx in contexts:
+        assert_keys_like_the_edges(h, ctx)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_a_derived_context_follows_a_moving_centre(k):
+    # a path power grown at its last vertex: each new edge lands two levels
+    # below the deepest, so every step moves the centre, and each context
+    # comes from the tree of the step before
+    h = hyperstar(1, k)
+    ctx = _growth_context(h)
+    for m in range(2, 17):
+        v = h.n - 1
+        cand = _attach_pendent_edge(h, v, ctx)
+        assert canonical_key(cand) == canonical_key(tree_power(path(m + 1), k))
+        child = _tree_context(_kept_tree(ctx, v))
+        # the reduced path has 2m - 1 nodes and its centre in the middle
+        assert len(child[2]) == len(ctx[2]) + 1 == m
+        h, ctx = cand, child
+        assert_keys_like_the_edges(h, ctx)
+
+
+def test_a_kept_tree_holds_nothing_the_collector_scans():
+    h = broom(1, 2, 3, 3)
+    ctx = _growth_context(h)
+    firsts = {}
+    for v in range(h.n):
+        canonical_key(_attach_pendent_edge(h, v, ctx))
+        firsts.setdefault(ctx[7][v], v)
+    trees = [_kept_tree(ctx, v) for v in firsts.values()]
+    # a collection untracks a tuple once all it holds is untracked, so a
+    # tree three tuples deep is untracked after at most three
+    for _ in range(3):
+        gc.collect()
+    assert len(trees) == len(ctx[8]) > 1
+    assert not any(gc.is_tracked(t) for t in trees)
 
 
 def test_a_grown_candidate_hides_its_growth_context():

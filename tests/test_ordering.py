@@ -264,24 +264,48 @@ def test_discarded_candidates_are_freed(monkeypatch):
     assert all("_key" in vars(h) for h in reps)
 
 
+class WatchedTree(list):
+    """A kept tree's fields in a list, which unpacks like the tuple and,
+    unlike it, can be watched by a weakref."""
+
+
 def test_no_class_keeps_its_growth_context_or_its_ancestors(monkeypatch):
     m, k = 6, 3
     grown = sum(len(enumerate_supertrees(j, k)) for j in range(1, m))
-    parents = []
-    context = ordering._growth_context
+    seeds, parents, trees = [], [], []
+    context, attach = ordering._growth_context, ordering._attach_pendent_edge
+    keep = ordering._kept_tree
 
-    def tracked(h):
-        parents.append(weakref.ref(h))
+    def tracked_context(h):
+        seeds.append(h.m)
         return context(h)
 
-    monkeypatch.setattr(ordering, "_growth_context", tracked)
+    def tracked_attach(h, v, ctx):
+        if v == 0:  # each parent is grown from its vertex 0 on
+            parents.append(weakref.ref(h))
+        return attach(h, v, ctx)
+
+    def tracked_keep(ctx, v):
+        tree = WatchedTree(keep(ctx, v))
+        trees.append(weakref.ref(tree))
+        return tree
+
+    monkeypatch.setattr(ordering, "_growth_context", tracked_context)
+    monkeypatch.setattr(ordering, "_attach_pendent_edge", tracked_attach)
+    monkeypatch.setattr(ordering, "_kept_tree", tracked_keep)
     reps = enumerate_supertrees(m, k)
     report = rank_spectra(m, k)
-    # every class is keyed, its context dropped, and every parent freed
+    # only the one-edge seeds are read from their edges; every other parent
+    # grows from a tree kept one level earlier, and the last level keeps none
+    assert seeds == [1, 1]
     assert len(parents) == 2 * grown
+    assert len(trees) == 2 * (grown - 1)
+    # every class is keyed, its context dropped, and every parent and
+    # every kept tree freed
     for h in [*reps, *(e.hypergraph for e in report.entries)]:
         assert "_grow" not in vars(h) and "_key" in vars(h)
     assert all(ref() is None for ref in parents)
+    assert all(ref() is None for ref in trees)
 
 
 def count_grown_encodings(monkeypatch) -> list:
