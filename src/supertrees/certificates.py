@@ -19,11 +19,18 @@ midpoint.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .constructors import broom
 from .errors import BracketError, IncidenceMismatchError, PositivityError
-from .hypergraph import Hypergraph, _debug_logger, incidence_lists, is_supertree, vertex_stats
+from .hypergraph import (
+    Hypergraph,
+    _debug_logger,
+    _read_only,
+    incidence_lists,
+    is_supertree,
+    vertex_stats,
+)
 
 DEFAULT_CERT_TOL = 1e-9
 #: The radius solver stops once its bracket is this many ulps wide.
@@ -39,32 +46,47 @@ STRICTLY_SUPERNORMAL = "strictly-supernormal"
 NEITHER = "neither"
 
 
-@dataclass(frozen=True)
 class WeightedIncidence:
-    """Positive weights on exactly the incident (vertex, edge index) pairs."""
+    """Positive weights on exactly the incident (vertex, edge index) pairs.
+
+    Immutable like its host; two are equal when their hosts and weights are,
+    and, holding a dict, it is unhashable.
+    """
 
     host: Hypergraph
-    entries: dict[tuple[int, int], float] = field(compare=False)
+    entries: dict[tuple[int, int], float]
 
-    def __post_init__(self):
-        expected = {(v, i) for i, e in enumerate(self.host.edges) for v in e}
-        got = set(self.entries)
+    def __init__(self, host: Hypergraph, entries: dict[tuple[int, int], float]):
+        expected = {(v, i) for i, e in enumerate(host.edges) for v in e}
+        got = set(entries)
         if got != expected:
             missing = sorted(expected - got)[:3]
             extra = sorted(got - expected)[:3]
             raise IncidenceMismatchError(
                 f"entries do not match incidence (missing {missing}, extra {extra})"
             )
-        for pair, w in self.entries.items():
+        for pair, w in entries.items():
             if not w > 0.0:
                 raise PositivityError(f"weight at {pair} must be positive, got {w}")
+        object.__setattr__(self, "host", host)
+        object.__setattr__(self, "entries", entries)
+
+    __setattr__ = __delattr__ = _read_only
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not WeightedIncidence:
+            return NotImplemented
+        return (self.host, self.entries) == (other.host, other.entries)
+
+    def __repr__(self):
+        return f"WeightedIncidence(host={self.host!r}, entries={self.entries!r})"
 
     def weight(self, v: int, e_idx: int) -> float:
         return self.entries[(v, e_idx)]
 
 
-@dataclass(frozen=True)
-class CertificateVerdict:
+class CertificateVerdict(NamedTuple):
     """Classification of (H, B, alpha) with per-constraint slacks.
 
     ``vertex_slacks[v]`` is 1 minus the weight sum at v; ``edge_slacks[i]``
@@ -206,8 +228,7 @@ def t11m3_certificate(m: int, k: int, alpha: float) -> WeightedIncidence:
 # --- leaf-to-root propagation and the bracketing radius solver --------------
 
 
-@dataclass(frozen=True)
-class _Plan:
+class _Plan(NamedTuple):
     """A supertree rooted once, for repeated propagation at different alphas.
 
     The root is the first vertex of maximum degree (every edge of a

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect
-from dataclasses import dataclass
 from itertools import chain, islice
 from operator import itemgetter, lt
+from typing import NamedTuple
 
 from .errors import MultipleEdgeError
 
@@ -27,9 +27,10 @@ def _strict_int(value, what: str) -> int:
 def _debug_logger():
     """The ``supertrees`` logger if it is enabled for DEBUG, else None.
 
-    The package does not import ``logging`` itself: that import takes 7-10
-    ms, a tenth of a cold start that solves a few radii.  Until some other
-    code imports it, no level or handler can have been set, so DEBUG is off.
+    The package does not import ``logging`` itself: that import takes 5-10
+    ms, about a quarter of ``import supertrees`` (28-35 ms compiled from
+    source, Python 3.11, shared 2-core machine).  Until some other code
+    imports it, no level or handler can have been set, so DEBUG is off.
     """
     logging = sys.modules.get("logging")
     if logging is None:
@@ -59,6 +60,10 @@ def _increasing_edges(edges: tuple[tuple[int, ...], ...], k: int) -> bool:
     return all(all(map(lt, a, b)) for a, b in zip(columns, columns[1:]))
 
 
+def _read_only(self, name, *value):
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+
 def _name_offender(edges: tuple[tuple[int, ...], ...], k: int, n: int):
     # the error path: raise for the first edge, in sorted order, that breaks
     # a rule; int vertices are already checked, so the sort cannot fail
@@ -74,7 +79,6 @@ def _name_offender(edges: tuple[tuple[int, ...], ...], k: int, n: int):
     raise AssertionError(f"no edge of {edges!r} breaks a rule")
 
 
-@dataclass(frozen=True)
 class Hypergraph:
     """A k-uniform hypergraph on vertices ``0..n-1`` with at least one edge.
 
@@ -95,14 +99,16 @@ class Hypergraph:
     input that fails them is sorted, and a tuple of tuples that is already
     canonical is stored as given, without a copy.  ``hyperstar(3000, 3)``
     builds this way in about 2 ms (Python 3.11, shared 2-core machine).
+
+    A hypergraph is immutable: setting or deleting any attribute raises
+    AttributeError.  Equality and hashing read ``(k, n, edges)`` only.
     """
 
     k: int
     n: int
     edges: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        k, n, edges = self.k, self.n, self.edges
+    def __init__(self, k: int, n: int, edges: tuple[tuple[int, ...], ...]):
         if _strict_int(k, "k") < 2:
             raise ValueError(f"edge cardinality k must be >= 2, got {k}")
         if _strict_int(n, "n") < 1:
@@ -124,7 +130,22 @@ class Hypergraph:
                 _name_offender(edges, k, n)
         if edges[0][0] < 0 or max(map(itemgetter(-1), edges)) >= n:
             _name_offender(edges, k, n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edges)
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __eq__(self, other):
+        if other.__class__ is not Hypergraph:
+            return NotImplemented
+        return (self.k, self.n, self.edges) == (other.k, other.n, other.edges)
+
+    def __hash__(self):
+        return hash((self.k, self.n, self.edges))
+
+    def __repr__(self):
+        return f"Hypergraph(k={self.k!r}, n={self.n!r}, edges={self.edges!r})"
 
     @property
     def m(self) -> int:
@@ -132,8 +153,7 @@ class Hypergraph:
         return len(self.edges)
 
 
-@dataclass(frozen=True)
-class VertexStats:
+class VertexStats(NamedTuple):
     """Degrees and pendency classification of a hypergraph.
 
     ``non_pendent_count`` is the number of vertices of degree other than one.
@@ -309,9 +329,9 @@ def canonical_key(h: Hypergraph) -> bytes:
 
     The key is computed once per object: it is stored on ``h`` as the
     attribute ``_key`` and later calls return those same bytes.  A
-    ``Hypergraph`` never changes, so the stored key stays valid; it is not a
-    dataclass field, so ``==``, hashing and ``repr`` ignore it, and it is
-    freed with its object.  Errors are not stored: a non-supertree raises on
+    ``Hypergraph`` never changes, so the stored key stays valid; ``==``,
+    hashing and ``repr`` read only ``(k, n, edges)`` and ignore it, and it
+    is freed with its object.  Errors are not stored: a non-supertree raises on
     every call.  ``rank_spectra`` reads the keys its enumeration stored:
     in the verify-exhaustive benchmark 386 of the 4,120 calls are such
     reads.
@@ -572,8 +592,9 @@ def _attach_pendent_edge(h: Hypergraph, v: int, ctx: tuple) -> Hypergraph:
     ``_tree_context`` of the tree ``h`` was keyed from, whose vertex maps
     follow ``h``'s numbering.  It is recorded with ``v`` on the
     result as the attribute ``_grow``, from which ``canonical_key`` keys the
-    result without reading its edges; like ``_key`` it is no dataclass
-    field, so ``==``, hashing, ``repr`` and ``to_interchange`` ignore it.
+    result without reading its edges; like ``_key`` it is outside
+    ``(k, n, edges)``, so ``==``, hashing, ``repr`` and ``to_interchange``
+    ignore it.
     """
     n, k, edges = h.n, h.k, h.edges
     if type(v) is not int:

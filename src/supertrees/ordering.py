@@ -25,13 +25,9 @@ reduction step.  Only ``random_supertree`` draws random numbers.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import math
-import random
-from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 from .certificates import (
     STRICTLY_SUBNORMAL,
@@ -67,8 +63,7 @@ from .spectral import (
 DEFAULT_ENUM_LIMIT = 10
 
 
-@dataclass(frozen=True)
-class ReportEntry:
+class ReportEntry(NamedTuple):
     key: str
     hypergraph: Hypergraph
     rho: float
@@ -76,8 +71,7 @@ class ReportEntry:
     tie_with_next: bool
 
 
-@dataclass(frozen=True)
-class SpectraReport:
+class SpectraReport(NamedTuple):
     """Isomorphism classes at fixed (k, m), ranked by spectral radius."""
 
     k: int
@@ -85,8 +79,7 @@ class SpectraReport:
     entries: tuple[ReportEntry, ...]
 
 
-@dataclass(frozen=True)
-class VerificationRecord:
+class VerificationRecord(NamedTuple):
     """Outcome of one theorem verifier; failures raise CounterexampleFound instead."""
 
     name: str
@@ -198,6 +191,10 @@ def report_to_dict(report: SpectraReport) -> dict:
 
 
 def report_to_csv(report: SpectraReport) -> str:
+    # imported at their one use, so a cold start that writes no CSV skips them
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["rank", "key", "rho", "method"])
@@ -440,6 +437,8 @@ def verify_sandwich(m: int, k: int) -> VerificationRecord:
     m = 10^4.  ``m`` and ``k`` must be ints (bools and floats raise
     ValueError).
     """
+    from fractions import Fraction  # its one use; a cold start skips it
+
     if _strict_int(m, "m") < 4:
         raise ValueError("sandwich verification needs m >= 4")
     if _strict_int(k, "k") < 3:

@@ -66,11 +66,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import reduce
 from itertools import repeat
 from numbers import Real
 from operator import add, itemgetter, mul, sub, truediv
+from typing import NamedTuple
 
 from .errors import DisconnectedInputError, NonConvergenceError
 from .hypergraph import Hypergraph, _debug_logger, _strict_int, is_connected
@@ -87,8 +87,7 @@ TIE_TOL = 1e-7
 MPE_WINDOW = 8
 
 
-@dataclass(frozen=True)
-class PrincipalPair:
+class PrincipalPair(NamedTuple):
     """Converged spectral radius estimate with its positive eigenvector.
 
     The eigenvector has k-norm 1 and ``residual`` is the max-norm defect of
@@ -110,15 +109,14 @@ def _gather(idx: tuple[int, ...]) -> Callable:
     return lambda x: tuple(x[i] for i in idx)
 
 
-@dataclass(frozen=True)
-class _TensorPlan:
+class _TensorPlan(NamedTuple):
     """The tensor of one hypergraph, laid out for ``_apply``.
 
     ``columns[i]`` gathers the coordinates at position i of each edge, in
     edge order.  Term slot ``i*m + e`` holds the product of edge e's
     coordinates other than the one at position i.  Each degree-2 vertex adds
     its slots ``firsts[j] + seconds[j]``; each vertex of degree 0 or at least
-    3 adds its slots ``others[j]`` from 0.0, in edge order.  ``index``
+    3 adds its slots ``others[j]`` from 0.0, in edge order.  ``vertices``
     gathers each vertex's value from the term slots followed by those two
     groups of sums; for a degree-1 vertex it is the vertex's one term slot.
     Every field is a ``_gather`` of those positions.
@@ -128,7 +126,7 @@ class _TensorPlan:
     firsts: Callable
     seconds: Callable
     others: tuple[Callable, ...]
-    index: Callable
+    vertices: Callable
 
 
 def _tensor_plan(h: Hypergraph) -> _TensorPlan:
@@ -147,7 +145,7 @@ def _tensor_plan(h: Hypergraph) -> _TensorPlan:
         firsts=_gather(tuple(slots[v][0] for v in pairs)),
         seconds=_gather(tuple(slots[v][1] for v in pairs)),
         others=tuple(_gather(tuple(slots[v])) for v in others),
-        index=_gather(tuple(index)),
+        vertices=_gather(tuple(index)),
     )
 
 
@@ -168,7 +166,7 @@ def _apply(plan: _TensorPlan, x: list[float] | tuple[float, ...]) -> list[float]
     terms += prefixes[-1]
     terms += map(add, plan.firsts(terms), plan.seconds(terms))
     terms += [reduce(add, gather(terms), 0.0) for gather in plan.others]
-    return list(plan.index(terms))
+    return list(plan.vertices(terms))
 
 
 def tensor_apply(

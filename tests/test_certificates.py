@@ -69,6 +69,21 @@ def test_weighted_incidence_validation():
         WeightedIncidence(host=h, entries={**good, (0, 0): 0.0})
 
 
+def test_certificates_are_equal_exactly_when_host_and_weights_are():
+    h = hyperstar(2, 3)
+    a, b = uniform_certificate(h, 0.5), uniform_certificate(h, 0.5)
+    assert a == b and not a != b
+    assert a != uniform_certificate(h, 0.25)
+    assert a != uniform_certificate(Hypergraph(k=3, n=6, edges=h.edges), 0.5)
+    skewed = {**a.entries, (0, 0): 0.75}
+    assert a != WeightedIncidence(host=h, entries=skewed) != a
+    with pytest.raises(TypeError):
+        hash(a)
+    with pytest.raises(AttributeError):
+        a.entries = skewed
+    assert repr(a) == f"WeightedIncidence(host={h!r}, entries={a.entries!r})"
+
+
 def test_single_edge_all_ones_is_normal():
     h = Hypergraph(k=3, n=3, edges=((0, 1, 2),))
     verdict = classify(h, uniform_certificate(h, 1.0), 1.0)
@@ -541,6 +556,21 @@ def test_solving_does_not_import_logging():
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(certificates.__file__))}
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
     assert out.stdout == "False\n", out.stderr
+
+
+def test_a_cold_import_loads_no_module_it_does_not_need():
+    # each costs milliseconds of every cold start: dataclasses with inspect,
+    # fractions and csv (each loaded at its one use), random (named only in
+    # an annotation) and logging (see test_solving_does_not_import_logging)
+    code = (
+        "import sys; old = set(sys.modules); "
+        "unneeded = {'dataclasses', 'inspect', 'fractions', 'csv', 'random', 'logging'}; "
+        "import supertrees; print(sorted(unneeded & (set(sys.modules) - old))); "
+        "import supertrees.cli; print(sorted(unneeded & (set(sys.modules) - old)))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(certificates.__file__))}
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
+    assert out.stdout == "[]\n[]\n", out.stdout + out.stderr
 
 
 def test_alpha_radius_single_edge_exact():

@@ -1,7 +1,8 @@
 """Structure, predicates, canonical keys, and the isomorphism oracle."""
 
-import dataclasses
+import copy
 import gc
+import pickle
 import random
 import signal
 import tracemalloc
@@ -499,15 +500,28 @@ def test_a_kept_tree_holds_nothing_the_collector_scans():
     assert not any(gc.is_tracked(t) for t in trees)
 
 
+def assert_reads_only_k_n_edges(h, built):
+    """``==``, hashing, ``repr`` and ``to_interchange`` read nothing of ``h``
+    but ``(k, n, edges)``: ``built`` has those alone, and a third copy holds
+    other objects under each of ``h``'s further attributes."""
+    extra = vars(h).keys() - {"k", "n", "edges"}
+    assert extra and not vars(built).keys() - {"k", "n", "edges"}
+    other = Hypergraph(k=h.k, n=h.n, edges=h.edges)
+    for name in extra:
+        object.__setattr__(other, name, object())
+    for g in (built, other):
+        assert g == h and h == g and not g != h
+        assert hash(g) == hash(h) and repr(g) == repr(h)
+        assert to_interchange(g) == to_interchange(h)
+
+
 def test_a_grown_candidate_hides_its_growth_context():
     h = broom(1, 2, 3, 3)
     for v in range(h.n):
         cand = _attach_pendent_edge(h, v, _growth_context(h))
         built = Hypergraph(k=3, n=h.n + 2, edges=h.edges + ((v, h.n, h.n + 1),))
         assert "_grow" in vars(cand)
-        assert cand == built and hash(cand) == hash(built) and repr(cand) == repr(built)
-        assert to_interchange(cand) == to_interchange(built)
-        assert [f.name for f in dataclasses.fields(cand)] == ["k", "n", "edges"]
+        assert_reads_only_k_n_edges(cand, built)
         # keying drops the context; the key stays
         assert canonical_key(cand) == canonical_key(built)
         assert "_grow" not in vars(cand) and "_key" in vars(cand)
@@ -538,9 +552,25 @@ def test_the_stored_key_is_invisible_to_equality_hash_and_repr():
     keyed = Hypergraph(k=h.k, n=h.n, edges=h.edges)
     canonical_key(keyed)
     assert "_key" in vars(keyed) and "_key" not in vars(h)
-    assert keyed == h and hash(keyed) == hash(h) and repr(keyed) == repr(h)
-    assert to_interchange(keyed) == to_interchange(h)
-    assert [f.name for f in dataclasses.fields(keyed)] == ["k", "n", "edges"]
+    assert_reads_only_k_n_edges(keyed, h)
+
+
+def test_a_hypergraph_is_immutable_and_copies_with_its_key():
+    h = broom(1, 2, 3, 3)
+    key = canonical_key(h)
+    for name in ("k", "n", "edges", "_key", "other"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(h, name, 1)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(h, name)
+    assert vars(h).keys() == {"k", "n", "edges", "_key"} and canonical_key(h) is key
+    for dup in (copy.copy(h), copy.deepcopy(h), pickle.loads(pickle.dumps(h))):
+        assert dup is not h and dup == h and vars(dup) == vars(h)
+        assert canonical_key(dup) == key
+        with pytest.raises(AttributeError):
+            dup.n = 0
+    assert Hypergraph(k=3, n=3, edges=[[0, 1, 2]]) != Hypergraph(k=3, n=4, edges=[[0, 1, 2]])
+    assert Hypergraph(k=3, n=3, edges=[[0, 1, 2]]) != ((0, 1, 2),)
 
 
 @pytest.mark.parametrize(

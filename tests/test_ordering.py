@@ -1,6 +1,5 @@
 """Enumeration, ranking, and the theorem verifiers."""
 
-import dataclasses
 import hashlib
 import logging
 import math
@@ -622,7 +621,7 @@ def test_partition_lemma_fails_on_a_bracket_that_reaches_the_reference(monkeypat
 def test_partition_lemma_checks_the_power_oracle(monkeypatch):
     def off(h):
         pair = power_iteration(h)
-        return dataclasses.replace(pair, rho=pair.rho * (1 + 1e-6))
+        return pair._replace(rho=pair.rho * (1 + 1e-6))
 
     monkeypatch.setattr(ordering, "power_iteration", off)
     with pytest.raises(CounterexampleFound, match="power oracle"):
@@ -675,7 +674,7 @@ def test_moving_edges_choices_ignore_rounding_noise(monkeypatch):
             for _ in range(noise.randint(0, 3)):
                 xi = math.nextafter(xi, noise.choice((0.0, math.inf)))
             x.append(xi)
-        return dataclasses.replace(pair, x=tuple(x))
+        return pair._replace(x=tuple(x))
 
     monkeypatch.setattr(ordering, "power_iteration", nudged)
     noisy = [verify_moving_edges(k=k).data["gaps"] for k in (3, 4)]
@@ -729,7 +728,7 @@ def test_moving_edges_ignores_the_power_radius(monkeypatch):
     clean = verify_moving_edges(k=3).data["gaps"]
     monkeypatch.setattr(
         ordering, "power_iteration",
-        lambda h: dataclasses.replace(power_iteration(h), rho=math.nan),
+        lambda h: power_iteration(h)._replace(rho=math.nan),
     )
     assert verify_moving_edges(k=3).data["gaps"] == clean
 
@@ -909,7 +908,7 @@ def test_reduction_ignores_the_power_radius(monkeypatch):
     clean = [reduce_non_pendent(h) for h in hosts]
     monkeypatch.setattr(
         ordering, "power_iteration",
-        lambda h: dataclasses.replace(power_iteration(h), rho=math.nan),
+        lambda h: power_iteration(h)._replace(rho=math.nan),
     )
     assert [reduce_non_pendent(h) for h in hosts] == clean
 
@@ -935,7 +934,7 @@ def test_reduction_ignores_rounding_noise(monkeypatch):
             for _ in range(noise.randint(0, 3)):
                 xi = math.nextafter(xi, noise.choice((0.0, math.inf)))
             x.append(xi)
-        return dataclasses.replace(pair, x=tuple(x))
+        return pair._replace(x=tuple(x))
 
     monkeypatch.setattr(ordering, "power_iteration", nudged)
     for _ in range(5):
