@@ -43,10 +43,8 @@ def _enum_limit() -> int:
     raw = os.environ.get("SUPERTREE_ENUM_LIMIT")
     if raw is None:
         return DEFAULT_ENUM_LIMIT
-    try:
-        limit = int(raw)
-    except ValueError:
-        limit = 0
+    # ASCII digits only: int() alone would also take "1_0", " 9 " and "\u0669"
+    limit = int(raw) if raw.isascii() and raw.isdigit() else 0
     if limit < 1:
         raise ValueError(f"SUPERTREE_ENUM_LIMIT must be a positive integer, got {raw!r}")
     return limit

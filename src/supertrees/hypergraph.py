@@ -309,13 +309,13 @@ def is_supertree(h: Hypergraph) -> bool:
 # and ``_ahu`` labelled: kinds, adjacency, levels and labels, and the
 # parent's vertex-to-node and vertex-to-edge-node maps extended by the k - 1
 # new vertices (new nodes are numbered after the parent's, so an edge's
-# node need not be its index in the edge tuple).  The enumeration keeps a
-# class's first candidate as its representative, and that candidate is the
-# first of its orbit, so the memo holds exactly its tree; ``_kept_tree``
-# copies it into tuples, which the garbage collector stops scanning, and
-# ``_tree_context`` derives depth, branch, orbits and attachments from it
-# when the class is grown.  Only the one-edge seed's context is built from
-# its edges, by ``_growth_context``.
+# node need not be its index in the edge tuple).  The enumeration grows one
+# level at a time by ``_grow_level``, which keeps a class's first candidate
+# as its representative.  That candidate is the first of its orbit, so the
+# memo holds exactly its tree; ``_kept_tree`` copies it into tuples, which
+# the garbage collector stops scanning, and ``_tree_context`` derives depth,
+# branch, orbits and attachments from it when the class is grown.  Only the
+# one-edge seed's context is built from its edges, by ``_growth_context``.
 
 
 def canonical_key(h: Hypergraph) -> bytes:
@@ -608,6 +608,30 @@ def _attach_pendent_edge(h: Hypergraph, v: int, ctx: tuple) -> Hypergraph:
     object.__setattr__(g, "edges", edges[:i] + ((v, *range(n, n + k - 1)),) + edges[i:])
     object.__setattr__(g, "_grow", (ctx, v))
     return g
+
+
+def _grow_level(level: dict, last: bool) -> tuple[dict, int, int]:
+    """The enumeration's next level: every class of ``level`` grown at each of
+    its vertices, one representative per new key.
+
+    ``level`` and the result map each canonical key to a class and its kept
+    tree, None for the one-edge seed, whose context is read from its edges.
+    A new key's first candidate is its orbit's first, so the memo holds its
+    tree; ``last`` keeps none.  Also returns the candidates keyed and the
+    grown keys encoded, one per attachment orbit of each parent.
+    """
+    grown: dict[bytes, tuple] = {}
+    candidates = encoded = 0
+    for h, tree in level.values():
+        ctx = _growth_context(h) if tree is None else _tree_context(tree)
+        for v in range(h.n):
+            cand = _attach_pendent_edge(h, v, ctx)
+            key = canonical_key(cand)
+            if key not in grown:
+                grown[key] = cand, None if last else _kept_tree(ctx, v)
+        candidates += h.n
+        encoded += len(ctx[-1])
+    return grown, candidates, encoded
 
 
 # --- interchange format -----------------------------------------------------

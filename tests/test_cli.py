@@ -501,7 +501,7 @@ def test_enumerate_limit_env_override(monkeypatch, capsys):
     assert len(stdout.strip().split("\n")) == 552  # header + the 551 trees on 12 vertices
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-3", "", "7.5"])
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "", "7.5", "1_0", " 9 ", "\u0669"])
 def test_enumerate_limit_env_must_be_positive(value, monkeypatch, capsys):
     monkeypatch.setenv("SUPERTREE_ENUM_LIMIT", value)
     for argv in (

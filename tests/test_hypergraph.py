@@ -30,7 +30,7 @@ from supertrees import (
     tree_power,
     vertex_stats,
 )
-import supertrees.ordering as ordering
+import supertrees.hypergraph as hypergraph
 from supertrees.hypergraph import (
     _attach_pendent_edge,
     _encode,
@@ -452,14 +452,13 @@ def test_a_derived_context_keys_like_one_built_from_the_edges(monkeypatch, k):
     # every class with m <= 7 is a parent on the way to 8 edges; all but the
     # one-edge seed grow from the tree their key was encoded from
     contexts = []
-    attach = ordering._attach_pendent_edge
 
     def tracked(h, v, ctx):
         if v == 0:
             contexts.append((h, ctx))
-        return attach(h, v, ctx)
+        return _attach_pendent_edge(h, v, ctx)
 
-    monkeypatch.setattr(ordering, "_attach_pendent_edge", tracked)
+    monkeypatch.setattr(hypergraph, "_attach_pendent_edge", tracked)
     enumerate_supertrees(8, k, limit=8)
     assert len(contexts) == sum(supertree_counts(k, 7).values())
     for h, ctx in contexts:

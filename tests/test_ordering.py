@@ -131,19 +131,28 @@ def test_splice_equals_the_validated_constructor():
                 for v in range(h.n):
                     edge = (v,) + tuple(range(h.n, h.n + k - 1))
                     built = Hypergraph(k=k, n=h.n + k - 1, edges=h.edges + (edge,))
-                    spliced = ordering._attach_pendent_edge(h, v, ctx)
+                    spliced = hypergraph._attach_pendent_edge(h, v, ctx)
                     assert spliced == built
                     assert spliced.edges == built.edges
+
+
+def test_ordering_binds_no_growth_helper():
+    # the growth loop lives in hypergraph's engine; ordering only calls it
+    helpers = {
+        "_growth_context", "_tree_context", "_attach_pendent_edge",
+        "_kept_tree", "_grown_key", "_encode_grown",
+    }
+    assert not helpers & vars(ordering).keys()
 
 
 @pytest.mark.parametrize("v", [-1, 5, 9, -6])
 def test_splice_rejects_a_vertex_outside_the_supertree(v):
     h = hyperstar(2, 3)
     with pytest.raises(ValueError, match="outside"):
-        ordering._attach_pendent_edge(h, v, hypergraph._growth_context(h))
+        hypergraph._attach_pendent_edge(h, v, hypergraph._growth_context(h))
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_enumeration_equals_a_dedupe_keyed_from_the_edges(k):
     # the same growth through the validating constructor, each candidate
     # keyed from its edge list: same classes, edge tuples, keys and order
@@ -247,14 +256,14 @@ def test_discarded_candidates_are_freed(monkeypatch):
     m, k = 6, 3
     candidates = sum(len(r) * r[0].n for r in (enumerate_supertrees(j, k) for j in range(1, m)))
     refs = []
-    attach = ordering._attach_pendent_edge
+    attach = hypergraph._attach_pendent_edge
 
     def tracked(h, v, ctx):
         cand = attach(h, v, ctx)
         refs.append(weakref.ref(cand))
         return cand
 
-    monkeypatch.setattr(ordering, "_attach_pendent_edge", tracked)
+    monkeypatch.setattr(hypergraph, "_attach_pendent_edge", tracked)
     reps = enumerate_supertrees(m, k)
     alive = [r() for r in refs if r() is not None]
     # every candidate carries its key, yet only the returned classes live on
@@ -272,8 +281,8 @@ def test_no_class_keeps_its_growth_context_or_its_ancestors(monkeypatch):
     m, k = 6, 3
     grown = sum(len(enumerate_supertrees(j, k)) for j in range(1, m))
     seeds, parents, trees = [], [], []
-    context, attach = ordering._growth_context, ordering._attach_pendent_edge
-    keep = ordering._kept_tree
+    context, attach = hypergraph._growth_context, hypergraph._attach_pendent_edge
+    keep = hypergraph._kept_tree
 
     def tracked_context(h):
         seeds.append(h.m)
@@ -289,9 +298,9 @@ def test_no_class_keeps_its_growth_context_or_its_ancestors(monkeypatch):
         trees.append(weakref.ref(tree))
         return tree
 
-    monkeypatch.setattr(ordering, "_growth_context", tracked_context)
-    monkeypatch.setattr(ordering, "_attach_pendent_edge", tracked_attach)
-    monkeypatch.setattr(ordering, "_kept_tree", tracked_keep)
+    monkeypatch.setattr(hypergraph, "_growth_context", tracked_context)
+    monkeypatch.setattr(hypergraph, "_attach_pendent_edge", tracked_attach)
+    monkeypatch.setattr(hypergraph, "_kept_tree", tracked_keep)
     reps = enumerate_supertrees(m, k)
     report = rank_spectra(m, k)
     # only the one-edge seeds are read from their edges; every other parent
@@ -322,7 +331,7 @@ def test_a_hyperstar_parent_needs_two_grown_encodings(monkeypatch, m, k):
     calls = count_grown_encodings(monkeypatch)
     h = hyperstar(m, k)
     ctx = hypergraph._growth_context(h)
-    keys = {canonical_key(ordering._attach_pendent_edge(h, v, ctx)) for v in range(h.n)}
+    keys = {canonical_key(hypergraph._attach_pendent_edge(h, v, ctx)) for v in range(h.n)}
     assert len(calls) == len(keys) == 2
 
 
