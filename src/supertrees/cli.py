@@ -87,6 +87,8 @@ def _parse_tree(spec: str):
     kind, _, rest = spec.partition(":")
     if kind == "double-star":
         a, b = _parse_ints(rest, 2, "--tree double-star")
+        if min(a, b) < 1:
+            raise SupertreeError(f"--tree double-star:A,B needs A, B >= 1, got {a},{b}")
         return double_star(a, b)
     if kind not in _TREES_BY_SIZE:
         raise SupertreeError(f"unknown tree spec {spec!r} (use star:N, path:N, double-star:A,B, f:N)")

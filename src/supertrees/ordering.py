@@ -38,15 +38,13 @@ from .hypergraph import (
     is_supertree,
     vertex_stats,
 )
-from .spectral import (
-    DEFAULT_TOL,
-    TIE_TOL,
-    double_star_power_radius,
-    f_tree_power_radius,
-    power_iteration,
-)
+from .spectral import DEFAULT_TOL, double_star_power_radius, f_tree_power_radius, power_iteration
 
 DEFAULT_ENUM_LIMIT = 10
+
+#: ``rank_spectra`` flags neighbouring radii this close as tied (1000x
+#: ``DEFAULT_TOL``, so numerical noise never masquerades as a genuine tie).
+TIE_TOL = 1e-7
 
 
 class ReportEntry(NamedTuple):
@@ -127,9 +125,9 @@ def rank_spectra(m: int, k: int, limit: int = DEFAULT_ENUM_LIMIT) -> SpectraRepo
     oracle the tests compare it with.  Rows are sorted by descending float
     midpoint and only then by canonical key, so the key decides only
     between bit-equal midpoints.  Cospectral classes whose midpoints land
-    1-2 ulps apart by rounding follow those bits, not their keys; such
-    neighbours are within the tie tolerance and flagged ``tie_with_next``
-    on the higher-ranked entry, like every other pair within it.  Each
+    1-2 ulps apart by rounding follow those bits, not their keys.  This is
+    the one place a rank tie is decided: an entry whose radius is within
+    ``TIE_TOL`` of the next one's is flagged ``tie_with_next``.  Each
     class's key is the one its enumeration stored, so no class is keyed
     twice.  ``enumerate_supertrees`` checks ``m``, ``k`` and ``limit``.
     """
@@ -205,12 +203,14 @@ def _expected_top(m: int, k: int) -> list[tuple[str, Hypergraph]]:
 
 def verify_top_four(m: int, k: int, limit: int = DEFAULT_ENUM_LIMIT) -> VerificationRecord:
     """Check that the ranked enumeration starts with exactly the expected
-    families, in order, with every consecutive gap above the tie tolerance.
+    families, in order, with no entry among them tied with the next one.
 
     For m >= 5 the expected head has four entries; at m = 4 two of the
     families coincide and the collapsed three- or four-class order is checked
     instead.  The classes are ranked by ``rank_spectra``, that is by the
-    certificate solver.  Raises CounterexampleFound on any mismatch, and
+    certificate solver, and a tie is its ``tie_with_next`` flag, so the
+    expected head and the class after it must all be separated by more than
+    ``TIE_TOL``.  Raises CounterexampleFound on any mismatch, and
     ValueError unless ``m`` is an int >= 4 (``k`` and ``limit`` are checked by
     ``enumerate_supertrees``).
     """
@@ -229,13 +229,12 @@ def verify_top_four(m: int, k: int, limit: int = DEFAULT_ENUM_LIMIT) -> Verifica
                 offending=(label, entry.key, entry.rho),
             )
         details.append(f"rank {pos + 1}: {label}  rho = {entry.rho:.9g}")
-    checked = min(len(expected) + 1, len(report.entries))
-    for pos in range(checked - 1):
-        gap = report.entries[pos].rho - report.entries[pos + 1].rho
-        if gap <= TIE_TOL:
+    for upper, lower in zip(report.entries[: len(expected)], report.entries[1:]):
+        if upper.tie_with_next:
+            gap = upper.rho - lower.rho
             raise CounterexampleFound(
-                f"ranks {pos + 1} and {pos + 2} at k={k}, m={m} are tied (gap {gap:.3e})",
-                offending=(report.entries[pos].key, report.entries[pos + 1].key, gap),
+                f"ranks {upper.rank} and {lower.rank} at k={k}, m={m} are tied (gap {gap:.3e})",
+                offending=(upper.key, lower.key, gap),
             )
     return VerificationRecord(
         name="top-four ordering",
@@ -250,12 +249,13 @@ def verify_partition_lemma(m: int, k: int) -> VerificationRecord:
 
     Every verdict compares certified brackets from ``alpha_normal_bracket``.
     The one partition with t2 = 1 is (1, 1, m-3), the reference broom
-    itself, so its bracket must equal the reference's ``(ref_low,
-    ref_high)``; every other partition passes only if its ``high`` is below
-    ``ref_low``.  The smallest separation ``ref_low - high`` and the
-    partition attaining it are the tightest verdict, reported as the last
-    detail line and as ``data["tightest"]`` (None when m < 6 leaves no
-    partition with t2 >= 2).  At k = 3, m = 1,000 that separation is
+    itself, so its equality-case line reports the reference's bracket
+    ``(ref_low, ref_high)`` and no broom is solved twice.  Every other
+    partition passes only if its ``high`` is below ``ref_low``.  The
+    smallest separation ``ref_low - high`` and the partition attaining it
+    are the tightest verdict, reported as the last detail line and as
+    ``data["tightest"]`` (None when m < 6 leaves no partition with t2 >=
+    2).  At k = 3, m = 1,000 that separation is
     3.3e-3, far above the bracket's float error (ROADMAP item 2).  Power
     iteration on the reference broom is the independent oracle: its radius
     must lie within ``DEFAULT_TOL`` relative of the reference bracket.
@@ -274,35 +274,30 @@ def verify_partition_lemma(m: int, k: int) -> VerificationRecord:
             f"[{ref_low!r}, {ref_high!r}]",
             offending=((1, 1, m - 3), rho_power, (ref_low, ref_high)),
         )
-    details = [f"reference broom(1,1,{m - 3}): rho in [{ref_low!r}, {ref_high!r}]"]
     partitions = [
         (t1, t2, m - 1 - t1 - t2)
         for t1 in range(1, m)
         for t2 in range(t1, m)
         if m - 1 - t1 - t2 >= t2
     ]
+    # partitions[0] is (1, 1, m-3), the reference itself and the only t2 = 1
+    details = [
+        f"reference broom(1,1,{m - 3}): rho in [{ref_low!r}, {ref_high!r}]",
+        f"broom{partitions[0]}: rho = {0.5 * (ref_low + ref_high):.9g} (equality case)",
+    ]
     tightest = None
-    for t in partitions:
+    for t in partitions[1:]:
         low, high = alpha_normal_bracket(broom(*t, k))
-        mid = 0.5 * (low + high)
-        if t[1] == 1:
-            if (low, high) != (ref_low, ref_high):
-                raise CounterexampleFound(
-                    f"broom{t} at k={k} should tie the reference, bracket [{low!r}, {high!r}]",
-                    offending=(t, (low, high), (ref_low, ref_high)),
-                )
-            details.append(f"broom{t}: rho = {mid:.9g} (equality case)")
-        else:
-            separation = ref_low - high
-            if separation <= 0.0:
-                raise CounterexampleFound(
-                    f"broom{t} at k={k} not strictly below the reference, separation "
-                    f"{separation:.3e}",
-                    offending=(t, (low, high), (ref_low, ref_high)),
-                )
-            if tightest is None or separation < tightest[1]:
-                tightest = (t, separation)
-            details.append(f"broom{t}: rho = {mid:.9g} (strictly below)")
+        separation = ref_low - high
+        if separation <= 0.0:
+            raise CounterexampleFound(
+                f"broom{t} at k={k} not strictly below the reference, separation "
+                f"{separation:.3e}",
+                offending=(t, (low, high), (ref_low, ref_high)),
+            )
+        if tightest is None or separation < tightest[1]:
+            tightest = (t, separation)
+        details.append(f"broom{t}: rho = {0.5 * (low + high):.9g} (strictly below)")
     if tightest is not None:
         details.append(f"tightest: broom{tightest[0]}, separation {tightest[1]:.3e}")
     return VerificationRecord(
@@ -318,26 +313,40 @@ def verify_partition_lemma(m: int, k: int) -> VerificationRecord:
     )
 
 
+def _tie_groups(x, vertices) -> dict[int, int]:
+    """Number ``vertices`` by tie group of their Perron weights ``x``, from 0 up.
+
+    The one place a weight tie is decided.  Symmetric vertices carry weights
+    equal up to rounding noise, so in ascending order a weight above its
+    group's first weight by more than a relative 1e-8 starts the next group,
+    and a move choice does not hang on the eigenvector's last bits.
+    """
+    group = {}
+    anchor, g = -math.inf, -1
+    for v in sorted(vertices, key=x.__getitem__):
+        if x[v] > anchor * (1 + 1e-8):
+            anchor, g = x[v], g + 1
+        group[v] = g
+    return group
+
+
 def verify_moving_edges(k: int = 3, m_max: int = 6, limit: int = DEFAULT_ENUM_LIMIT) -> VerificationRecord:
     """Exhaustive check that moving edges toward a heavier vertex raises the radius.
 
     For every class g of ``enumerate_supertrees(m, k, limit)``, 3 <= m <=
     m_max, every anchor edge e and every target u in e, the movable edges
     are those f != e at a vertex v != u of e whose weight x_v in the
-    eigenvector of ``power_iteration(g)`` is at most x_u.  Every nonempty
-    subset of them is moved onto u.  Two edges of a supertree share at most
-    one vertex, so each moved branch is re-hung from v to u: the result is a
-    supertree, with no multiple edge.  A move passes only if its
+    eigenvector of ``power_iteration(g)`` is at most x_u, that is whose
+    ``_tie_groups`` group is at most u's (the lemma allows x_v = x_u).
+    Every nonempty subset of them is moved onto u.  Two edges of a
+    supertree share at most one vertex, so each moved branch is re-hung
+    from v to u: the result is a supertree, with no multiple edge.  A move passes only if its
     ``alpha_normal_bracket`` lies strictly above g's (low2 > high);
     ``data["gaps"]`` holds these proven separations low2 - high in loop
     order, and ``data["tightest"]`` the smallest as (class key, u, moves,
-    separation), with ``moves`` as ``move_edges`` takes them.
-
-    The lemma allows x_v = x_u, and symmetric vertices carry weights equal
-    up to rounding noise, so a weight within a relative 1e-8 of x_u counts
-    as at most x_u: the moves do not hang on the last bits of the
-    eigenvector.  Raises ValueError unless ``m_max`` is an int >= 3, and
-    EnumerationLimitError when it exceeds ``limit``.
+    separation), with ``moves`` as ``move_edges`` takes them.  Raises
+    ValueError unless ``m_max`` is an int >= 3, and EnumerationLimitError
+    when it exceeds ``limit``.
     """
     if _strict_int(m_max, "m_max") < 3:
         raise ValueError(f"m_max must be >= 3, got {m_max}")
@@ -349,13 +358,13 @@ def verify_moving_edges(k: int = 3, m_max: int = 6, limit: int = DEFAULT_ENUM_LI
     for m in range(3, m_max + 1):
         for g in enumerate_supertrees(m, k, limit=limit):
             classes += 1
-            x = power_iteration(g).x
+            group = _tie_groups(power_iteration(g).x, range(g.n))
             low, high = alpha_normal_bracket(g)
             inc = incidence_lists(g)
             for ei, e in enumerate(g.edges):
                 for u in e:
                     movable = [
-                        (fi, v) for v in e if v != u and x[u] >= x[v] * (1 - 1e-8)
+                        (fi, v) for v in e if v != u and group[v] <= group[u]
                         for fi in inc[v] if fi != ei
                     ]
                     for size in range(1, len(movable) + 1):
@@ -468,27 +477,19 @@ def reduce_non_pendent(t: Hypergraph) -> Hypergraph:
     increase strictly; a move is accepted once its bracket's low end is
     above t's high end.
 
-    Symmetric vertices carry weights equal up to rounding noise, so weights
-    are compared by tie group: in ascending order, a weight above its
-    group's first weight by more than a relative 1e-8 starts the next
-    group.  Candidates w go by (group, vertex); a partner u needs a group at
-    least w's and partners go by (higher group, vertex, shared edge).  The
-    move thus does not hang on the last bits of the eigenvector.
+    Weights are compared by the non-pendent vertices' ``_tie_groups``, the
+    one place a weight tie is decided.  Candidates w go by (group, vertex);
+    a partner u needs a group at least w's and partners go by (higher
+    group, vertex, shared edge).
     """
     if not is_supertree(t):
         raise ValueError("reduce_non_pendent requires a supertree")
     stats = vertex_stats(t)
     if stats.non_pendent_count < 2:
         raise ValueError("need at least two non-pendent vertices to reduce")
-    x = power_iteration(t).x
+    group = _tie_groups(power_iteration(t).x, (v for v in range(t.n) if stats.degrees[v] != 1))
     high = alpha_normal_bracket(t)[1]
     inc = incidence_lists(t)
-    group: dict[int, int] = {}
-    anchor, g = -math.inf, -1
-    for v in sorted((v for v in range(t.n) if stats.degrees[v] != 1), key=x.__getitem__):
-        if x[v] > anchor * (1 + 1e-8):
-            anchor, g = x[v], g + 1
-        group[v] = g
     for w in sorted(group, key=lambda v: (group[v], v)):
         partners = []
         for i in inc[w]:

@@ -78,10 +78,6 @@ from .hypergraph import Hypergraph, _debug_logger, _strict_int, is_connected
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
 
-#: Radius comparisons downstream treat gaps below this as ties (1000x
-#: ``DEFAULT_TOL``, so numerical noise never masquerades as a genuine tie).
-TIE_TOL = 1e-7
-
 #: Power iteration extrapolates once every MPE_WINDOW + 1 steps, from the
 #: MPE_WINDOW + 2 iterates since the last extrapolation.
 MPE_WINDOW = 8

@@ -14,12 +14,17 @@ from supertrees import (
     alpha_normal_bracket,
     alpha_normal_radius,
     broom,
+    canonical_key,
+    double_star,
     hyperstar,
     path,
     power_iteration,
+    rank_spectra,
+    report_to_csv,
     to_interchange,
     tree_power,
 )
+import supertrees.ordering as ordering
 from supertrees.certificates import DEFAULT_CERT_TOL
 from supertrees.cli import build_parser, main
 
@@ -56,6 +61,15 @@ def test_gen_tree_power_path(tmp_path, capsys):
     assert obj["n"] == 13 and len(obj["edges"]) == 4
 
 
+def test_gen_tree_power_double_star(tmp_path, capsys):
+    out = tmp_path / "d.json"
+    code, _, _ = run_cli(
+        capsys, "gen", "tree-power", "--k", "3", "--tree", "double-star:1,2", "--out", str(out)
+    )
+    assert code == 0
+    assert json.loads(out.read_text()) == to_interchange(tree_power(double_star(1, 2), 3))
+
+
 def test_gen_to_stdout_keeps_summary_on_stderr(capsys):
     code, stdout, stderr = run_cli(capsys, "gen", "hyperstar", "--k", "2", "--m", "3")
     assert code == 0
@@ -87,6 +101,7 @@ def test_gen_parameter_error(capsys):
         ),
         ("broom --k 3 --t 2,1,1", "gen broom needs --t T1,T2,T3 with 1 <= T1 <= T2 <= T3, got 2,1,1"),
         ("double-star-power --k 3 --t 0,1", "gen double-star-power needs --t A,B with A, B >= 1, got 0,1"),
+        ("tree-power --k 3 --tree double-star:0,1", "--tree double-star:A,B needs A, B >= 1, got 0,1"),
     ],
 )
 def test_gen_errors_name_the_flag_in_its_units(capsys, args, message):
@@ -486,6 +501,14 @@ def test_enumerate_counts_and_formats(tmp_path, capsys):
     assert [row["rank"] for row in obj["entries"]] == [1, 2, 3, 4]
 
 
+def test_enumerate_human_output_writes_the_csv_to_the_file(tmp_path, capsys):
+    _, table, _ = run_cli(capsys, "enumerate", "--k", "3", "--m", "5")
+    out = tmp_path / "report.csv"
+    code, stdout, _ = run_cli(capsys, "enumerate", "--k", "3", "--m", "5", "--out", str(out))
+    assert code == 0 and stdout == table and "rank  1" in table
+    assert out.read_text() == report_to_csv(rank_spectra(5, 3))
+
+
 def test_enumerate_output_is_byte_stable(capsys):
     _, first, _ = run_cli(capsys, "enumerate", "--k", "3", "--m", "5", "--output", "csv")
     _, second, _ = run_cli(capsys, "enumerate", "--k", "3", "--m", "5", "--output", "csv")
@@ -555,6 +578,21 @@ def test_power_flags_parse_on_rho_only(capsys):
             assert "unrecognized arguments" in capsys.readouterr().err
     # certify's --tol is the certificate tolerance, not a power-iteration flag
     assert build_parser().parse_args(["certify", "h.json"]).tol == DEFAULT_CERT_TOL
+
+
+def test_verify_failure_prints_the_counterexample_and_exits_1(monkeypatch, capsys):
+    path_key = canonical_key(tree_power(path(6), 3))
+
+    def solver(h):
+        return 100.0 if canonical_key(h) == path_key else alpha_normal_radius(h)
+
+    monkeypatch.setattr(ordering, "alpha_normal_radius", solver)
+    code, stdout, _ = run_cli(capsys, "verify", "main1", "--k", "3", "--m", "5")
+    assert code == 1
+    assert stdout == (
+        "FAIL main1: rank 1 at k=3, m=5: expected hyperstar, found a different class with rho = 100\n"
+        f"offending: ('hyperstar', {path_key.decode('ascii')!r}, 100.0)\n"
+    )
 
 
 def test_verify_main2_past_default_cap(monkeypatch, capsys):

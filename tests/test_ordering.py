@@ -18,6 +18,7 @@ from supertrees import (
     Hypergraph,
     SearchExhaustedError,
     alpha_normal_bracket,
+    alpha_normal_radius,
     broom,
     canonical_key,
     double_star,
@@ -42,7 +43,7 @@ from supertrees import (
 )
 import supertrees.hypergraph as hypergraph
 import supertrees.ordering as ordering
-from supertrees.spectral import TIE_TOL
+from supertrees.ordering import TIE_TOL
 
 from oracles import are_isomorphic, count_classes_brute, supertree_counts
 
@@ -559,6 +560,40 @@ def test_top_four_collapsed_at_m4():
     assert len(rec.details) == 3
 
 
+def test_top_four_rejects_a_foreign_class_on_top(monkeypatch):
+    path_key = canonical_key(tree_power(path(6), 3))
+
+    def solver(h):
+        return 100.0 if canonical_key(h) == path_key else alpha_normal_radius(h)
+
+    monkeypatch.setattr(ordering, "alpha_normal_radius", solver)
+    with pytest.raises(
+        CounterexampleFound,
+        match=r"^rank 1 at k=3, m=5: expected hyperstar, found a different class with rho = 100$",
+    ) as info:
+        verify_top_four(5, 3)
+    assert info.value.offending == ("hyperstar", path_key.decode("ascii"), 100.0)
+
+
+def test_top_four_rejects_two_tied_top_ranks(monkeypatch):
+    # the S(1,3) power lands just under the hyperstar, so the ranks keep
+    # their order and only the tie flag can fail them
+    star_key = canonical_key(hyperstar(5, 3))
+    second_key = canonical_key(tree_power(double_star(1, 3), 3))
+    top = alpha_normal_radius(hyperstar(5, 3))
+
+    def solver(h):
+        return top - TIE_TOL / 2 if canonical_key(h) == second_key else alpha_normal_radius(h)
+
+    monkeypatch.setattr(ordering, "alpha_normal_radius", solver)
+    message = r"^ranks 1 and 2 at k=3, m=5 are tied \(gap 5\.000e-08\)$"
+    with pytest.raises(CounterexampleFound, match=message) as info:
+        verify_top_four(5, 3)
+    upper, lower, gap = info.value.offending
+    assert (upper, lower) == (star_key.decode("ascii"), second_key.decode("ascii"))
+    assert gap == pytest.approx(TIE_TOL / 2, rel=1e-6)
+
+
 def test_top_four_rejects_small_m():
     with pytest.raises(ValueError):
         verify_top_four(3, 3)
@@ -644,7 +679,13 @@ def test_moving_edges_verifier():
 
 @pytest.mark.parametrize(
     "k, m_max, classes, moves, tightest",
-    [(3, 6, 33, 134, "1.247e-02"), (4, 6, 36, 195, "8.226e-03"), (3, 8, 207, 1487, "2.785e-03")],
+    [
+        (3, 6, 33, 134, "1.247e-02"),
+        (4, 6, 36, 195, "8.226e-03"),
+        (3, 8, 207, 1487, "2.785e-03"),
+        (2, 9, 198, 1078, "6.793e-03"),
+        (5, 7, 95, 853, "3.338e-03"),
+    ],
 )
 def test_moving_edges_tries_every_move_of_every_class(k, m_max, classes, moves, tightest):
     rec = verify_moving_edges(k=k, m_max=m_max)
