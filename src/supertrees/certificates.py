@@ -419,118 +419,116 @@ def propagate_certificate(h: Hypergraph, alpha: float) -> WeightedIncidence:
     return WeightedIncidence(host=h, entries=entries)
 
 
-def _strict_end(defect, x: float, end: float, sign: float) -> float:
+def _strict_end(plan: _Plan, k: int, x: float, end: float) -> tuple[float, int]:
     """The first radius, stepping from the zero-defect ``x`` toward ``end``
-    by doubling numbers of ulps, whose defect has the strict sign ``sign``;
-    ``end`` itself (already strict) once the steps reach it."""
+    by doubling numbers of ulps, whose defect has the strict sign of that
+    side (> 0 below ``x``, < 0 above); ``end`` itself (already strict) once
+    the steps reach it.  Returned with the number of defects evaluated."""
+    up = end > x
     step = math.ulp(x)
+    evaluations = 0
     while True:
-        y = x + step if end > x else x - step
-        if (y >= end) if end > x else (y <= end):
-            return end
-        if sign * defect(y) > 0.0:
-            return y
+        y = x + step if up else x - step
+        if (y >= end) if up else (y <= end):
+            return end, evaluations
+        f = _propagate(plan, y**-k)
+        evaluations += 1
+        if (f < 0.0) if up else (f > 0.0):
+            return y, evaluations
         step *= 2.0
-
-
-def _start(defect, plan: _Plan, k: int, m: int) -> tuple[float, float, float, float] | None:
-    """The starting radius bracket ``(low, f_low, high, f_high)``, or None
-    when radius 1 already has a defect <= 0 (the one-edge supertree).
-
-    The ends are the plan's bounds, max_degree^(1/k) below the root and
-    max_edge_product^(1/k) above it, each used once its defect has the
-    strict sign that end needs: > 0 below, < 0 above.  An end that fails
-    falls back to the former start: 1 below, (max_degree * m)^(1/k) above.
-    Only a hyperstar attains the bounds: they are then one radius, m^(1/k),
-    whose defect rounding decides, so it serves as whichever end its sign
-    fits.  That radius is evaluated once.
-    """
-    seen: dict[float, float] = {}
-
-    def at(r: float) -> float:
-        if r not in seen:
-            seen[r] = defect(r)
-        return seen[r]
-
-    low = plan.max_degree ** (1.0 / k)
-    high = plan.max_edge_product ** (1.0 / k)
-    if not at(low) > 0.0:
-        low = 1.0
-        if not at(low) > 0.0:
-            return None
-    if not at(high) < 0.0:
-        high = (plan.max_degree * m) ** (1.0 / k)
-        if not at(high) < 0.0:
-            raise BracketError(
-                f"no sign change: defect {at(high):.3e} at radius {high}", bracket=(low, high)
-            )
-    return low, at(low), high, at(high)
-
-
-def _anderson_bjorck(defect, k: int, low: float, f_low: float, high: float, f_high: float):
-    """The radius bracket that ``alpha_normal_bracket`` describes, narrowed
-    from ``low`` and ``high`` with ``defect(r)``, the root defect at
-    alpha = r^(-k); ``f_low`` > 0 > ``f_high`` are their defects."""
-    kept = 0  # +1 after low moved, -1 after high moved
-    bisect = False
-    for _ in range(ALPHA_MAX_EVALS):
-        if high - low <= ALPHA_BRACKET_ULPS * math.ulp(high):
-            return low, high
-        if bisect:
-            x = 0.5 * (low + high)
-        else:
-            a_low, a_high = low**-k, high**-k
-            if f_low == math.inf:
-                alpha = 0.5 * (a_low + a_high)
-            else:
-                alpha = a_high + (a_low - a_high) * (f_high / (f_high - f_low))
-            x = alpha ** (-1.0 / k)
-        # The trial radius, kept at least one ulp inside the bracket.
-        x = min(max(x, low + math.ulp(high)), high - math.ulp(high))
-        fx = defect(x)
-        # Anderson-Bjorck (BIT 13, 1973): when the same end moves twice
-        # running, scale the other end's defect by 1 - fx / (the moving end's
-        # old defect), or by 1/2 if that is not positive.  A factor of at most
-        # ALPHA_FLAT means the step left the defect almost as it was, as
-        # rounding noise near the root does, so the next trial bisects.
-        bisect = False
-        if fx > 0.0:
-            if kept > 0:
-                scale = 1.0 - fx / f_low
-                bisect = scale <= ALPHA_FLAT
-                f_high *= scale if scale > 0.0 else 0.5
-            low, f_low = x, fx
-            kept = 1
-        elif fx < 0.0:
-            if kept < 0:
-                scale = 1.0 - fx / f_high
-                bisect = scale <= ALPHA_FLAT
-                f_low *= scale if scale > 0.0 else 0.5
-            high, f_high = x, fx
-            kept = -1
-        else:
-            return _strict_end(defect, x, low, 1.0), _strict_end(defect, x, high, -1.0)
-    raise BracketError(
-        f"radius bracket [{low!r}, {high!r}] still open after {ALPHA_MAX_EVALS} evaluations",
-        bracket=(low, high),
-    )
 
 
 def _radius_bracket(h: Hypergraph, caller: str) -> tuple[float, float, int]:
     """``alpha_normal_bracket``'s ``(low, high)`` and the number of defect
-    evaluations it took.  Each returned bracket is logged at DEBUG on the
-    ``supertrees`` logger with m, k and that count."""
+    evaluations (``_propagate`` calls) it took.  Each returned bracket is
+    logged at DEBUG on the ``supertrees`` logger with m, k and that count.
+
+    The search starts from the plan's bounds, max_degree^(1/k) below the
+    root and max_edge_product^(1/k) above it, each used once its defect has
+    the strict sign that end needs: > 0 below, < 0 above.  An end that fails
+    falls back to the former start: 1 below, (max_degree * m)^(1/k) above.
+    Only a hyperstar attains the bounds (elsewhere an edge at a vertex of
+    maximum degree holds a second non-pendent vertex, so its product is at
+    least twice max_degree): they are then one radius, m^(1/k), whose defect
+    rounding decides, so it serves as whichever end its sign fits, and it
+    is evaluated once.  Radius 1 fails below only on the one-edge
+    supertree, where it is the lower bound itself, evaluated once, and the
+    bracket is (1, 1).
+    """
     plan = _plan(h, caller)
     k = h.k
-    evaluations = 0
-
-    def defect(r: float) -> float:
-        nonlocal evaluations
+    start = low = plan.max_degree ** (1.0 / k)
+    f_start = f_low = _propagate(plan, start**-k)
+    evaluations = 1
+    if not f_low > 0.0 and low != 1.0:
+        low, f_low = 1.0, _propagate(plan, 1.0)
         evaluations += 1
-        return _propagate(plan, r**-k)
-
-    start = _start(defect, plan, k, h.m)
-    low, high = (1.0, 1.0) if start is None else _anderson_bjorck(defect, k, *start)
+    if not f_low > 0.0:
+        low = high = 1.0
+    else:
+        high = plan.max_edge_product ** (1.0 / k)
+        if high == start:
+            f_high = f_start
+        else:
+            f_high = _propagate(plan, high**-k)
+            evaluations += 1
+        if not f_high < 0.0:
+            high = (plan.max_degree * h.m) ** (1.0 / k)
+            f_high = _propagate(plan, high**-k)
+            evaluations += 1
+            if not f_high < 0.0:
+                raise BracketError(
+                    f"no sign change: defect {f_high:.3e} at radius {high}", bracket=(low, high)
+                )
+        kept = 0  # +1 after low moved, -1 after high moved
+        bisect = False
+        for _ in range(ALPHA_MAX_EVALS):
+            if high - low <= ALPHA_BRACKET_ULPS * math.ulp(high):
+                break
+            if bisect:
+                x = 0.5 * (low + high)
+            else:
+                a_low, a_high = low**-k, high**-k
+                if f_low == math.inf:
+                    alpha = 0.5 * (a_low + a_high)
+                else:
+                    alpha = a_high + (a_low - a_high) * (f_high / (f_high - f_low))
+                x = alpha ** (-1.0 / k)
+            # The trial radius, kept at least one ulp inside the bracket.
+            x = min(max(x, low + math.ulp(high)), high - math.ulp(high))
+            fx = _propagate(plan, x**-k)
+            evaluations += 1
+            # Anderson-Bjorck (BIT 13, 1973): when the same end moves twice
+            # running, scale the other end's defect by 1 - fx / (the moving
+            # end's old defect), or by 1/2 if that is not positive.  A factor
+            # of at most ALPHA_FLAT means the step left the defect almost as
+            # it was, as rounding noise near the root does, so the next trial
+            # bisects.
+            bisect = False
+            if fx > 0.0:
+                if kept > 0:
+                    scale = 1.0 - fx / f_low
+                    bisect = scale <= ALPHA_FLAT
+                    f_high *= scale if scale > 0.0 else 0.5
+                low, f_low = x, fx
+                kept = 1
+            elif fx < 0.0:
+                if kept < 0:
+                    scale = 1.0 - fx / f_high
+                    bisect = scale <= ALPHA_FLAT
+                    f_low *= scale if scale > 0.0 else 0.5
+                high, f_high = x, fx
+                kept = -1
+            else:
+                low, below = _strict_end(plan, k, x, low)
+                high, above = _strict_end(plan, k, x, high)
+                evaluations += below + above
+                break
+        else:
+            raise BracketError(
+                f"radius bracket [{low!r}, {high!r}] still open after {ALPHA_MAX_EVALS} evaluations",
+                bracket=(low, high),
+            )
     log = _debug_logger()
     if log is not None:
         log.debug(
@@ -546,9 +544,9 @@ def alpha_normal_bracket(h: Hypergraph) -> tuple[float, float]:
     The propagated root-sum defect is strictly increasing in alpha, negative
     below the normal point and positive (or infeasible) above it, exactly the
     two directions in which strict sub/supernormality bound the radius.  The
-    search starts from the plan's degree bounds, each once its defect has
-    the strict sign it needs (see ``_start``).  Anderson-Bjorck regula falsi
-    on alpha then narrows a bracket with defect(low^(-k)) > 0 >
+    search, all in ``_radius_bracket``, starts from the plan's degree bounds,
+    each once its defect has the strict sign it needs.  Anderson-Bjorck
+    regula falsi on alpha then narrows a bracket with defect(low^(-k)) > 0 >
     defect(high^(-k)), bisecting while the low end is infeasible and after
     a step that left the defect almost unchanged, until the radius bracket
     is ALPHA_BRACKET_ULPS ulps wide.  Every trial is a float radius r

@@ -55,13 +55,15 @@ def _fmt(x: float) -> str:
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Write ``text`` to the file ``out``, or to stdout without one, with
+    one trailing newline, added when ``text`` has none."""
+    if not text.endswith("\n"):
+        text += "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
 def _load_hypergraph(path_arg: str) -> Hypergraph:

@@ -102,10 +102,13 @@ def enumerate_supertrees(m: int, k: int, limit: int = DEFAULT_ENUM_LIMIT) -> lis
     return [reps[key][0] for key in sorted(reps)]
 
 
-def random_supertree(m: int, k: int, rng: random.Random) -> Hypergraph:
+def random_supertree(m: int, k: int, rng) -> Hypergraph:
     """Uniform-attachment growth: each new pendent edge lands on a random vertex.
 
     ``m`` and ``k`` must be ints (bools and floats raise ValueError).
+    ``rng`` is a ``random.Random``, or anything with its ``randrange``; it
+    has no annotation, so that ``typing.get_type_hints`` resolves this
+    signature without this module importing ``random``.
     """
     if _strict_int(m, "m") < 1:
         raise ValueError("m must be >= 1")

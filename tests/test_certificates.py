@@ -1,18 +1,21 @@
 """Certificate classification, the explicit broom certificate, and the
 bracketing radius solver."""
 
+import inspect
 import logging
 import math
 import os
 import random
 import subprocess
 import sys
+import typing
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+import supertrees
 from supertrees import (
     BracketError,
     Hypergraph,
@@ -496,8 +499,14 @@ def test_start_bounds_bracket_rho_and_bracket_ends_have_strict_signs():
         (tree_power(path(11), 3), "0x1.8d171613d86d9p+0", "0x1.8d171613d86dap+0"),
         (tree_power(double_star(2, 3), 4), "0x1.7992ff022195fp+0", "0x1.7992ff0221961p+0"),
         (random_supertree(30, 5, random.Random(30)), "0x1.72ba5599d6811p+0", "0x1.72ba5599d6812p+0"),
+        # the start's upper bound fails, and the search starts above it
+        (hyperstar(5, 3), "0x1.b5c0fbcfec4d3p+0", "0x1.b5c0fbcfec4d5p+0"),
+        # rho = 2 exactly: both bounds fail, and the strict ends close the search
+        (hyperstar(8, 3), "0x1.ffffffffffffep+0", "0x1.0000000000001p+1"),
     ],
-    ids=["broom", "hyperstar", "path-power", "double-star-power", "random"],
+    ids=[
+        "broom", "hyperstar", "path-power", "double-star-power", "random", "high-fails", "both-fail"
+    ],
 )
 def test_bracket_bits_are_pinned(h, low, high):
     # a faster propagation must reproduce every bracket end exactly
@@ -514,8 +523,16 @@ def test_bracket_bits_are_pinned(h, low, high):
         # a trial radius whose defect is exactly zero, then the strict ends
         (Hypergraph(k=3, n=13, edges=hyperstar(5, 3).edges + ((1, 11, 12),)), 8),
         (Hypergraph(k=3, n=3, edges=((0, 1, 2),)), 1),
+        # the upper start bound fails: m^(1/k) is evaluated once, as the low end
+        (hyperstar(5, 3), 3),
+        # the one start radius has an exactly zero defect, so both bounds fail;
+        # the strict ends' evaluations count too
+        (hyperstar(8, 3), 6),
     ],
-    ids=["path-power", "hyperstar", "broom", "random-k5", "zero-defect", "one-edge"],
+    ids=[
+        "path-power", "hyperstar", "broom", "random-k5", "zero-defect", "one-edge",
+        "high-fails", "both-fail",
+    ],
 )
 def test_defect_evaluations_per_solve_are_pinned(h, evaluations):
     # a change to the search must not take more defects on any of these
@@ -560,8 +577,9 @@ def test_solving_does_not_import_logging():
 
 def test_a_cold_import_loads_no_module_it_does_not_need():
     # each costs milliseconds of every cold start: dataclasses with inspect,
-    # fractions and csv (each loaded at its one use), random (named only in
-    # an annotation) and logging (see test_solving_does_not_import_logging)
+    # fractions and csv (each loaded at its one use), random (whose generator
+    # random_supertree's callers pass in) and logging (see
+    # test_solving_does_not_import_logging)
     code = (
         "import sys; old = set(sys.modules); "
         "unneeded = {'dataclasses', 'inspect', 'fractions', 'csv', 'random', 'logging'}; "
@@ -571,6 +589,18 @@ def test_a_cold_import_loads_no_module_it_does_not_need():
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(certificates.__file__))}
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env)
     assert out.stdout == "[]\n[]\n", out.stdout + out.stderr
+
+
+def test_every_exported_annotation_resolves():
+    # the modules postpone annotations, so a name an annotation uses but its
+    # module does not import fails only here, not at import
+    exported = [
+        getattr(supertrees, name) for name in dir(supertrees) if not name.startswith("_")
+    ]
+    checked = [obj for obj in exported if inspect.isfunction(obj) or inspect.isclass(obj)]
+    assert len(checked) > 40
+    for obj in checked:
+        typing.get_type_hints(obj)
 
 
 def test_alpha_radius_single_edge_exact():

@@ -509,6 +509,16 @@ def test_enumerate_human_output_writes_the_csv_to_the_file(tmp_path, capsys):
     assert out.read_text() == report_to_csv(rank_spectra(5, 3))
 
 
+@pytest.mark.parametrize("output", ["csv", "json"])
+def test_enumerate_writes_the_same_bytes_to_stdout_and_to_a_file(tmp_path, capsys, output):
+    argv = ("enumerate", "--k", "2", "--m", "3", "--output", output)
+    _, stdout, _ = run_cli(capsys, *argv)
+    out = tmp_path / f"report.{output}"
+    run_cli(capsys, *argv, "--out", str(out))
+    assert stdout.encode() == out.read_bytes()
+    assert stdout.endswith("\n") and not stdout.endswith("\n\n")
+
+
 def test_enumerate_output_is_byte_stable(capsys):
     _, first, _ = run_cli(capsys, "enumerate", "--k", "3", "--m", "5", "--output", "csv")
     _, second, _ = run_cli(capsys, "enumerate", "--k", "3", "--m", "5", "--output", "csv")
