@@ -40,7 +40,10 @@ PageRank.  The stop trusts no extrapolation: the Collatz-Wielandt ratios
 bracket rho at every positive vector, extrapolated or not, so the stop
 rule and the bracket it certifies are the plain loop's.  On path^3 the
 steps fall to 358 at m = 100 (9,130 plain) and 3,482 at m = 400 (119,449
-plain, past ``DEFAULT_MAX_ITER``).
+plain, past ``DEFAULT_MAX_ITER``).  Windows of 4, 6, 8 and 10 take 829,
+748, 664 and 646 steps on the benchmark's eigen-medium hosts, and 8 gives
+the lowest wall time: a wider window saves steps but costs more per
+extrapolation.
 
 One kernel applies the tensor.  Its plan is built once per hypergraph: the
 k vertex columns of the edge list, each vertex's leave-one-out product
@@ -244,22 +247,29 @@ def _solve(a: list[list[float]], b: list[float]) -> list[float] | None:
     return c
 
 
-def _extrapolate(xs: list[list[float]], k: float) -> list[float] | None:
+def _extrapolate(xs: list[tuple[float, ...]], k: float) -> tuple[float, ...] | None:
     """Minimal polynomial extrapolation of the iterates ``xs`` = x_0 .. x_(W+1),
-    renormalised to k-norm 1, or None when it is rejected.
+    renormalised to k-norm 1 as a tuple, or None when it is rejected.
 
     With u_j = x_(j+1) - x_j, the coefficients c_0 .. c_(W-1), c_W = 1
     minimise |sum c_j u_j|: the W x W normal equations sum_j <u_i, u_j> c_j =
     -<u_i, u_W>.  No difference vector is formed: ``2 <u_i, u_j> = d(i+1, j)
     + d(i, j+1) - d(i, j) - d(i+1, j+1)`` for d(p, q) = |x_p - x_q|^2, one
     C-level ``math.dist`` per pair of iterates (the common factor 2 drops
-    out).  The result is ``z = sum gamma_j x_(j+1)`` with ``gamma = c /
-    sum(c)``: for a linear iteration that is one step past the classical
-    ``sum gamma_j x_j``, and it took 664 steps on eigen-medium where the
-    classical form took 789 (window 8).  It is kept only if
-    ``s = sum(z_i**k)`` lies in (0, inf) and every
-    coordinate of ``z / s**(1/k)`` is positive (and so finite).  A singular
-    or non-finite solve is rejected too.
+    out).  ``math.dist`` copies a list argument into a new tuple on every
+    call, W + 1 copies of each iterate, and reads a tuple as it is; so the
+    iterates are tuples (lists give the same bits, only slower).  The result
+    is ``z = sum gamma_j x_(j+1)`` with ``gamma = c / sum(c)``: for a linear
+    iteration that is one step past the classical ``sum gamma_j x_j``, and
+    it took 664 steps on eigen-medium where the classical form took 789
+    (window 8).  After ``gamma_0 x_1``, one pass over the coordinates per
+    term adds the next W mod 4 terms, and then each pass adds four, ``z_i +
+    g1 * a1 + g2 * a2 + g3 * a3 + g4 * a4``.  So each coordinate is still
+    the reference's running sum, its terms added one at a time and in order
+    (not by ``sum``, ``math.fsum`` or ``math.sumprod``, which round
+    otherwise from Python 3.12 on).  It is kept only if ``s = sum(z_i**k)``
+    lies in (0, inf) and every coordinate of ``z / s**(1/k)`` is positive
+    (and so finite).  A singular or non-finite solve is rejected too.
     """
     w = len(xs) - 2
     d = [[0.0] * (w + 2) for _ in range(w + 2)]
@@ -277,15 +287,23 @@ def _extrapolate(xs: list[list[float]], k: float) -> list[float] | None:
     total = reduce(add, c)
     if not 0.0 < abs(total) < math.inf:
         return None
-    z = list(map(mul, repeat(c[0] / total), xs[1]))
-    for cj, x in zip(c[1:], xs[2:]):
-        z = list(map(add, z, map(mul, repeat(cj / total), x)))
+    g = [cj / total for cj in c]
+    r = 1 + w % 4  # terms added one per pass, the rest four per pass
+    z = list(map(mul, repeat(g[0]), xs[1]))
+    for gj, x in zip(g[1:r], xs[2:]):
+        z = list(map(add, z, map(mul, repeat(gj), x)))
+    for j in range(r, w + 1, 4):
+        g1, g2, g3, g4 = g[j : j + 4]
+        z = [
+            zi + g1 * a1 + g2 * a2 + g3 * a3 + g4 * a4
+            for zi, a1, a2, a3, a4 in zip(z, *xs[j + 1 : j + 5])
+        ]
     s = sum(map(pow, z, repeat(k)))
     if not 0.0 < s < math.inf:
         return None
     # a NaN or infinite coordinate would have made s NaN or infinite, so
     # min is reliable here; positive coordinates stay below s**(1/k)
-    z = list(map(truediv, z, repeat(s ** (1.0 / k))))
+    z = tuple(map(truediv, z, repeat(s ** (1.0 / k))))
     return z if min(z) > 0.0 else None
 
 
@@ -331,19 +349,21 @@ def power_iteration(
     ``i_lo`` and ``i_hi`` at its argmin and argmax.  A solve runs it on
     a few steps: step 1 and its last few (34 of eigen-medium's 664).
 
-    The iterates since the last extrapolation (or the start) form a cycle.
-    Once it holds ``MPE_WINDOW + 2`` of them, ``_extrapolate`` combines
-    them; the next iterate is its result if kept and the last step's
-    otherwise, and the cycle restarts from that iterate.  An extrapolation
-    costs no ``tensor_apply`` of its own, since the next step applies the
-    tensor to it, and the screen stays exact at it, since its argument
-    holds at every vector.
+    The iterates are tuples, which ``_extrapolate``'s ``math.dist`` calls
+    read without a copy.  Those since the last extrapolation (or the start)
+    form a cycle.  Once it holds ``MPE_WINDOW + 2`` of them,
+    ``_extrapolate`` combines them; the next iterate is its result if kept
+    and the last step's otherwise, and the cycle restarts from that
+    iterate.  An extrapolation costs no ``tensor_apply`` of its own, since
+    the next step applies the tensor to it, and the screen stays exact at
+    it, since its argument holds at every vector.
 
-    Each pass is one ``map`` over the coordinates, with the formulas
+    Each pass runs over the coordinates in vertex order, with the formulas
     ``x_i**(k-1)``, ``a / p``, ``a + p``, ``y_i**(1/(k-1))``,
     ``sum(x_i**k)**(1/k)``, ``x_i / norm`` and the extrapolation's running
-    sum ``z_i + g_j * x_i`` in vertex order, and the iterates do not depend
-    on the screen, so every iterate, the step count and the returned pair
+    sum ``z_i + g_j * x_i``, its terms added left to right (four in one
+    pass, see ``_extrapolate``), and the iterates do not depend on the
+    screen, so every iterate, the step count and the returned pair
     are bitwise those of the same loop written element by element with the
     full pass on every step (``tests/oracles.py``'s
     ``reference_power_iteration``, which makes the same ``sum`` and
@@ -371,7 +391,7 @@ def power_iteration(
     k = float(h.k)
     km1 = k - 1.0
     shift = h.k == 2
-    x = [h.n ** (-1.0 / k)] * h.n
+    x = (h.n ** (-1.0 / k),) * h.n
     i_lo = i_hi = 0  # argmin and argmax of the last full pass's ratios
     cycle = [x]  # the iterates since the extrapolation last restarted
     jumps = rejected = 0
@@ -396,7 +416,7 @@ def power_iteration(
             i_hi = ratios.index(lam_hi)
         y = list(map(pow, map(add, ax, pw) if shift else ax, repeat(1.0 / km1)))
         norm = sum(map(pow, y, repeat(k))) ** (1.0 / k)
-        x = list(map(truediv, y, repeat(norm)))
+        x = tuple(map(truediv, y, repeat(norm)))
         cycle.append(x)
         if len(cycle) == MPE_WINDOW + 2:
             z = _extrapolate(cycle, k)
@@ -419,7 +439,7 @@ def power_iteration(
         )
     rho = 0.5 * (lam_lo + lam_hi)
     residual = max(map(abs, map(sub, ax, map(mul, repeat(rho), pw))))
-    return PrincipalPair(rho=rho, x=tuple(x), residual=residual, iterations=it)
+    return PrincipalPair(rho=rho, x=x, residual=residual, iterations=it)
 
 
 def double_star_power_radius(m: int, k: int) -> float:

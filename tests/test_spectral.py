@@ -244,6 +244,52 @@ def test_extrapolation_rejects_a_singular_solve():
     assert reference_extrapolate(xs, 3) is None
 
 
+def _mode_iterates(limit, modes, count: int) -> list[list[float]]:
+    # x_j = limit + sum of mu^j e over the modes (mu, e), for j < count
+    return [[v + sum(mu**j * e[i] for mu, e in modes) for i, v in enumerate(limit)] for j in range(count)]
+
+
+@pytest.mark.parametrize("w", range(1, 10))
+def test_extrapolation_is_the_reference_at_every_window(w):
+    # the combination is summed four iterates per pass and the rest one per
+    # pass, so windows 1 to 9 reach every remainder; W + 1 modes keep the
+    # normal equations regular, and the iterates go in as lists and tuples
+    rng = random.Random(f"mpe-window-{w}")
+    limit = [rng.uniform(0.5, 1.0) for _ in range(12)]
+    modes = [(rng.uniform(-0.9, 0.95), [rng.uniform(-0.05, 0.05) for _ in limit]) for _ in range(w + 1)]
+    xs = _mode_iterates(limit, modes, w + 2)
+    ref = reference_extrapolate(xs, 3)
+    assert ref is not None
+    for form in (list, tuple):
+        z = _extrapolate([form(x) for x in xs], 3.0)
+        assert type(z) is tuple
+        assert bits(z) == bits(ref)
+
+
+def test_extrapolation_rejects_past_the_four_term_passes():
+    # window 4: four modes and every iterate positive, yet the combination
+    # they point to is negative in coordinate 1; with that coordinate of the
+    # limit positive instead, the same modes are kept
+    modes = [
+        (0.9, [0.05, 0.4, -0.02, 0.03, 0.01, 0.02]),
+        (-0.5, [-0.03, 0.01, 0.04, 0.02, -0.01, 0.03]),
+        (0.6, [0.02, 0.01, 0.01, -0.04, 0.03, 0.01]),
+        (0.3, [0.01, 0.01, 0.03, 0.01, 0.04, -0.02]),
+    ]
+    for second, kept in ((-0.05, False), (0.05, True)):
+        xs = _mode_iterates([0.5, second, 0.4, 0.6, 0.3, 0.7], modes, 6)
+        assert all(v > 0.0 for x in xs for v in x)
+        ref = reference_extrapolate(xs, 3)
+        assert (ref is not None) is kept
+        for form in (list, tuple):
+            z = _extrapolate([form(x) for x in xs], 3.0)
+            assert (z is None) if ref is None else (bits(z) == bits(ref))
+    # window 8, as power iteration runs it: iterates that no longer move
+    xs = [(0.5, 0.7, 0.4)] * 10
+    assert _extrapolate(xs, 3.0) is None
+    assert reference_extrapolate(xs, 3) is None
+
+
 def cw_bracket(h, x) -> tuple[float, float]:
     ratios = [a / xi ** (h.k - 1) for a, xi in zip(tensor_apply(h, x), x)]
     return min(ratios), max(ratios)
