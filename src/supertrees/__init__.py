@@ -53,7 +53,6 @@ from .hypergraph import (
     vertex_stats,
 )
 from .ordering import (
-    DEFAULT_ENUM_LIMIT,
     ReportEntry,
     SpectraReport,
     VerificationRecord,

@@ -19,6 +19,7 @@ midpoint.
 from __future__ import annotations
 
 import math
+from numbers import Real
 from typing import NamedTuple
 
 from .constructors import broom
@@ -27,6 +28,7 @@ from .hypergraph import (
     Hypergraph,
     _debug_logger,
     _read_only,
+    _strict_int,
     incidence_lists,
     is_supertree,
     vertex_stats,
@@ -136,7 +138,14 @@ def _consistent(h: Hypergraph, b: WeightedIncidence, tol: float) -> bool:
     return True
 
 
+def _check_real(value, what: str) -> None:
+    # a bool is a Real, and a str would raise TypeError at the first comparison
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+
+
 def _check_alpha(alpha: float) -> None:
+    _check_real(alpha, "alpha")
     if not 0.0 < alpha < math.inf:
         raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
 
@@ -153,10 +162,11 @@ def classify(
     least one slack lies beyond ``tol`` on the permitted side.  ``tol = 0``
     compares exactly; with ``Fraction`` weights and alpha the slacks are
     exact too (sums start from the int 0, products from the int 1).  Raises
-    ValueError for an alpha that is not positive and finite or a tol that is
-    negative, infinite or NaN.
+    ValueError unless alpha (positive) and tol (non-negative) are finite
+    reals other than bools.
     """
     _check_alpha(alpha)
+    _check_real(tol, "tol")
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be non-negative and finite, got {tol!r}")
     if b.host != h:
@@ -198,9 +208,9 @@ def t11m3_certificate(m: int, k: int, alpha: float) -> WeightedIncidence:
     decided by the central edge alone; with a ``Fraction`` alpha the weights
     are exact, so this holds exactly.
 
-    Requires 0 < alpha < 1/(m-3) so all weights stay positive.
+    Requires an int m >= 4 and 0 < alpha < 1/(m-3), so weights stay positive.
     """
-    if m < 4:
+    if _strict_int(m, "m") < 4:
         raise ValueError("t11m3_certificate needs m >= 4")
     if not 0.0 < alpha < 1.0 / (m - 3):
         raise PositivityError(
@@ -393,9 +403,9 @@ def propagate_certificate(h: Hypergraph, alpha: float) -> WeightedIncidence:
     reached and never changes after.  Every incidence the plan leaves out
     is a pendent vertex's, whose weight is exactly 1.0.  These are the
     weights of the full leaf-to-root propagation, bit for bit.  Raises
-    ValueError for an alpha that is not positive and finite, before any
-    planning, and PositivityError when alpha is large enough to force a
-    non-positive weight.
+    ValueError for an alpha that is a bool, not a real number, or not
+    positive and finite, before any planning, and PositivityError when
+    alpha is large enough to force a non-positive weight.
     """
     _check_alpha(alpha)
     plan = _plan(h, "propagation")

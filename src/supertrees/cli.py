@@ -1,8 +1,8 @@
 """Command-line front end: gen, rho, certify, verify, enumerate.
 
 Human output prints 9 significant digits; json and csv print full
-round-trip precision.  The SUPERTREE_ENUM_LIMIT environment variable
-overrides the enumeration cap, for every exhaustive verifier.
+round-trip precision.  The enumeration cap is the CLI's alone, and the
+SUPERTREE_ENUM_LIMIT environment variable overrides its DEFAULT_ENUM_LIMIT.
 """
 
 from __future__ import annotations
@@ -24,10 +24,9 @@ from .certificates import (
     t11m3_certificate,
 )
 from .constructors import broom, double_star, f_tree, hyperstar, path, star, tree_power
-from .errors import CounterexampleFound, SupertreeError
+from .errors import CounterexampleFound, EnumerationLimitError, SupertreeError
 from .hypergraph import Hypergraph, from_interchange, is_supertree, to_interchange, vertex_stats
 from .ordering import (
-    DEFAULT_ENUM_LIMIT,
     rank_spectra,
     report_to_csv,
     report_to_dict,
@@ -38,16 +37,19 @@ from .ordering import (
 )
 from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, power_iteration, tensor_apply
 
+DEFAULT_ENUM_LIMIT = 10
 
-def _enum_limit() -> int:
-    raw = os.environ.get("SUPERTREE_ENUM_LIMIT")
-    if raw is None:
-        return DEFAULT_ENUM_LIMIT
+
+def _enum_limit(m: int) -> int:
+    """``m``, checked against the enumeration cap before anything enumerates."""
+    raw = os.environ.get("SUPERTREE_ENUM_LIMIT", str(DEFAULT_ENUM_LIMIT))
     # ASCII digits only: int() alone would also take "1_0", " 9 " and "\u0669"
     limit = int(raw) if raw.isascii() and raw.isdigit() else 0
     if limit < 1:
         raise ValueError(f"SUPERTREE_ENUM_LIMIT must be a positive integer, got {raw!r}")
-    return limit
+    if m > limit:
+        raise EnumerationLimitError(f"m = {m} exceeds the enumeration limit {limit}")
+    return m
 
 
 def _fmt(x: float) -> str:
@@ -152,9 +154,8 @@ def _cmd_gen(args) -> int:
         h = tree_power(path(args.m + 1), args.k)
     text = json.dumps(to_interchange(h), indent=2, sort_keys=True)
     _emit(text, args.out)
-    stats = vertex_stats(h)
-    summary = f"n={h.n} m={h.m} k={h.k} N2={stats.non_pendent_count}"
-    print(summary, file=sys.stderr if args.out is None else sys.stdout)
+    summary = f"n={h.n} m={h.m} k={h.k} N2={vertex_stats(h).non_pendent_count}"
+    print(summary, file=sys.stdout if args.out else sys.stderr)
     return 0
 
 
@@ -237,15 +238,13 @@ def _cmd_certify(args) -> int:
     if args.construct == "t11m3":
         if args.alpha is None:
             raise SupertreeError("certify --construct t11m3 needs --alpha")
-        ref = broom(1, 1, h.m - 3, h.k) if h.m >= 4 else None
-        if ref is None or h != ref:
+        if h.m < 4 or h != broom(1, 1, h.m - 3, h.k):
             raise SupertreeError(
                 "t11m3 construction requires the canonical broom(1,1,m-3) labeling "
                 "(generate it with: gen broom --t 1,1,<m-3>)"
             )
         alpha = args.alpha
         cert = t11m3_certificate(h.m, h.k, alpha)
-        cert = WeightedIncidence(host=h, entries=cert.entries)
     elif args.certificate:
         with open(args.certificate, encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -311,13 +310,13 @@ def _cmd_verify(args) -> int:
         if name in ("main1", "main2"):
             if args.k is None or args.m is None:
                 raise SupertreeError(f"verify {name} needs --k and --m")
-            rec = verify_top_four(args.m, args.k, limit=_enum_limit())
+            rec = verify_top_four(_enum_limit(args.m), args.k)
         elif name == "hofmeister":
             if args.k not in (None, 2):
                 raise SupertreeError("hofmeister ordering is the k=2 case")
             if args.m is None:
                 raise SupertreeError("verify hofmeister needs --m")
-            rec = verify_top_four(args.m, 2, limit=_enum_limit())
+            rec = verify_top_four(_enum_limit(args.m), 2)
         elif name == "partition":
             if args.k is None or args.m is None:
                 raise SupertreeError("verify partition needs --k and --m")
@@ -331,7 +330,7 @@ def _cmd_verify(args) -> int:
             if m_max < 3:
                 raise SupertreeError(f"verify moving-edges needs --m >= 3, got {m_max}")
             k = args.k if args.k is not None else 3
-            rec = verify_moving_edges(k=k, m_max=m_max, limit=_enum_limit())
+            rec = verify_moving_edges(k=k, m_max=_enum_limit(m_max))
     except CounterexampleFound as exc:
         print(f"FAIL {name}: {exc}")
         if exc.offending is not None:
@@ -347,7 +346,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    report = rank_spectra(args.m, args.k, limit=_enum_limit())
+    report = rank_spectra(_enum_limit(args.m), args.k)
     if args.output == "json":
         _emit(json.dumps(report_to_dict(report), sort_keys=True, indent=2), args.out)
     elif args.output == "csv":

@@ -27,7 +27,7 @@ from .certificates import (
     t11m3_certificate,
 )
 from .constructors import broom, double_star, f_tree, hyperstar, move_edges, path, tree_power
-from .errors import CounterexampleFound, EnumerationLimitError, SearchExhaustedError
+from .errors import CounterexampleFound, SearchExhaustedError
 from .hypergraph import (
     Hypergraph,
     _debug_logger,
@@ -39,8 +39,6 @@ from .hypergraph import (
     vertex_stats,
 )
 from .spectral import DEFAULT_TOL, double_star_power_radius, f_tree_power_radius, power_iteration
-
-DEFAULT_ENUM_LIMIT = 10
 
 #: ``rank_spectra`` flags neighbouring radii this close as tied (1000x
 #: ``DEFAULT_TOL``, so numerical noise never masquerades as a genuine tie).
@@ -71,12 +69,12 @@ class VerificationRecord(NamedTuple):
     data: dict
 
 
-def enumerate_supertrees(m: int, k: int, limit: int = DEFAULT_ENUM_LIMIT) -> list[Hypergraph]:
+def enumerate_supertrees(m: int, k: int) -> list[Hypergraph]:
     """One representative per isomorphism class of k-uniform supertrees with m edges.
 
-    Output is sorted by canonical key, so the order is deterministic.  ``m``,
-    ``k`` and ``limit`` must be ints (bools and floats raise ValueError),
-    with m >= 1 and k >= 2.
+    Output is sorted by canonical key, so the order is deterministic.  ``m``
+    and ``k`` must be ints (bools and floats raise ValueError), with m >= 1
+    and k >= 2.
 
     With DEBUG on for the ``supertrees`` logger, each grown level (edge
     counts 2..m; the one-edge seed is not grown) sends one record with its
@@ -87,8 +85,6 @@ def enumerate_supertrees(m: int, k: int, limit: int = DEFAULT_ENUM_LIMIT) -> lis
         raise ValueError("m must be >= 1")
     if _strict_int(k, "k") < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    if m > _strict_int(limit, "limit"):
-        raise EnumerationLimitError(f"m = {m} exceeds the enumeration limit {limit}")
     log = _debug_logger()
     first = hyperstar(1, k)
     reps = {canonical_key(first): (first, None)}
@@ -120,7 +116,7 @@ def random_supertree(m: int, k: int, rng) -> Hypergraph:
     return Hypergraph(k=k, n=n, edges=tuple(edges))
 
 
-def rank_spectra(m: int, k: int, limit: int = DEFAULT_ENUM_LIMIT) -> SpectraReport:
+def rank_spectra(m: int, k: int) -> SpectraReport:
     """Rank all classes at (k, m) by spectral radius, descending.
 
     Each radius is ``alpha_normal_radius``, the midpoint of the certified
@@ -132,10 +128,10 @@ def rank_spectra(m: int, k: int, limit: int = DEFAULT_ENUM_LIMIT) -> SpectraRepo
     the one place a rank tie is decided: an entry whose radius is within
     ``TIE_TOL`` of the next one's is flagged ``tie_with_next``.  Each
     class's key is the one its enumeration stored, so no class is keyed
-    twice.  ``enumerate_supertrees`` checks ``m``, ``k`` and ``limit``.
+    twice.  ``enumerate_supertrees`` checks ``m`` and ``k``.
     """
     rows = []
-    for h in enumerate_supertrees(m, k, limit=limit):
+    for h in enumerate_supertrees(m, k):
         rows.append((canonical_key(h).decode("ascii"), h, alpha_normal_radius(h)))
     rows.sort(key=lambda r: (-r[2], r[0]))
     entries = []
@@ -204,7 +200,7 @@ def _expected_top(m: int, k: int) -> list[tuple[str, Hypergraph]]:
     return top
 
 
-def verify_top_four(m: int, k: int, limit: int = DEFAULT_ENUM_LIMIT) -> VerificationRecord:
+def verify_top_four(m: int, k: int) -> VerificationRecord:
     """Check that the ranked enumeration starts with exactly the expected
     families, in order, with no entry among them tied with the next one.
 
@@ -213,13 +209,12 @@ def verify_top_four(m: int, k: int, limit: int = DEFAULT_ENUM_LIMIT) -> Verifica
     instead.  The classes are ranked by ``rank_spectra``, that is by the
     certificate solver, and a tie is its ``tie_with_next`` flag, so the
     expected head and the class after it must all be separated by more than
-    ``TIE_TOL``.  Raises CounterexampleFound on any mismatch, and
-    ValueError unless ``m`` is an int >= 4 (``k`` and ``limit`` are checked by
-    ``enumerate_supertrees``).
+    ``TIE_TOL``.  Raises CounterexampleFound on any mismatch, and ValueError
+    unless ``m`` is an int >= 4 (``enumerate_supertrees`` checks ``k``).
     """
     if _strict_int(m, "m") < 4:
         raise ValueError("ordering verification needs m >= 4")
-    report = rank_spectra(m, k, limit=limit)
+    report = rank_spectra(m, k)
     expected = _expected_top(m, k)
     details = []
     for pos, (label, ref) in enumerate(expected):
@@ -333,10 +328,10 @@ def _tie_groups(x, vertices) -> dict[int, int]:
     return group
 
 
-def verify_moving_edges(k: int = 3, m_max: int = 6, limit: int = DEFAULT_ENUM_LIMIT) -> VerificationRecord:
+def verify_moving_edges(k: int = 3, m_max: int = 6) -> VerificationRecord:
     """Exhaustive check that moving edges toward a heavier vertex raises the radius.
 
-    For every class g of ``enumerate_supertrees(m, k, limit)``, 3 <= m <=
+    For every class g of ``enumerate_supertrees(m, k)``, 3 <= m <=
     m_max, every anchor edge e and every target u in e, the movable edges
     are those f != e at a vertex v != u of e whose weight x_v in the
     eigenvector of ``power_iteration(g)`` is at most x_u, that is whose
@@ -348,18 +343,15 @@ def verify_moving_edges(k: int = 3, m_max: int = 6, limit: int = DEFAULT_ENUM_LI
     ``data["gaps"]`` holds these proven separations low2 - high in loop
     order, and ``data["tightest"]`` the smallest as (class key, u, moves,
     separation), with ``moves`` as ``move_edges`` takes them.  Raises
-    ValueError unless ``m_max`` is an int >= 3, and EnumerationLimitError
-    when it exceeds ``limit``.
+    ValueError unless ``m_max`` is an int >= 3.
     """
     if _strict_int(m_max, "m_max") < 3:
         raise ValueError(f"m_max must be >= 3, got {m_max}")
-    if m_max > _strict_int(limit, "limit"):
-        raise EnumerationLimitError(f"m = {m_max} exceeds the enumeration limit {limit}")
     gaps = []
     classes = 0
     best = None
     for m in range(3, m_max + 1):
-        for g in enumerate_supertrees(m, k, limit=limit):
+        for g in enumerate_supertrees(m, k):
             classes += 1
             group = _tie_groups(power_iteration(g).x, range(g.n))
             low, high = alpha_normal_bracket(g)

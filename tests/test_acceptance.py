@@ -168,7 +168,7 @@ def test_criterion_08_ordinary_tree_ordering():
     for n in range(6, 10):
         m = n - 1
         try:
-            rec = verify_top_four(m, 2, limit=8)
+            rec = verify_top_four(m, 2)
         except Exception as exc:
             failures.append(f"n={n}: {exc}")
             continue

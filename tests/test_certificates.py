@@ -6,6 +6,7 @@ import logging
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import typing
@@ -133,6 +134,34 @@ def test_classify_and_propagation_reject_alpha_that_is_not_positive_and_finite(a
         propagate_certificate(cyclic, alpha)
 
 
+@pytest.mark.parametrize("alpha", [True, "0.5", None, 1j])
+def test_classify_and_propagation_reject_alpha_that_is_not_a_real_number(alpha):
+    # True used to run at alpha = 1, and a str raised TypeError
+    h = Hypergraph(k=3, n=3, edges=((0, 1, 2),))
+    message = f"alpha must be a real number, got {alpha!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        classify(h, uniform_certificate(h, 1.0), alpha)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        propagate_certificate(h, alpha)
+
+
+@pytest.mark.parametrize("tol", [True, "0", None])
+def test_classify_rejects_tol_that_is_not_a_real_number(tol):
+    # tol=True used to run at tol = 1, which called this certificate normal
+    h = hyperstar(3, 3)
+    cert = propagate_certificate(h, 0.3)
+    assert classify(h, cert, 0.3).classification == STRICTLY_SUBNORMAL
+    with pytest.raises(ValueError, match=re.escape(f"tol must be a real number, got {tol!r}")):
+        classify(h, cert, 0.3, tol=tol)
+
+
+def test_classify_takes_fraction_alpha_and_tol():
+    h = hyperstar(3, 3)
+    cert = propagate_certificate(h, 0.3)
+    verdict = classify(h, cert, Fraction(3, 10), tol=Fraction(0))
+    assert verdict.classification == STRICTLY_SUBNORMAL
+
+
 def test_classify_requires_matching_host():
     h = hyperstar(2, 3)
     other = hyperstar(3, 3)
@@ -179,6 +208,13 @@ def test_broom_certificate_slack_polynomial():
             expected = -(m - 3) * a**3 + (2 * m - 5) * a**2 - m * a + 1
             assert verdict.edge_slacks[0] == pytest.approx(expected, abs=1e-12)
             assert max(abs(s) for s in verdict.vertex_slacks) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [5.0, True, "5"])
+def test_broom_certificate_rejects_m_that_is_not_an_int(m):
+    # 5.0 used to fail inside broom on "t3 ... 2.0", and True was read as 1
+    with pytest.raises(ValueError, match=re.escape(f"m must be an integer, got {m!r}")):
+        t11m3_certificate(m, 3, 0.1)
 
 
 def test_broom_certificate_alpha_range():

@@ -24,6 +24,7 @@ from supertrees import (
     to_interchange,
     tree_power,
 )
+import supertrees.cli as cli
 import supertrees.ordering as ordering
 from supertrees.certificates import DEFAULT_CERT_TOL
 from supertrees.cli import build_parser, main
@@ -75,6 +76,14 @@ def test_gen_to_stdout_keeps_summary_on_stderr(capsys):
     assert code == 0
     assert json.loads(stdout)["k"] == 2
     assert "n=4 m=3 k=2 N2=1" in stderr
+
+
+def test_gen_with_an_empty_out_writes_only_json_to_stdout(capsys):
+    # an empty --out names no file; the summary used to follow the json on stdout
+    code, stdout, stderr = run_cli(capsys, "gen", "hyperstar", "--k", "2", "--m", "3", "--out", "")
+    assert code == 0
+    assert json.loads(stdout) == to_interchange(hyperstar(3, 2))
+    assert stderr == "n=4 m=3 k=2 N2=1\n"
 
 
 def test_gen_parameter_error(capsys):
@@ -523,6 +532,29 @@ def test_enumerate_output_is_byte_stable(capsys):
     _, first, _ = run_cli(capsys, "enumerate", "--k", "3", "--m", "5", "--output", "csv")
     _, second, _ = run_cli(capsys, "enumerate", "--k", "3", "--m", "5", "--output", "csv")
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "env, args, message",
+    [
+        (None, "enumerate --k 2 --m 11", "m = 11 exceeds the enumeration limit 10"),
+        (None, "verify main2 --k 3 --m 11", "m = 11 exceeds the enumeration limit 10"),
+        (None, "verify hofmeister --m 11", "m = 11 exceeds the enumeration limit 10"),
+        (None, "verify moving-edges --m 11", "m = 11 exceeds the enumeration limit 10"),
+        ("6", "verify moving-edges --k 3 --m 7", "m = 7 exceeds the enumeration limit 6"),
+        # invalid twice over: the cap is checked first
+        (None, "enumerate --k 1 --m 11", "m = 11 exceeds the enumeration limit 10"),
+    ],
+    ids=["enumerate", "main2", "hofmeister", "moving-edges", "moving-edges-env", "enumerate-bad-k"],
+)
+def test_enumeration_cap_is_checked_before_the_library_runs(monkeypatch, capsys, env, args, message):
+    # the library takes any size, so the CLI must refuse one before calling it
+    for name in ("rank_spectra", "verify_top_four", "verify_moving_edges"):
+        monkeypatch.setattr(cli, name, None)
+    if env is not None:
+        monkeypatch.setenv("SUPERTREE_ENUM_LIMIT", env)
+    code, stdout, stderr = run_cli(capsys, *shlex.split(args))
+    assert (code, stdout, stderr) == (1, "", f"error: {message}\n")
 
 
 def test_enumerate_limit_env_override(monkeypatch, capsys):

@@ -459,7 +459,7 @@ def test_a_derived_context_keys_like_one_built_from_the_edges(monkeypatch, k):
         return _attach_pendent_edge(h, v, ctx)
 
     monkeypatch.setattr(hypergraph, "_attach_pendent_edge", tracked)
-    enumerate_supertrees(8, k, limit=8)
+    enumerate_supertrees(8, k)
     assert len(contexts) == sum(supertree_counts(k, 7).values())
     for h, ctx in contexts:
         assert_keys_like_the_edges(h, ctx)

@@ -14,7 +14,6 @@ import pytest
 
 from supertrees import (
     CounterexampleFound,
-    EnumerationLimitError,
     Hypergraph,
     SearchExhaustedError,
     alpha_normal_bracket,
@@ -65,7 +64,7 @@ def test_enumeration_matches_unlabeled_tree_counts():
     # 2-uniform supertrees with m edges are exactly the trees on m+1 vertices
     for m in range(1, 8):
         expected = sum(1 for _ in nx.nonisomorphic_trees(m + 1))
-        assert len(enumerate_supertrees(m, 2, limit=8)) == expected
+        assert len(enumerate_supertrees(m, 2)) == expected
 
 
 def test_class_count_oracle_gives_the_known_counts():
@@ -102,11 +101,27 @@ def test_enumeration_deduplicates():
     assert keys == sorted(keys)
 
 
-def test_enumeration_limit():
-    with pytest.raises(EnumerationLimitError):
-        enumerate_supertrees(11, 2)
+def test_enumeration_takes_sizes_past_the_cli_cap():
+    # the cap on --m is the CLI's (tests/test_cli.py); the library takes any m
     assert len(enumerate_supertrees(10, 2)) == 235  # the trees on 11 vertices
-    assert enumerate_supertrees(11, 2, limit=11)
+    assert len(enumerate_supertrees(11, 2)) == 551  # the trees on 12 vertices
+
+
+@pytest.mark.parametrize(
+    "function, args",
+    [
+        (enumerate_supertrees, (3, 3)),
+        (rank_spectra, (3, 3)),
+        (verify_top_four, (4, 3)),
+        (verify_moving_edges, ()),
+    ],
+    ids=["enumerate_supertrees", "rank_spectra", "verify_top_four", "verify_moving_edges"],
+)
+def test_ordering_takes_no_limit(function, args):
+    # limit= was a per-call enumeration cap; a caller that still passes one
+    # fails at the call instead of having it ignored
+    with pytest.raises(TypeError, match="limit"):
+        function(*args, limit=7)
 
 
 def test_enumeration_closure_over_constructors():
@@ -166,7 +181,7 @@ def test_enumeration_equals_a_dedupe_keyed_from_the_edges(k):
                 cand = Hypergraph(k=k, n=h.n + k - 1, edges=h.edges + (edge,))
                 grown.setdefault(hypergraph._encode(cand), cand)
         reps = grown
-        got = enumerate_supertrees(m, k, limit=8)
+        got = enumerate_supertrees(m, k)
         assert [h.edges for h in got] == [reps[key].edges for key in sorted(reps)]
         assert [canonical_key(h) for h in got] == sorted(reps)
 
@@ -183,7 +198,7 @@ def test_enumeration_equals_a_dedupe_keyed_from_the_edges(k):
 def test_class_keys_are_pinned_at_the_benchmark_sizes(k, m, classes, digest):
     # sha256 of the newline-joined sorted keys, computed with the encoder and
     # the validated constructor that the splice and the one-function key replaced
-    keys = sorted(canonical_key(h) for h in enumerate_supertrees(m, k, limit=m))
+    keys = sorted(canonical_key(h) for h in enumerate_supertrees(m, k))
     assert len(keys) == classes
     assert hashlib.sha256(b"\n".join(keys)).hexdigest() == digest
 
@@ -194,8 +209,6 @@ def test_class_keys_are_pinned_at_the_benchmark_sizes(k, m, classes, digest):
         lambda: enumerate_supertrees(True, 3),
         lambda: enumerate_supertrees(3.0, 3),
         lambda: enumerate_supertrees(3, 3.0),
-        lambda: enumerate_supertrees(3, 3, limit=7.5),
-        lambda: rank_spectra(4, 3, limit=True),
         lambda: verify_top_four(5.0, 3),
         lambda: verify_top_four(True, 3),
         lambda: random_supertree(True, 3, random.Random(0)),
@@ -205,8 +218,6 @@ def test_class_keys_are_pinned_at_the_benchmark_sizes(k, m, classes, digest):
         "enumerate-bool-m",
         "enumerate-float-m",
         "enumerate-float-k",
-        "enumerate-float-limit",
-        "rank-bool-limit",
         "top-four-float-m",
         "top-four-bool-m",
         "random-bool-m",
@@ -340,7 +351,7 @@ def test_the_benchmark_enumerations_encode_one_key_per_attachment_orbit(monkeypa
     # the verify-exhaustive sizes: 3,719 candidates, 1,612 attachment orbits
     calls = count_grown_encodings(monkeypatch)
     for m, k in ((8, 3), (8, 4), (9, 2)):
-        enumerate_supertrees(m, k, limit=m)
+        enumerate_supertrees(m, k)
     assert len(calls) == 1612
 
 
@@ -803,21 +814,12 @@ def test_moving_edges_rejects_empty_runs(kwargs, message):
         verify_moving_edges(**kwargs)
 
 
-def test_moving_edges_rejects_m_max_above_the_limit(monkeypatch):
-    # checked before any class is enumerated
-    monkeypatch.setattr(ordering, "enumerate_supertrees", None)
-    for kwargs in ({"m_max": 11}, {"m_max": 7, "limit": 6}):
-        with pytest.raises(EnumerationLimitError, match=f"m = {kwargs['m_max']} exceeds"):
-            verify_moving_edges(**kwargs)
-
-
 @pytest.mark.parametrize(
     "kwargs, message",
     [
         ({"m_max": 5.0}, "m_max must be an integer, got 5.0"),
         ({"m_max": True}, "m_max must be an integer, got True"),
         ({"k": 3.0}, "k must be an integer, got 3.0"),
-        ({"limit": 7.5}, "limit must be an integer, got 7.5"),
     ],
 )
 def test_moving_edges_rejects_sizes_that_are_not_ints(kwargs, message):
