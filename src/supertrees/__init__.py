@@ -39,7 +39,6 @@ from .errors import (
     MultipleEdgeError,
     NonConvergenceError,
     PositivityError,
-    SearchExhaustedError,
     SupertreeError,
 )
 from .hypergraph import (

@@ -19,8 +19,7 @@ midpoint.
 from __future__ import annotations
 
 import math
-from numbers import Real
-from typing import NamedTuple
+from collections import namedtuple
 
 from .constructors import broom
 from .errors import BracketError, IncidenceMismatchError, PositivityError
@@ -29,6 +28,7 @@ from .hypergraph import (
     _debug_logger,
     _read_only,
     _strict_int,
+    _strict_real,
     incidence_lists,
     is_supertree,
     vertex_stats,
@@ -88,20 +88,16 @@ class WeightedIncidence:
         return self.entries[(v, e_idx)]
 
 
-class CertificateVerdict(NamedTuple):
-    """Classification of (H, B, alpha) with per-constraint slacks.
+CertificateVerdict = namedtuple(
+    "CertificateVerdict", "alpha classification vertex_slacks edge_slacks consistent"
+)
+CertificateVerdict.__doc__ = """Classification of (H, B, alpha) with per-constraint slacks.
 
-    ``vertex_slacks[v]`` is 1 minus the weight sum at v; ``edge_slacks[i]``
-    is the weight product over edge i minus alpha.  ``consistent`` reports
-    whether the weights admit a global potential (trivially true on
-    acyclic input).
-    """
-
-    alpha: float
-    classification: str
-    vertex_slacks: tuple[float, ...]
-    edge_slacks: tuple[float, ...]
-    consistent: bool
+``vertex_slacks[v]`` is 1 minus the weight sum at v; ``edge_slacks[i]``
+is the weight product over edge i minus alpha.  ``consistent`` reports
+whether the weights admit a global potential (trivially true on
+acyclic input).
+"""
 
 
 def _consistent(h: Hypergraph, b: WeightedIncidence, tol: float) -> bool:
@@ -138,15 +134,8 @@ def _consistent(h: Hypergraph, b: WeightedIncidence, tol: float) -> bool:
     return True
 
 
-def _check_real(value, what: str) -> None:
-    # a bool is a Real, and a str would raise TypeError at the first comparison
-    if isinstance(value, bool) or not isinstance(value, Real):
-        raise ValueError(f"{what} must be a real number, got {value!r}")
-
-
 def _check_alpha(alpha: float) -> None:
-    _check_real(alpha, "alpha")
-    if not 0.0 < alpha < math.inf:
+    if not 0.0 < _strict_real(alpha, "alpha") < math.inf:
         raise ValueError(f"alpha must be positive and finite, got {alpha!r}")
 
 
@@ -166,8 +155,7 @@ def classify(
     reals other than bools.
     """
     _check_alpha(alpha)
-    _check_real(tol, "tol")
-    if not 0.0 <= tol < math.inf:
+    if not 0.0 <= _strict_real(tol, "tol") < math.inf:
         raise ValueError(f"tol must be non-negative and finite, got {tol!r}")
     if b.host != h:
         raise IncidenceMismatchError("weighted incidence was built for a different hypergraph")
@@ -208,11 +196,13 @@ def t11m3_certificate(m: int, k: int, alpha: float) -> WeightedIncidence:
     decided by the central edge alone; with a ``Fraction`` alpha the weights
     are exact, so this holds exactly.
 
-    Requires an int m >= 4 and 0 < alpha < 1/(m-3), so weights stay positive.
+    Requires an int m >= 4 and a real alpha other than a bool (ValueError
+    otherwise) with 0 < alpha < 1/(m-3), so weights stay positive
+    (PositivityError otherwise).
     """
     if _strict_int(m, "m") < 4:
         raise ValueError("t11m3_certificate needs m >= 4")
-    if not 0.0 < alpha < 1.0 / (m - 3):
+    if not 0.0 < _strict_real(alpha, "alpha") < 1.0 / (m - 3):
         raise PositivityError(
             f"alpha must lie in (0, {1.0 / (m - 3)!r}) to keep weights positive, got {alpha}"
         )
@@ -238,44 +228,38 @@ def t11m3_certificate(m: int, k: int, alpha: float) -> WeightedIncidence:
 # --- leaf-to-root propagation and the bracketing radius solver --------------
 
 
-class _Plan(NamedTuple):
-    """A supertree rooted once, for repeated propagation at different alphas.
+_Plan = namedtuple("_Plan", "n root max_degree max_edge_product steps")
+_Plan.__doc__ = """A supertree rooted once, for repeated propagation at different alphas.
 
-    The root is the first vertex of maximum degree (every edge of a
-    hyperstar is pendent, so rooting inside a non-pendent edge is not always
-    possible; the scalar equation below has the same unique root either
-    way).  ``steps`` lists every edge deepest first as (edge index, parent
-    vertex, children), so each child's carried sum is complete by the time
-    its parent edge is reached.  Only non-pendent children are listed, and
-    the third field encodes the step's shape by how many there are:
+The root is the first vertex of maximum degree (every edge of a
+hyperstar is pendent, so rooting inside a non-pendent edge is not always
+possible; the scalar equation below has the same unique root either
+way).  ``steps`` lists every edge deepest first as (edge index, parent
+vertex, children), so each child's carried sum is complete by the time
+its parent edge is reached.  Only non-pendent children are listed, and
+the third field encodes the step's shape by how many there are:
 
-    - ``None``: no non-pendent child.  The parent's weight is
-      alpha / 1.0 == alpha exactly, so the step adds alpha.
-    - a vertex ``v``: one child.  The product 1.0 * w == w exactly, so the
-      step adds alpha / (1 - carried[v]).
-    - a tuple of two or more vertices in edge order: the step forms the
-      product of their weights from 1.0, left to right.
+- ``None``: no non-pendent child.  The parent's weight is
+  alpha / 1.0 == alpha exactly, so the step adds alpha.
+- a vertex ``v``: one child.  The product 1.0 * w == w exactly, so the
+  step adds alpha / (1 - carried[v]).
+- a tuple of two or more vertices in edge order: the step forms the
+  product of their weights from 1.0, left to right.
 
-    Pendent children are left out because they cannot change a bit: a
-    pendent vertex is never a parent (except the root of the one-edge
-    tree), so it carries 0.0 and its forced weight is 1.0 - 0.0 == 1.0
-    exactly.  That weight is never <= 0, a factor of exactly 1.0 leaves a
-    float product unchanged wherever it stands, and alpha / 1.0 == alpha,
-    so every defect is the one the full propagation gives, bit for bit.
+Pendent children are left out because they cannot change a bit: a
+pendent vertex is never a parent (except the root of the one-edge
+tree), so it carries 0.0 and its forced weight is 1.0 - 0.0 == 1.0
+exactly.  That weight is never <= 0, a factor of exactly 1.0 leaves a
+float product unchanged wherever it stands, and alpha / 1.0 == alpha,
+so every defect is the one the full propagation gives, bit for bit.
 
-    ``max_degree`` (the root's degree) and ``max_edge_product``, the largest
-    product of the degrees over one edge, bound the radius:
-    max_degree^(1/k) <= rho <= max_edge_product^(1/k).  The first is the
-    radius of the hyperstar at the root, a subhypergraph; the second holds
-    because the weights B(v, e) = 1/deg(v) sum to 1 at every vertex and
-    multiply to at least 1/max_edge_product over every edge.
-    """
-
-    n: int
-    root: int
-    max_degree: int
-    max_edge_product: int
-    steps: tuple[tuple[int, int, int | tuple[int, ...] | None], ...]
+``max_degree`` (the root's degree) and ``max_edge_product``, the largest
+product of the degrees over one edge, bound the radius:
+max_degree^(1/k) <= rho <= max_edge_product^(1/k).  The first is the
+radius of the hyperstar at the root, a subhypergraph; the second holds
+because the weights B(v, e) = 1/deg(v) sum to 1 at every vertex and
+multiply to at least 1/max_edge_product over every edge.
+"""
 
 
 def _plan(h: Hypergraph, caller: str) -> _Plan:

@@ -50,16 +50,13 @@ class CounterexampleFound(SupertreeError):
     """A verification run found an ordering violation.
 
     Attributes:
-        offending: human-readable description of the violating pair.
+        offending: what violated it: a tuple of the values involved, or the
+            input hypergraph where a guided search found no valid move.
     """
 
-    def __init__(self, message: str, offending: tuple | None = None):
+    def __init__(self, message: str, offending: object = None):
         super().__init__(message)
         self.offending = offending
-
-
-class SearchExhaustedError(SupertreeError):
-    """A guided search ran out of candidates."""
 
 
 class DanglingVertexWarning(UserWarning):

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect
+from collections import namedtuple
 from itertools import chain, islice
+from numbers import Real
 from operator import itemgetter, lt
-from typing import NamedTuple
 
 from .errors import MultipleEdgeError
 
@@ -24,12 +25,21 @@ def _strict_int(value, what: str) -> int:
     return value
 
 
+def _strict_real(value, what: str):
+    # a bool is a Real and would be read as 0 or 1, and a str would raise
+    # TypeError at the caller's first comparison
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    return value
+
+
 def _debug_logger():
     """The ``supertrees`` logger if it is enabled for DEBUG, else None.
 
-    The package does not import ``logging`` itself: that import takes 5-10
-    ms, about a quarter of ``import supertrees`` (28-35 ms compiled from
-    source, Python 3.11, shared 2-core machine).  Until some other code
+    The package does not import ``logging`` itself: after ``import
+    supertrees`` that import takes about 10 ms, as much as two fifths of
+    the package's own 22-24 ms (compiled from source, ``python -S``,
+    Python 3.11, shared 2-core machine).  Until some other code
     imports it, no level or handler can have been set, so DEBUG is off.
     """
     logging = sys.modules.get("logging")
@@ -153,15 +163,11 @@ class Hypergraph:
         return len(self.edges)
 
 
-class VertexStats(NamedTuple):
-    """Degrees and pendency classification of a hypergraph.
+VertexStats = namedtuple("VertexStats", "degrees pendent_vertices non_pendent_count")
+VertexStats.__doc__ = """Degrees and pendency classification of a hypergraph.
 
-    ``non_pendent_count`` is the number of vertices of degree other than one.
-    """
-
-    degrees: tuple[int, ...]
-    pendent_vertices: frozenset[int]
-    non_pendent_count: int
+``non_pendent_count`` is the number of vertices of degree other than one.
+"""
 
 
 def vertex_stats(h: Hypergraph) -> VertexStats:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .certificates import (
     STRICTLY_SUBNORMAL,
@@ -27,7 +27,7 @@ from .certificates import (
     t11m3_certificate,
 )
 from .constructors import broom, double_star, f_tree, hyperstar, move_edges, path, tree_power
-from .errors import CounterexampleFound, SearchExhaustedError
+from .errors import CounterexampleFound
 from .hypergraph import (
     Hypergraph,
     _debug_logger,
@@ -45,28 +45,18 @@ from .spectral import DEFAULT_TOL, double_star_power_radius, f_tree_power_radius
 TIE_TOL = 1e-7
 
 
-class ReportEntry(NamedTuple):
-    key: str
-    hypergraph: Hypergraph
-    rho: float
-    rank: int
-    tie_with_next: bool
+ReportEntry = namedtuple("ReportEntry", "key hypergraph rho rank tie_with_next")
+ReportEntry.__doc__ = """One class of a ``SpectraReport``: its canonical key, representative,
+radius and 1-based rank, and whether its radius lies within ``TIE_TOL`` of
+the next entry's."""
 
+SpectraReport = namedtuple("SpectraReport", "k m entries")
+SpectraReport.__doc__ = """Isomorphism classes at fixed (k, m), ranked by spectral radius."""
 
-class SpectraReport(NamedTuple):
-    """Isomorphism classes at fixed (k, m), ranked by spectral radius."""
-
-    k: int
-    m: int
-    entries: tuple[ReportEntry, ...]
-
-
-class VerificationRecord(NamedTuple):
-    """Outcome of one theorem verifier; failures raise CounterexampleFound instead."""
-
-    name: str
-    details: tuple[str, ...]
-    data: dict
+VerificationRecord = namedtuple("VerificationRecord", "name details data")
+VerificationRecord.__doc__ = (
+    "Outcome of one theorem verifier; failures raise CounterexampleFound instead."
+)
 
 
 def enumerate_supertrees(m: int, k: int) -> list[Hypergraph]:
@@ -470,7 +460,8 @@ def reduce_non_pendent(t: Hypergraph) -> Hypergraph:
     supertree without a multiple edge, w turns pendent and no other
     pendency changes.  The weight condition x_u >= x_w makes the radius
     increase strictly; a move is accepted once its bracket's low end is
-    above t's high end.
+    above t's high end.  When no move is, this raises CounterexampleFound
+    with ``offending`` set to t.
 
     Weights are compared by the non-pendent vertices' ``_tie_groups``, the
     one place a weight tie is decided.  Candidates w go by (group, vertex);
@@ -495,4 +486,6 @@ def reduce_non_pendent(t: Hypergraph) -> Hypergraph:
             t2 = move_edges(t, u, [(i, w) for i in inc[w] if i != shared_edge])
             if alpha_normal_bracket(t2)[0] > high:
                 return t2
-    raise SearchExhaustedError("no eigenvector-guided move reduced the non-pendent count")
+    raise CounterexampleFound(
+        "no eigenvector-guided move reduced the non-pendent count", offending=t
+    )

@@ -68,15 +68,13 @@ skips the full pass.  ``power_iteration`` states why this changes no bit.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections import namedtuple
 from functools import reduce
 from itertools import repeat
-from numbers import Real
 from operator import add, itemgetter, mul, sub, truediv
-from typing import NamedTuple
 
 from .errors import DisconnectedInputError, NonConvergenceError
-from .hypergraph import Hypergraph, _debug_logger, _strict_int, is_connected
+from .hypergraph import Hypergraph, _debug_logger, _strict_int, _strict_real, is_connected
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 100_000
@@ -86,20 +84,15 @@ DEFAULT_MAX_ITER = 100_000
 MPE_WINDOW = 8
 
 
-class PrincipalPair(NamedTuple):
-    """Converged spectral radius estimate with its positive eigenvector.
+PrincipalPair = namedtuple("PrincipalPair", "rho x residual iterations")
+PrincipalPair.__doc__ = """Converged spectral radius estimate with its positive eigenvector.
 
-    The eigenvector has k-norm 1 and ``residual`` is the max-norm defect of
-    the eigenequation at (rho, x).
-    """
-
-    rho: float
-    x: tuple[float, ...]
-    residual: float
-    iterations: int
+The eigenvector has k-norm 1 and ``residual`` is the max-norm defect of
+the eigenequation at (rho, x).
+"""
 
 
-def _gather(idx: tuple[int, ...]) -> Callable:
+def _gather(idx: tuple[int, ...]):
     """A C-level gather: called on a sequence x, it returns the tuple of
     x[i] for i in ``idx``.  ``itemgetter`` returns a bare value for one index
     and needs at least one, so those two lengths get a Python fallback."""
@@ -108,24 +101,18 @@ def _gather(idx: tuple[int, ...]) -> Callable:
     return lambda x: tuple(x[i] for i in idx)
 
 
-class _TensorPlan(NamedTuple):
-    """The tensor of one hypergraph, laid out for ``_apply``.
+_TensorPlan = namedtuple("_TensorPlan", "columns firsts seconds others vertices")
+_TensorPlan.__doc__ = """The tensor of one hypergraph, laid out for ``_apply``.
 
-    ``columns[i]`` gathers the coordinates at position i of each edge, in
-    edge order.  Term slot ``i*m + e`` holds the product of edge e's
-    coordinates other than the one at position i.  Each degree-2 vertex adds
-    its slots ``firsts[j] + seconds[j]``; each vertex of degree 0 or at least
-    3 adds its slots ``others[j]`` from 0.0, in edge order.  ``vertices``
-    gathers each vertex's value from the term slots followed by those two
-    groups of sums; for a degree-1 vertex it is the vertex's one term slot.
-    Every field is a ``_gather`` of those positions.
-    """
-
-    columns: tuple[Callable, ...]
-    firsts: Callable
-    seconds: Callable
-    others: tuple[Callable, ...]
-    vertices: Callable
+``columns[i]`` gathers the coordinates at position i of each edge, in
+edge order.  Term slot ``i*m + e`` holds the product of edge e's
+coordinates other than the one at position i.  Each degree-2 vertex adds
+its slots ``firsts[j] + seconds[j]``; each vertex of degree 0 or at least
+3 adds its slots ``others[j]`` from 0.0, in edge order.  ``vertices``
+gathers each vertex's value from the term slots followed by those two
+groups of sums; for a degree-1 vertex it is the vertex's one term slot.
+Every field is a ``_gather`` of those positions.
+"""
 
 
 def _tensor_plan(h: Hypergraph) -> _TensorPlan:
@@ -210,10 +197,7 @@ def eigen_residual(h: Hypergraph, rho: float, x: list[float] | tuple[float, ...]
     Raises ValueError unless ``rho`` is a finite real (a bool is not) and,
     as ``tensor_apply`` does, unless ``x`` has n float coordinates.
     """
-    # a bool would be read as 0 or 1
-    if isinstance(rho, bool) or not isinstance(rho, Real):
-        raise ValueError(f"rho must be a real number, got {rho!r}")
-    if not math.isfinite(rho):
+    if not math.isfinite(_strict_real(rho, "rho")):
         raise ValueError(f"rho must be finite, got {rho!r}")
     ax = tensor_apply(h, x)
     km1 = h.k - 1
@@ -379,9 +363,7 @@ def power_iteration(
     (carrying the final bracket) past ``max_iter``.
     """
     # a bool would pass the range test as 1.0 and stop after two steps
-    if isinstance(tol, bool) or not isinstance(tol, Real):
-        raise ValueError(f"tol must be a real number, got {tol!r}")
-    if not 0.0 < tol < math.inf:
+    if not 0.0 < _strict_real(tol, "tol") < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if _strict_int(max_iter, "max_iter") < 1:
         raise ValueError("max_iter must be >= 1")

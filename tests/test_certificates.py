@@ -5,6 +5,7 @@ import inspect
 import logging
 import math
 import os
+import pickle
 import random
 import re
 import subprocess
@@ -224,6 +225,22 @@ def test_broom_certificate_alpha_range():
         t11m3_certificate(6, 3, 0.0)
     with pytest.raises(PositivityError):
         t11m3_certificate(6, 3, -0.1)
+
+
+@pytest.mark.parametrize("alpha", [True, "0.1", None])
+def test_broom_certificate_rejects_alpha_that_is_not_a_real_number(alpha):
+    # True used to pass the type check and fail the range as PositivityError,
+    # and a str or None raised TypeError from the range comparison
+    message = f"alpha must be a real number, got {alpha!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        t11m3_certificate(5, 3, alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -0.1, 0.5, math.nan])
+def test_broom_certificate_keeps_positivity_error_for_a_real_alpha_out_of_range(alpha):
+    message = f"alpha must lie in (0, 0.5) to keep weights positive, got {alpha}"
+    with pytest.raises(PositivityError, match=re.escape(message)):
+        t11m3_certificate(5, 3, alpha)
 
 
 def test_lemma_endpoint_classifications():
@@ -614,11 +631,13 @@ def test_solving_does_not_import_logging():
 def test_a_cold_import_loads_no_module_it_does_not_need():
     # each costs milliseconds of every cold start: dataclasses with inspect,
     # fractions and csv (each loaded at its one use), random (whose generator
-    # random_supertree's callers pass in) and logging (see
-    # test_solving_does_not_import_logging)
+    # random_supertree's callers pass in), logging (see
+    # test_solving_does_not_import_logging) and typing with contextlib (the
+    # records are collections.namedtuple classes)
     code = (
         "import sys; old = set(sys.modules); "
-        "unneeded = {'dataclasses', 'inspect', 'fractions', 'csv', 'random', 'logging'}; "
+        "unneeded = {'dataclasses', 'inspect', 'fractions', 'csv', 'random', 'logging', "
+        "'typing', 'contextlib'}; "
         "import supertrees; print(sorted(unneeded & (set(sys.modules) - old))); "
         "import supertrees.cli; print(sorted(unneeded & (set(sys.modules) - old)))"
     )
@@ -637,6 +656,35 @@ def test_every_exported_annotation_resolves():
     assert len(checked) > 40
     for obj in checked:
         typing.get_type_hints(obj)
+
+
+RECORD_FIELDS = {
+    "spectral.PrincipalPair": ("rho", "x", "residual", "iterations"),
+    "spectral._TensorPlan": ("columns", "firsts", "seconds", "others", "vertices"),
+    "certificates.CertificateVerdict": (
+        "alpha", "classification", "vertex_slacks", "edge_slacks", "consistent"
+    ),
+    "certificates._Plan": ("n", "root", "max_degree", "max_edge_product", "steps"),
+    "hypergraph.VertexStats": ("degrees", "pendent_vertices", "non_pendent_count"),
+    "ordering.ReportEntry": ("key", "hypergraph", "rho", "rank", "tie_with_next"),
+    "ordering.SpectraReport": ("k", "m", "entries"),
+    "ordering.VerificationRecord": ("name", "details", "data"),
+}
+
+
+@pytest.mark.parametrize("path", sorted(RECORD_FIELDS))
+def test_each_result_record_keeps_its_fields_and_tuple_behaviour(path):
+    module, name = path.split(".")
+    record = getattr(getattr(supertrees, module), name)
+    assert record._fields == RECORD_FIELDS[path]
+    assert inspect.getdoc(record)
+    rec = record._make(range(len(record._fields)))
+    assert not hasattr(rec, "__dict__")
+    assert type(rec._replace(**{record._fields[0]: -1})) is record
+    if not name.startswith("_"):
+        assert getattr(supertrees, name) is record
+        back = pickle.loads(pickle.dumps(rec))
+        assert back == rec and type(back) is record
 
 
 def test_alpha_radius_single_edge_exact():

@@ -15,7 +15,6 @@ import pytest
 from supertrees import (
     CounterexampleFound,
     Hypergraph,
-    SearchExhaustedError,
     alpha_normal_bracket,
     alpha_normal_radius,
     broom,
@@ -951,8 +950,9 @@ def test_reduction_accepts_only_bracket_separated_moves(monkeypatch):
     assert alpha_normal_bracket(reduced)[0] > alpha_normal_bracket(h)[1]
     # with every bracket equal no move is proven to raise the radius
     monkeypatch.setattr(ordering, "alpha_normal_bracket", lambda t: (1.5, 1.5))
-    with pytest.raises(SearchExhaustedError):
+    with pytest.raises(CounterexampleFound) as info:
         reduce_non_pendent(h)
+    assert info.value.offending is h
 
 
 def test_reduction_ignores_the_power_radius(monkeypatch):
