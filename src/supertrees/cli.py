@@ -232,6 +232,8 @@ def _field(obj: dict, name: str, kind=int):
 
 
 def _cmd_certify(args) -> int:
+    if args.construct and args.certificate:
+        raise SupertreeError("certify takes --certificate FILE or --construct t11m3, not both")
     if args.alpha is not None and not math.isfinite(args.alpha):
         raise SupertreeError(f"--alpha must be a finite number, got {args.alpha!r}")
     h = _load_hypergraph(args.file)
@@ -253,11 +255,13 @@ def _cmd_certify(args) -> int:
             raise SupertreeError("certificate file describes a different hypergraph")
         if "B" not in obj:
             raise SupertreeError('certificate file is missing the "B" weight triples')
+        entries = {}
         try:
-            entries = {
-                (_field(t, "v"), _field(t, "e")): _field(t, "w", (int, float))
-                for t in obj["B"]
-            }
+            for t in obj["B"]:
+                pair = _field(t, "v"), _field(t, "e")
+                if pair in entries:
+                    raise SupertreeError(f"certificate repeats the weight of (v, e) = {pair}")
+                entries[pair] = _field(t, "w", (int, float))
         except (KeyError, TypeError) as exc:
             raise SupertreeError(f"malformed certificate weight triple: {exc!r}") from exc
         cert = WeightedIncidence(host=h, entries=entries)

@@ -290,7 +290,7 @@ def is_supertree(h: Hypergraph) -> bool:
 # the parent is a single edge).  ``_encode_grown`` appends the new nodes to
 # copies of the parent's lists, or runs one search from the moved centre,
 # and hands the levels to ``_ahu``.  A parent's growth context is computed
-# once and ``_attach_pendent_edge`` records it on each candidate.
+# once, and each candidate is created holding the key it gives.
 #
 # Growing at two vertices that an automorphism of the parent swaps gives
 # isomorphic candidates, so ``_grown_key`` encodes one key per orbit and
@@ -338,31 +338,14 @@ def canonical_key(h: Hypergraph) -> bytes:
     ``Hypergraph`` never changes, so the stored key stays valid; ``==``,
     hashing and ``repr`` read only ``(k, n, edges)`` and ignore it, and it
     is freed with its object.  Errors are not stored: a non-supertree raises on
-    every call.  ``rank_spectra`` reads the keys its enumeration stored:
-    in the verify-exhaustive benchmark 386 of the 4,120 calls are such
-    reads.
-
-    An enumeration candidate carries the attribute ``_grow``, its parent's
-    growth context and the vertex it grew at (``_attach_pendent_edge``).
-    Its key is built from the parent's centred tree, not from the edge list,
-    with the same bytes, once per automorphism orbit of the parent's
-    vertices; the other candidates of an orbit read it from the context,
-    whose memo also holds the tree each orbit's key was encoded from.
-    ``_grow`` is then dropped, so a candidate keeps no parent's tree alive
-    once keyed.  The verify-exhaustive benchmark's 3,719 candidates fall into
-    1,612 orbits of their 271 parents, and each parent but the three
-    one-edge seeds takes its context from the tree it was keyed from.  There
-    a candidate's key, its share of the parent's context included, costs
-    about 9 us, against 10.5 us when each parent's context was rebuilt from
-    its edges, 19.5 us when every candidate was encoded from the parent's
-    tree and 30 us from the edge list (medians of five runs, each the best
-    of 15 passes, Python 3.11.7, shared 2-core machine).  Every other
-    hypergraph is keyed from its edges.
+    every call.  An enumeration candidate is created holding its key, built
+    from its parent's centred tree (``_attach_pendent_edge``), and
+    ``rank_spectra`` reads the keys its enumeration stored: in the
+    verify-exhaustive benchmark 4,105 of the 4,120 calls are such reads.
     """
     key = h.__dict__.get("_key")
     if key is None:
-        grow = h.__dict__.pop("_grow", None)
-        key = _encode(h) if grow is None else _grown_key(h.k, *grow)
+        key = _encode(h)
         object.__setattr__(h, "_key", key)
     return key
 
@@ -583,24 +566,21 @@ def _kept_tree(ctx: tuple, v: int) -> tuple:
     )
 
 
-def _attach_pendent_edge(h: Hypergraph, v: int, ctx: tuple) -> Hypergraph:
-    """``h`` plus the pendent edge ``(v, n, ..., n+k-2)``, spliced into place.
+def _attach_pendent_edge(h: Hypergraph, v: int, key: bytes) -> Hypergraph:
+    """``h`` plus the pendent edge ``(v, n, ..., n+k-2)``, spliced into place
+    and holding ``key`` as its canonical key.
 
     The enumeration's constructor: instead of revalidating and re-sorting
     every edge it inserts the new one into ``h.edges`` at ``bisect(h.edges,
     (v, n))``.  That is exact, equal to ``Hypergraph(k, n + k - 1, h.edges +
     (edge,))``: ``h`` is valid, ``0 <= v < n`` and the new vertices exceed
     every old one, so the tuple stays sorted, distinct, in range and k-uniform.
-    ``v`` must be an int (a bool or float raises ValueError), since
-    ``canonical_key`` trusts the edge built here.
+    ``v`` must be an int (a bool or float raises ValueError).
 
-    ``ctx`` must be ``h``'s growth context: ``_growth_context(h)``, or
-    ``_tree_context`` of the tree ``h`` was keyed from, whose vertex maps
-    follow ``h``'s numbering.  It is recorded with ``v`` on the
-    result as the attribute ``_grow``, from which ``canonical_key`` keys the
-    result without reading its edges; like ``_key`` it is outside
-    ``(k, n, edges)``, so ``==``, hashing, ``repr`` and ``to_interchange``
-    ignore it.
+    ``key`` must be the result's key, ``_grown_key(h.k, ctx, v)`` for ``h``'s
+    growth context ``ctx``.  It is stored as ``_key``, where ``canonical_key``
+    reads it back, so the result is never encoded from its edges and holds
+    none of ``h``'s growth context.
     """
     n, k, edges = h.n, h.k, h.edges
     if type(v) is not int:
@@ -612,7 +592,7 @@ def _attach_pendent_edge(h: Hypergraph, v: int, ctx: tuple) -> Hypergraph:
     object.__setattr__(g, "k", k)
     object.__setattr__(g, "n", n + k - 1)
     object.__setattr__(g, "edges", edges[:i] + ((v, *range(n, n + k - 1)),) + edges[i:])
-    object.__setattr__(g, "_grow", (ctx, v))
+    object.__setattr__(g, "_key", key)
     return g
 
 
@@ -631,7 +611,8 @@ def _grow_level(level: dict, last: bool) -> tuple[dict, int, int]:
     for h, tree in level.values():
         ctx = _growth_context(h) if tree is None else _tree_context(tree)
         for v in range(h.n):
-            cand = _attach_pendent_edge(h, v, ctx)
+            cand = _attach_pendent_edge(h, v, _grown_key(h.k, ctx, v))
+            # only reads the key back; kept while traced calls count candidates
             key = canonical_key(cand)
             if key not in grown:
                 grown[key] = cand, None if last else _kept_tree(ctx, v)

@@ -388,6 +388,34 @@ def test_certify_rejects_malformed_triples(tmp_path, capsys, triple):
     assert code == 1 and "malformed certificate weight triple" in stderr
 
 
+def test_certify_rejects_a_repeated_incidence(tmp_path, capsys):
+    # a second weight for (v, e) = (0, 0) used to replace the first silently
+    h = hyperstar(3, 3)
+    hfile = tmp_path / "s.json"
+    hfile.write_text(json.dumps(to_interchange(h)))
+    cert = dict(to_interchange(h))
+    cert["alpha"] = 1.0
+    cert["B"] = [{"v": v, "e": i, "w": 0.5} for i, e in enumerate(h.edges) for v in e]
+    cert["B"].append({"v": 0, "e": 0, "w": 0.25})
+    cfile = tmp_path / "cert.json"
+    cfile.write_text(json.dumps(cert))
+    code, stdout, stderr = run_cli(capsys, "certify", str(hfile), "--certificate", str(cfile))
+    assert code == 1 and stdout == ""
+    assert "repeats the weight of (v, e) = (0, 0)" in stderr
+
+
+def test_certify_rejects_a_certificate_file_with_the_construction(tmp_path, capsys):
+    # --construct used to win and the file was never opened, even a missing one
+    out = tmp_path / "b.json"
+    run_cli(capsys, "gen", "broom", "--k", "3", "--t", "1,1,2", "--out", str(out))
+    code, stdout, stderr = run_cli(
+        capsys, "certify", str(out), "--construct", "t11m3", "--alpha", "0.25",
+        "--certificate", str(tmp_path / "missing.json"),
+    )
+    assert code == 1 and stdout == ""
+    assert "--certificate" in stderr and "--construct" in stderr
+
+
 def test_certify_json_slacks_stay_floats(tmp_path, capsys):
     # vertex 2 has no edge, so its weight sum is empty and its slack is 1
     cert = {"k": 2, "n": 3, "edges": [[0, 1]], "alpha": 1.0,

@@ -35,6 +35,7 @@ from supertrees.hypergraph import (
     _attach_pendent_edge,
     _encode,
     _encode_grown,
+    _grown_key,
     _growth_context,
     _kept_tree,
     _tree_context,
@@ -347,7 +348,7 @@ def enumeration_candidates(k: int, m_max: int):
         for h in enumerate_supertrees(m, k):
             ctx = _growth_context(h)
             for v in range(h.n):
-                yield _attach_pendent_edge(h, v, ctx)
+                yield _attach_pendent_edge(h, v, _grown_key(k, ctx, v))
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
@@ -393,7 +394,7 @@ def test_a_grown_key_survives_relabelling_and_a_moving_centre(k, m, seed, deepes
         assert depth[edge_of[v]] + 2 >= len(levels)
     else:
         v = data.draw(hs.integers(0, h.n - 1))
-    cand = _attach_pendent_edge(h, v, ctx)
+    cand = _attach_pendent_edge(h, v, _grown_key(k, ctx, v))
     assert canonical_key(cand) == _encode(cand) == reference_canonical_key(cand)
 
 
@@ -443,7 +444,7 @@ def assert_keys_like_the_edges(h: Hypergraph, ctx: tuple) -> None:
         built = Hypergraph(k=k, n=h.n + k - 1, edges=h.edges + ((v, *range(h.n, h.n + k - 1)),))
         key = _encode(built)
         assert _encode_grown(k, ctx, v)[0] == key
-        assert canonical_key(_attach_pendent_edge(h, v, fresh)) == key
+        assert canonical_key(_attach_pendent_edge(h, v, _grown_key(k, fresh, v))) == key
     assert orbit_groups(ctx[7]) == attachment_orbits(h)
 
 
@@ -451,17 +452,23 @@ def assert_keys_like_the_edges(h: Hypergraph, ctx: tuple) -> None:
 def test_a_derived_context_keys_like_one_built_from_the_edges(monkeypatch, k):
     # every class with m <= 7 is a parent on the way to 8 edges; all but the
     # one-edge seed grow from the tree their key was encoded from
-    contexts = []
+    parents, contexts = [], []
 
-    def tracked(h, v, ctx):
+    def tracked_key(k, ctx, v):
         if v == 0:
-            contexts.append((h, ctx))
-        return _attach_pendent_edge(h, v, ctx)
+            contexts.append(ctx)
+        return _grown_key(k, ctx, v)
 
-    monkeypatch.setattr(hypergraph, "_attach_pendent_edge", tracked)
+    def tracked_attach(h, v, key):
+        if v == 0:
+            parents.append(h)
+        return _attach_pendent_edge(h, v, key)
+
+    monkeypatch.setattr(hypergraph, "_grown_key", tracked_key)
+    monkeypatch.setattr(hypergraph, "_attach_pendent_edge", tracked_attach)
     enumerate_supertrees(8, k)
-    assert len(contexts) == sum(supertree_counts(k, 7).values())
-    for h, ctx in contexts:
+    assert len(parents) == len(contexts) == sum(supertree_counts(k, 7).values())
+    for h, ctx in zip(parents, contexts):
         assert_keys_like_the_edges(h, ctx)
 
 
@@ -474,7 +481,7 @@ def test_a_derived_context_follows_a_moving_centre(k):
     ctx = _growth_context(h)
     for m in range(2, 17):
         v = h.n - 1
-        cand = _attach_pendent_edge(h, v, ctx)
+        cand = _attach_pendent_edge(h, v, _grown_key(k, ctx, v))
         assert canonical_key(cand) == canonical_key(tree_power(path(m + 1), k))
         child = _tree_context(_kept_tree(ctx, v))
         # the reduced path has 2m - 1 nodes and its centre in the middle
@@ -488,7 +495,7 @@ def test_a_kept_tree_holds_nothing_the_collector_scans():
     ctx = _growth_context(h)
     firsts = {}
     for v in range(h.n):
-        canonical_key(_attach_pendent_edge(h, v, ctx))
+        canonical_key(_attach_pendent_edge(h, v, _grown_key(h.k, ctx, v)))
         firsts.setdefault(ctx[7][v], v)
     trees = [_kept_tree(ctx, v) for v in firsts.values()]
     # a collection untracks a tuple once all it holds is untracked, so a
@@ -514,23 +521,24 @@ def assert_reads_only_k_n_edges(h, built):
         assert to_interchange(g) == to_interchange(h)
 
 
-def test_a_grown_candidate_hides_its_growth_context():
+def test_a_spliced_candidate_holds_its_key_and_no_context():
     h = broom(1, 2, 3, 3)
     for v in range(h.n):
-        cand = _attach_pendent_edge(h, v, _growth_context(h))
+        cand = _attach_pendent_edge(h, v, _grown_key(h.k, _growth_context(h), v))
         built = Hypergraph(k=3, n=h.n + 2, edges=h.edges + ((v, h.n, h.n + 1),))
-        assert "_grow" in vars(cand)
+        # born keyed: nothing of the parent's tree rides along
+        assert vars(cand).keys() == {"k", "n", "edges", "_key"}
         assert_reads_only_k_n_edges(cand, built)
-        # keying drops the context; the key stays
         assert canonical_key(cand) == canonical_key(built)
-        assert "_grow" not in vars(cand) and "_key" in vars(cand)
 
 
 @pytest.mark.parametrize("v", [True, False, 1.0, 2.5, "1", None])
 def test_a_splice_takes_only_an_int_vertex(v):
+    # no key belongs to such a vertex: the splice is given vertex 0's
     h = hyperstar(3, 3)
+    key = _grown_key(h.k, _growth_context(h), 0)
     with pytest.raises(ValueError, match="must be an int"):
-        _attach_pendent_edge(h, v, _growth_context(h))
+        _attach_pendent_edge(h, v, key)
 
 
 # --- the stored key ----------------------------------------------------------------

@@ -146,9 +146,11 @@ def test_splice_equals_the_validated_constructor():
                 for v in range(h.n):
                     edge = (v,) + tuple(range(h.n, h.n + k - 1))
                     built = Hypergraph(k=k, n=h.n + k - 1, edges=h.edges + (edge,))
-                    spliced = hypergraph._attach_pendent_edge(h, v, ctx)
+                    key = hypergraph._grown_key(k, ctx, v)
+                    spliced = hypergraph._attach_pendent_edge(h, v, key)
                     assert spliced == built
                     assert spliced.edges == built.edges
+                    assert canonical_key(spliced) == hypergraph._encode(built)
 
 
 def test_ordering_binds_no_growth_helper():
@@ -162,9 +164,11 @@ def test_ordering_binds_no_growth_helper():
 
 @pytest.mark.parametrize("v", [-1, 5, 9, -6])
 def test_splice_rejects_a_vertex_outside_the_supertree(v):
+    # no key belongs to such a vertex: the splice is given vertex 0's
     h = hyperstar(2, 3)
+    key = hypergraph._grown_key(h.k, hypergraph._growth_context(h), 0)
     with pytest.raises(ValueError, match="outside"):
-        hypergraph._attach_pendent_edge(h, v, hypergraph._growth_context(h))
+        hypergraph._attach_pendent_edge(h, v, key)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
@@ -269,8 +273,8 @@ def test_discarded_candidates_are_freed(monkeypatch):
     refs = []
     attach = hypergraph._attach_pendent_edge
 
-    def tracked(h, v, ctx):
-        cand = attach(h, v, ctx)
+    def tracked(h, v, key):
+        cand = attach(h, v, key)
         refs.append(weakref.ref(cand))
         return cand
 
@@ -299,10 +303,10 @@ def test_no_class_keeps_its_growth_context_or_its_ancestors(monkeypatch):
         seeds.append(h.m)
         return context(h)
 
-    def tracked_attach(h, v, ctx):
+    def tracked_attach(h, v, key):
         if v == 0:  # each parent is grown from its vertex 0 on
             parents.append(weakref.ref(h))
-        return attach(h, v, ctx)
+        return attach(h, v, key)
 
     def tracked_keep(ctx, v):
         tree = WatchedTree(keep(ctx, v))
@@ -319,10 +323,10 @@ def test_no_class_keeps_its_growth_context_or_its_ancestors(monkeypatch):
     assert seeds == [1, 1]
     assert len(parents) == 2 * grown
     assert len(trees) == 2 * (grown - 1)
-    # every class is keyed, its context dropped, and every parent and
-    # every kept tree freed
+    # every class holds its key and no context, and every parent and every
+    # kept tree is freed
     for h in [*reps, *(e.hypergraph for e in report.entries)]:
-        assert "_grow" not in vars(h) and "_key" in vars(h)
+        assert vars(h).keys() == {"k", "n", "edges", "_key"}
     assert all(ref() is None for ref in parents)
     assert all(ref() is None for ref in trees)
 
@@ -342,7 +346,10 @@ def test_a_hyperstar_parent_needs_two_grown_encodings(monkeypatch, m, k):
     calls = count_grown_encodings(monkeypatch)
     h = hyperstar(m, k)
     ctx = hypergraph._growth_context(h)
-    keys = {canonical_key(hypergraph._attach_pendent_edge(h, v, ctx)) for v in range(h.n)}
+    keys = {
+        canonical_key(hypergraph._attach_pendent_edge(h, v, hypergraph._grown_key(k, ctx, v)))
+        for v in range(h.n)
+    }
     assert len(calls) == len(keys) == 2
 
 
