@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import namedtuple
+from time import perf_counter
 
 from .certificates import (
     STRICTLY_SUBNORMAL,
@@ -69,7 +70,9 @@ def enumerate_supertrees(m: int, k: int) -> list[Hypergraph]:
     With DEBUG on for the ``supertrees`` logger, each grown level (edge
     counts 2..m; the one-edge seed is not grown) sends one record with its
     edge count, the candidates keyed, the grown keys encoded (one per
-    attachment orbit of each parent) and the classes kept.
+    attachment orbit of each parent), the classes kept and the seconds
+    that level's growth took (``time.perf_counter``, read only with DEBUG
+    on).
     """
     if _strict_int(m, "m") < 1:
         raise ValueError("m must be >= 1")
@@ -79,11 +82,13 @@ def enumerate_supertrees(m: int, k: int) -> list[Hypergraph]:
     first = hyperstar(1, k)
     reps = {canonical_key(first): (first, None)}
     for size in range(2, m + 1):
+        if log is not None:
+            start = perf_counter()
         reps, candidates, encoded = _grow_level(reps, size == m)
         if log is not None:
             log.debug(
-                "enumeration level: m=%d k=%d candidates=%d keys=%d classes=%d",
-                size, k, candidates, encoded, len(reps),
+                "enumeration level: m=%d k=%d candidates=%d keys=%d classes=%d seconds=%.6f",
+                size, k, candidates, encoded, len(reps), perf_counter() - start,
             )
     return [reps[key][0] for key in sorted(reps)]
 

@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import itertools
 import pickle
 import random
 import signal
@@ -33,6 +34,7 @@ from supertrees import (
 import supertrees.hypergraph as hypergraph
 from supertrees.hypergraph import (
     _attach_pendent_edge,
+    _centred_tree,
     _encode,
     _encode_grown,
     _grown_key,
@@ -374,6 +376,52 @@ def test_key_matches_the_reference_on_a_long_path_power():
     assert canonical_key(h) == reference_canonical_key(h)
 
 
+def many_label_supertree() -> Hypergraph:
+    """k = 4: the edge (0, 1, 2, 3) is the centre.  Vertex 0 holds 20 edges,
+    one for each multiset of at most three pendent-edge counts from (1, 2, 3),
+    the counts held by its other vertices; vertices 1 and 2 hold one more
+    such edge each, with counts (1, 3, 3) and (1, 1).  Its last edge is a
+    pendent edge at a vertex that holds no other."""
+    edges, n = [(0, 1, 2, 3)], 4
+
+    def add(v, counts):
+        nonlocal n
+        edges.append((v, n, n + 1, n + 2))
+        n += 3
+        for u, t in zip(range(n - 3, n), counts):
+            for _ in range(t):
+                add(u, ())
+
+    for size in range(4):
+        for counts in itertools.combinations_with_replacement((1, 2, 3), size):
+            add(0, counts)
+    add(1, (1, 3, 3))
+    add(2, (1, 1))
+    return Hypergraph(k=4, n=n, edges=edges)
+
+
+def test_labels_past_nine_sort_as_strings():
+    # 20 distinct signatures two levels below the centre: vertex 0's node
+    # lists labels 0-19 with "10" before "2", vertex 1's node (one child)
+    # reads "10", and "V10" sorts before "V2" one level up
+    h = many_label_supertree()
+    key = (
+        b"4|E/V0 V0.0 V0.0.0/E E0 E0.0 E0.0.0 E0.0.1 E0.0.2 E0.1 E0.1.1 E0.1.2"
+        b" E0.2 E0.2.2 E1 E1.1 E1.1.1 E1.1.2 E1.2 E1.2.2 E2 E2.2 E2.2.2"
+        b"/V0.1.10.11.12.13.14.15.16.17.18.19.2.3.4.5.6.7.8.9 V10 V2/E0.1.2"
+    )
+    assert canonical_key(h) == _encode(h) == reference_canonical_key(h) == key
+    # as a grown candidate: its parent lacks the last edge, and every other
+    # splice of that parent keys as the reference does too
+    parent = Hypergraph(k=4, n=h.n - 3, edges=h.edges[:-1])
+    ctx = _growth_context(parent)
+    for v in range(parent.n):
+        cand = _attach_pendent_edge(parent, v, _grown_key(4, ctx, v))
+        assert canonical_key(cand) == reference_canonical_key(cand)
+        if v == h.edges[-1][0]:
+            assert cand == h and canonical_key(cand) == key
+
+
 # --- grown keys ---------------------------------------------------------------------
 
 
@@ -396,6 +444,35 @@ def test_a_grown_key_survives_relabelling_and_a_moving_centre(k, m, seed, deepes
         v = data.draw(hs.integers(0, h.n - 1))
     cand = _attach_pendent_edge(h, v, _grown_key(k, ctx, v))
     assert canonical_key(cand) == _encode(cand) == reference_canonical_key(cand)
+
+
+def assert_deepest_level_holds_e_leaves(tree: tuple, m: int) -> None:
+    kind, adj, levels = tree[:3]
+    assert len(levels) > 1 or m == 1
+    if len(levels) > 1:
+        assert all(kind[x] == "E" and len(adj[x]) == 1 for x in levels[-1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    hs.integers(2, 6), hs.integers(1, 40), hs.integers(0, 2**32), hs.booleans(), hs.data()
+)
+def test_the_deepest_level_holds_only_edge_leaves(k, m, seed, deepest, data):
+    # the premise of _ahu's shortcut for the deepest level, on the tree built
+    # from the edges and on the grown tree, the moving-centre case included
+    rng = random.Random(seed)
+    h = shuffled(random_supertree(m, k, rng), rng)
+    assert_deepest_level_holds_e_leaves(_centred_tree(h), m)
+    ctx = _growth_context(h)
+    _, _, levels, _, _, node, _, _, _ = ctx
+    if deepest:
+        e = data.draw(hs.sampled_from(levels[-1]))
+        v = data.draw(hs.sampled_from([u for u in h.edges[e] if node[u] < 0]))
+    else:
+        v = data.draw(hs.integers(0, h.n - 1))
+    tree = _encode_grown(k, ctx, v)[1]
+    assert_deepest_level_holds_e_leaves(tree, m + 1)
+    assert all(tree[3][x] == "0" for x in tree[2][-1])
 
 
 def orbit_groups(orbits: list[int]) -> list[list[int]]:

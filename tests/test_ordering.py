@@ -377,15 +377,18 @@ def test_enumeration_logs_one_record_per_grown_level(caplog, monkeypatch):
     assert len(gates) == 1
     records = [r for r in caplog.records if r.name == "supertrees"]
     assert all(r.levelno == logging.DEBUG for r in records)
-    # keys: the grown encodings this level adds to the run that stops a level lower
-    assert [r.getMessage() for r in records] == [
+    # keys: the grown encodings this level adds to the run that stops a level lower;
+    # seconds: the level's elapsed time, which only has to be a time
+    messages, seconds = zip(*(r.getMessage().rsplit(" seconds=", 1) for r in records))
+    assert list(messages) == [
         f"enumeration level: m={j} k={k} candidates={len(levels[j - 2]) * levels[j - 2][0].n} "
         f"keys={encoded[j - 1] - encoded[j - 2]} classes={len(levels[j - 1])}"
         for j in range(2, m + 1)
     ]
+    assert all(float(s) >= 0 for s in seconds)
     assert len(calls) == encoded[-1]
     # the candidate counts sum to the benchmark harness's sum of classes * n
-    counts = [dict(f.split("=") for f in r.getMessage().split()[2:]) for r in records]
+    counts = [dict(f.split("=") for f in message.split()[2:]) for message in messages]
     assert sum(int(c["candidates"]) for c in counts) == sum(len(r) * r[0].n for r in levels[:-1])
 
 
