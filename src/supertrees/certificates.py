@@ -51,8 +51,10 @@ NEITHER = "neither"
 class WeightedIncidence:
     """Positive weights on exactly the incident (vertex, edge index) pairs.
 
-    Immutable like its host; two are equal when their hosts and weights are,
-    and, holding a dict, it is unhashable.
+    A weight is a real number other than a bool (else ValueError) in (0, inf)
+    (else PositivityError).  The check is exact, so a ``Fraction`` or an int
+    past float range passes.  Immutable like its host; two are equal when
+    their hosts and weights are, and, holding a dict, it is unhashable.
     """
 
     host: Hypergraph
@@ -67,9 +69,14 @@ class WeightedIncidence:
             raise IncidenceMismatchError(
                 f"entries do not match incidence (missing {missing}, extra {extra})"
             )
+        # one C-level pass over the weight types passes the all-float case
+        if not {*map(type, entries.values())} <= {float}:
+            for pair, w in entries.items():
+                _strict_real(w, f"weight at {pair}")
         for pair, w in entries.items():
-            if not w > 0.0:
-                raise PositivityError(f"weight at {pair} must be positive, got {w}")
+            if not 0 < w < math.inf:
+                need = "finite" if w > 0 else "positive"
+                raise PositivityError(f"weight at {pair} must be {need}, got {w}")
         object.__setattr__(self, "host", host)
         object.__setattr__(self, "entries", entries)
 

@@ -106,8 +106,16 @@ def _parse_tree(spec: str):
     return build(n)
 
 
+#: The one flag each ``gen`` family reads besides --k and --out.
+_GEN_FLAG = {"hyperstar": "m", "double-star-power": "t", "tree-power": "tree",
+             "broom": "t", "f-tree-power": "m", "path-power": "m"}
+
+
 def _cmd_gen(args) -> int:
     fam = args.family
+    unread = [f for f in ("m", "t", "tree") if f != _GEN_FLAG[fam] and getattr(args, f) is not None]
+    if unread:
+        raise SupertreeError(f"gen {fam} does not take --{', --'.join(unread)}")
     if args.k < 2:
         raise SupertreeError(f"gen {fam} needs --k >= 2, got {args.k}")
     if fam == "hyperstar":
@@ -371,10 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="construct a named family and write it as json")
-    g.add_argument(
-        "family",
-        choices=["hyperstar", "double-star-power", "tree-power", "broom", "f-tree-power", "path-power"],
-    )
+    g.add_argument("family", choices=list(_GEN_FLAG))
     g.add_argument("--k", type=int, required=True, help="edge cardinality")
     g.add_argument("--m", type=int, help="edge count (hyperstar, f-tree-power, path-power)")
     g.add_argument("--t", type=str, help="branch counts: A,B for double-star-power, T1,T2,T3 for broom")

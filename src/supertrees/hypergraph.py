@@ -273,19 +273,21 @@ def is_supertree(h: Hypergraph) -> bool:
 #
 # Two stages make a key.  ``_centred_tree`` builds the reduced tree from the
 # edge list, rejects a non-supertree and returns the node types, adjacency
-# and depth levels from the centre; ``_ahu`` turns those levels into the key
-# bytes.  A leaf's signature is "E"; an unlabelled parent reads "" and
-# leaves a leading ".", which is cut off.  ``_ahu`` skips work where the
-# bytes are known.  A node on the deepest level has no child, so it is a
-# leaf and, by the above, an E node: the deepest table is "E" and every
-# label there "0", with no signature built.  A node with two neighbours
-# has one child, so its signature is its type and that child's label.  A
-# table of one signature is that signature, with nothing to join.
+# and depth levels from the centre, and one map ``at`` from each vertex to
+# its own node, or to its one edge's node when it is pendent; ``_ahu`` turns
+# the levels into the key bytes and labels.  A leaf's signature is "E"; an
+# unlabelled parent reads "" and leaves a leading ".", which is cut off.
+# ``_ahu`` skips work where the bytes are known.  A node on the deepest
+# level has no child, so it is a leaf and, by the above, an E node: the
+# deepest table is "E" and every label there "0", with no signature built.
+# A node with two neighbours has one child, so its signature is its type
+# and that child's label.  A table of one signature is that signature, with
+# nothing to join.
 #
 # The enumeration's candidates skip the first stage.  A candidate is its
 # parent plus one pendent edge at a vertex v, so its reduced tree is the
-# parent's plus one E leaf when v is non-pendent, or plus a V node for v
-# under v's edge e and an E leaf under that when v is pendent.  Levels hold
+# parent's plus one E leaf under at[v] when that is v's V node, or plus a V
+# node for v under its edge e = at[v] and an E leaf under that.  Levels hold
 # nodes of one type each, E and V alternating, and the deepest level holds
 # only E leaves.  A leaf under a V node therefore lands no deeper than the
 # deepest level, and neither does the pair under e when depth(e) + 2 <= r,
@@ -306,27 +308,28 @@ def is_supertree(h: Hypergraph) -> bool:
 # agree.  ``_tree_context`` takes the parent's labels from the AHU pass that
 # keyed it and numbers the orbits in the pass that fills depth and branch:
 # the centre is 0 and a child interns the pair (its parent's orbit, its own
-# label).  A pendent vertex takes its edge's orbit, since an edge's pendent
-# vertices are interchangeable; an E node and a V node never share a number,
-# as the first entries of their pairs come from nodes of the other type.  The
-# keys need only that equal orbits give isomorphic candidates; that the
-# numbers are exactly the automorphism orbits keeps the passes to one per
-# orbit: two for a hyperstar parent, 1,612 for the verify-exhaustive
-# benchmark's 3,719 candidates.
+# label).  Each vertex takes the orbit of its node in ``at``, so a pendent
+# vertex takes its edge's, as an edge's pendent vertices are interchangeable;
+# an E node and a V node never share a number, as the first entries of
+# their pairs come from nodes of the other type.  The keys need only that
+# equal orbits give isomorphic candidates; that the numbers are exactly the
+# automorphism orbits keeps the passes to one per orbit: two for a hyperstar
+# parent, 1,612 for the verify-exhaustive benchmark's 3,719 candidates.
 #
 # A class's own context comes from the tree its key was encoded from, so no
 # class is rebuilt from its edges or labelled twice.  The orbit memo maps
 # each orbit to its key and to the grown tree that ``_encode_grown`` built
-# and ``_ahu`` labelled: kinds, adjacency, levels and labels, and the
-# parent's vertex-to-node and vertex-to-edge-node maps extended by the k - 1
-# new vertices (new nodes are numbered after the parent's, so an edge's
-# node need not be its index in the edge tuple).  The enumeration grows one
-# level at a time by ``_grow_level``, which keeps a class's first candidate
-# as its representative.  That candidate is the first of its orbit, so the
-# memo holds exactly its tree; ``_kept_tree`` copies it into tuples, which
-# the garbage collector stops scanning, and ``_tree_context`` derives depth,
-# branch, orbits and attachments from it when the class is grown.  Only the
-# one-edge seed's context is built from its edges, by ``_growth_context``.
+# and ``_ahu`` labelled: kinds, adjacency, levels and labels, with no vertex
+# map.  The enumeration grows one level at a time by ``_grow_level``, which
+# keeps a class's first candidate as its representative.  That candidate is
+# the first of its orbit, so the memo holds exactly its tree; ``_kept_tree``
+# copies it into tuples, which the garbage collector stops scanning, with
+# the parent's ``at`` grown by the new edge: its k - 1 new vertices in the
+# new E leaf, and a pendent v at its new V node (new nodes are numbered
+# after the parent's, so an edge's node need not be its index in the edge
+# tuple).  ``_tree_context`` derives depth, branch, orbits and attachments
+# from it when the class is grown.  Only the one-edge seed's context is
+# built from its edges, by ``_growth_context``.
 
 
 def canonical_key(h: Hypergraph) -> bytes:
@@ -357,18 +360,18 @@ def canonical_key(h: Hypergraph) -> bytes:
 
 def _encode(h: Hypergraph) -> bytes:
     """``canonical_key`` without the stored copy: encode ``h`` afresh."""
-    kind, adj, levels, _ = _centred_tree(h)
-    return _ahu(h.k, kind, adj, levels)
+    return _ahu(h.k, *_centred_tree(h)[:3])[0]
 
 
 def _centred_tree(h: Hypergraph):
     """The reduced incidence tree of ``h``, rooted at its centre.
 
-    Returns ``(kind, adj, levels, node)``.  Nodes 0..m-1 are the edges in
+    Returns ``(kind, adj, levels, at)``.  Nodes 0..m-1 are the edges in
     order and the non-pendent vertices follow; ``kind[x]`` is "E" or "V",
     ``adj[x]`` lists the neighbours of node x, ``levels[d]`` the nodes at
-    depth d (``levels[0]`` is the centre alone), and ``node[v]`` is vertex
-    v's node, -1 when v is pendent.  Raises ValueError for a non-supertree.
+    depth d (``levels[0]`` is the centre alone), and ``at[v]`` is vertex
+    v's own node, or its one edge's node when v is pendent.  Raises
+    ValueError for a non-supertree.
     """
     edges = h.edges
     m = len(edges)
@@ -378,19 +381,22 @@ def _centred_tree(h: Hypergraph):
     for e in edges:
         for v in e:
             degree[v] += 1
-    node = [-1] * h.n
+    at = [-1] * h.n
     size = m
     for v, d in enumerate(degree):
         if d != 1:
-            node[v] = size
+            at[v] = size
             size += 1
     adj: list[list[int]] = [[] for _ in range(size)]
     for i, e in enumerate(edges):
         for v in e:
-            j = node[v]
+            j = at[v]
             if j >= 0:
                 adj[i].append(j)
                 adj[j].append(i)
+            else:
+                # a pendent vertex is met once, in its one edge
+                at[v] = i
     degree = [len(a) for a in adj]
     layer = [v for v, d in enumerate(degree) if d <= 1]
     left = size
@@ -406,7 +412,7 @@ def _centred_tree(h: Hypergraph):
                     inner.append(w)
         layer = inner
     kind = "E" * m + "V" * (size - m)
-    return kind, adj, _levels(adj, layer[0]), node
+    return kind, adj, _levels(adj, layer[0]), at
 
 
 def _levels(adj: list[list[int]], root: int) -> list[list[int]]:
@@ -427,24 +433,18 @@ def _levels(adj: list[list[int]], root: int) -> list[list[int]]:
     return levels
 
 
-def _ahu(
-    k: int, kind: str, adj: list, levels: list, label=None
-) -> bytes:
-    """The key bytes of the rooted tree given by its levels (see above).
+def _ahu(k: int, kind: str, adj: list, levels: list) -> tuple[bytes, list[str]]:
+    """The key bytes of the rooted tree given by its levels (see above), and
+    each node's label ("" at the root).
 
-    ``label``, when given, is a list of ``len(adj)`` empty strings that the
-    pass fills with each non-root node's label; otherwise it uses its own.
     A level is labelled before the one above it, so while a node's signature
-    is built its parent still reads "".
-
-    The shortcuts the comment above gives keep the general rule's bytes:
-    the deepest level is labelled without signatures, a node with two
-    neighbours signs as its type plus both labels (the parent's is "")
-    with no sort, join or slice, and a one-entry table is appended as it
-    stands.
+    is built its parent still reads "".  The shortcuts the comment above
+    gives keep the general rule's bytes: the deepest level is labelled
+    without signatures, a node with two neighbours signs as its type plus
+    both labels (the parent's is "") with no sort, join or slice, and a
+    one-entry table is appended as it stands.
     """
-    if label is None:
-        label = [""] * len(adj)
+    label = [""] * len(adj)
     get = label.__getitem__
     tables = []
     if len(levels) > 1:
@@ -471,36 +471,28 @@ def _ahu(
             tables.append(" ".join(table))
     root = levels[0][0]
     tables.append(kind[root] + ".".join(sorted(map(get, adj[root]))))
-    return f"{k}|{'/'.join(tables)}".encode("ascii")
+    return f"{k}|{'/'.join(tables)}".encode("ascii"), label
 
 
 def _growth_context(h: Hypergraph) -> tuple:
     """The growth context of ``h``, built from its edge list: ``h``'s centred
-    tree, one more AHU pass for its labels, and the edge of each vertex.
-    The enumeration builds only its one-edge seed's context this way; every
-    other class's comes from ``_tree_context``.  Raises ValueError for a
-    non-supertree.
+    tree and the labels of one more AHU pass.  The enumeration builds only
+    its one-edge seed's context this way; every other class's comes from
+    ``_tree_context``.  Raises ValueError for a non-supertree.
     """
-    kind, adj, levels, node = _centred_tree(h)
-    label = [""] * len(adj)
-    _ahu(h.k, kind, adj, levels, label)
-    edge_of = [0] * h.n
-    for i, e in enumerate(h.edges):
-        for v in e:
-            edge_of[v] = i
-    return _tree_context((kind, adj, levels, label, node, edge_of))
+    kind, adj, levels, at = _centred_tree(h)
+    return _tree_context((kind, adj, levels, _ahu(h.k, kind, adj, levels)[1], at))
 
 
 def _tree_context(tree: tuple) -> tuple:
     """What keying a supertree plus one pendent edge needs, from its labelled
-    centred tree ``(kind, adj, levels, label, node, edge_of)``: ``kind, adj,
-    levels``, each node's depth and branch (the centre's neighbour it lies
-    under; the centre is its own), ``node`` (each vertex's node, -1 when
-    pendent), ``edge_of`` (the edge node that holds each pendent vertex),
-    each vertex's attachment orbit, numbered from ``label``, and a memo from
-    orbit to grown key and tree, empty here.
+    centred tree ``(kind, adj, levels, label, at)``: ``kind, adj, levels``,
+    each node's depth and branch (the centre's neighbour it lies under; the
+    centre is its own), ``at`` (each vertex's node, or its edge's when it
+    is pendent), each vertex's attachment orbit, numbered from ``label``,
+    and a memo from orbit to grown key and tree, empty here.
     """
-    kind, adj, levels, label, node, edge_of = tree
+    kind, adj, levels, label, at = tree
     depth = [0] * len(adj)
     branch = list(range(len(adj)))
     orbit = [0] * len(adj)
@@ -515,14 +507,14 @@ def _tree_context(tree: tuple) -> tuple:
                     orbit[c] = ids.setdefault((orbit[x], label[c]), len(ids) + 1)
                     if depth[x]:
                         branch[c] = branch[x]
-    attach = [orbit[e if x < 0 else x] for x, e in zip(node, edge_of)]
-    return kind, adj, levels, depth, branch, node, edge_of, attach, {}
+    attach = [orbit[x] for x in at]
+    return kind, adj, levels, depth, branch, at, attach, {}
 
 
 def _grown_key(k: int, ctx: tuple, v: int) -> bytes:
     """The key of the parent of ``ctx`` plus a pendent edge at vertex ``v``:
     the one its attachment orbit already has, else ``_encode_grown``'s."""
-    orbit, trees = ctx[7:]
+    orbit, trees = ctx[6:]
     grown = trees.get(orbit[v])
     if grown is None:
         grown = trees[orbit[v]] = _encode_grown(k, ctx, v)
@@ -532,59 +524,49 @@ def _grown_key(k: int, ctx: tuple, v: int) -> bytes:
 def _encode_grown(k: int, ctx: tuple, v: int) -> tuple:
     """The key of the parent of ``ctx`` plus a pendent edge at vertex ``v``,
     from the parent's centred tree (see the comment above), and the grown
-    tree it encoded, labelled, as ``_tree_context`` takes it."""
-    kind, adj, levels, depth, branch, node, edge_of, _, _ = ctx
+    tree it encoded, labelled: ``(kind, adj, levels, label)``."""
+    kind, adj, levels, depth, branch, at = ctx[:6]
     size = len(adj)
     adj = [*adj]
-    x = node[v]
-    node = [*node, *[-1] * (k - 1)]
-    if x >= 0:
+    x = at[v]
+    adj[x] = (*adj[x], size)
+    if kind[x] == "V":
         # one E leaf under v's node, never below the deepest level
-        leaf = size
-        adj[x] = (*adj[x], leaf)
         adj.append((x,))
         kind += "E"
         levels = [*levels]
         d = depth[x] + 1
-        levels[d] = (*levels[d], leaf)
+        levels[d] = (*levels[d], size)
     else:
-        # v turns non-pendent: its V node under its edge e, the E leaf under that
-        e = edge_of[v]
-        leaf = size + 1
-        adj[e] = (*adj[e], size)
-        adj += ((e, leaf), (size,))
+        # v turns non-pendent: its V node under its edge x, the E leaf under that
+        adj += ((x, size + 1), (size,))
         kind += "VE"
-        node[v] = size
-        d = depth[e]
+        d = depth[x]
         if d + 2 < len(levels):
             levels = [*levels]
             levels[d + 1] = (*levels[d + 1], size)
-            levels[d + 2] = (*levels[d + 2], leaf)
+            levels[d + 2] = (*levels[d + 2], size + 1)
         else:
-            # e is on the deepest level: the centre moves one step toward
+            # x is on the deepest level: the centre moves one step toward
             # it, to its branch, or to the new V node when the parent is a
             # single edge
-            levels = _levels(adj, branch[e] if d else size)
-    # the new edge's k - 1 new vertices are pendent, in its E leaf
-    edge_of = [*edge_of, *[leaf] * (k - 1)]
-    label = [""] * len(adj)
-    return _ahu(k, kind, adj, levels, label), (kind, adj, levels, label, node, edge_of)
+            levels = _levels(adj, branch[x] if d else size)
+    key, label = _ahu(k, kind, adj, levels)
+    return key, (kind, adj, levels, label)
 
 
-def _kept_tree(ctx: tuple, v: int) -> tuple:
+def _kept_tree(k: int, ctx: tuple, v: int) -> tuple:
     """The tree that the parent of ``ctx`` grown at ``v`` was encoded from,
-    copied into tuples: a tree of ints and strs only, which the garbage
-    collector stops scanning.  ``v`` must be the first vertex of its
-    attachment orbit that was keyed, so the orbit's memo holds its own tree."""
-    kind, adj, levels, label, node, edge_of = ctx[8][ctx[7][v]][1]
-    return (
-        kind,
-        tuple(map(tuple, adj)),
-        tuple(map(tuple, levels)),
-        tuple(label),
-        tuple(node),
-        tuple(edge_of),
-    )
+    with its map ``at``, copied into tuples of ints and strs, which the
+    garbage collector stops scanning.  ``v`` must be the first vertex of its
+    attachment orbit that was keyed, so the orbit's memo holds its own tree.
+    ``at`` is the parent's, with the k - 1 new vertices in the new E leaf
+    (the last node) and a pendent ``v`` at its new V node (the first new)."""
+    kind, adj, levels, label = ctx[7][ctx[6][v]][1]
+    at = [*ctx[5], *[len(adj) - 1] * (k - 1)]
+    if kind[at[v]] == "E":
+        at[v] = len(ctx[1])
+    return kind, tuple(map(tuple, adj)), tuple(map(tuple, levels)), tuple(label), tuple(at)
 
 
 def _attach_pendent_edge(h: Hypergraph, v: int, key: bytes) -> Hypergraph:
@@ -642,7 +624,7 @@ def _grow_level(level: dict, last: bool) -> tuple[dict, int, int]:
             # only reads the key back; kept while traced calls count candidates
             key = canonical_key(cand)
             if key not in grown:
-                grown[key] = cand, None if last else _kept_tree(ctx, v)
+                grown[key] = cand, None if last else _kept_tree(h.k, ctx, v)
         candidates += h.n
         encoded += len(ctx[-1])
     return grown, candidates, encoded

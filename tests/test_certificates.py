@@ -74,6 +74,34 @@ def test_weighted_incidence_validation():
         WeightedIncidence(host=h, entries={**good, (0, 0): 0.0})
 
 
+
+@pytest.mark.parametrize("w", [True, False, "0.5", None, 1j])
+def test_weighted_incidence_rejects_a_weight_that_is_not_a_real_number(w):
+    # True was read as 1 (all-True weights made hyperstar(1, 3) normal at
+    # alpha 1), and a str, None or complex weight raised a bare TypeError
+    h = hyperstar(1, 3)
+    message = f"weight at (1, 0) must be a real number, got {w!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        WeightedIncidence(host=h, entries={(0, 0): 0.5, (1, 0): w, (2, 0): 0.5})
+
+
+@pytest.mark.parametrize(
+    "w, need", [(0.0, "positive"), (-1, "positive"), (math.nan, "positive"), (math.inf, "finite")]
+)
+def test_weighted_incidence_needs_a_positive_finite_weight(w, need):
+    # inf was accepted, classified "neither" with an infinite edge slack
+    h = hyperstar(1, 3)
+    with pytest.raises(PositivityError, match=re.escape(f"weight at (1, 0) must be {need}, got {w}")):
+        WeightedIncidence(host=h, entries={(0, 0): 0.5, (1, 0): w, (2, 0): 0.5})
+
+
+@pytest.mark.parametrize("w", [Fraction(1, 3), 10**400, 2])
+def test_weighted_incidence_keeps_exact_and_huge_weights(w):
+    # the range check is exact and converts no weight to float
+    h = hyperstar(1, 3)
+    entries = {(v, 0): w for v in range(3)}
+    assert WeightedIncidence(host=h, entries=entries).entries == entries
+
 def test_certificates_are_equal_exactly_when_host_and_weights_are():
     h = hyperstar(2, 3)
     a, b = uniform_certificate(h, 0.5), uniform_certificate(h, 0.5)

@@ -119,6 +119,25 @@ def test_gen_errors_name_the_flag_in_its_units(capsys, args, message):
     assert stderr == f"error: {message}\n"
 
 
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ("hyperstar --k 3 --m 2 --t 1,1 --tree path:9", "gen hyperstar does not take --t, --tree"),
+        ("double-star-power --k 3 --t 1,2 --m 40", "gen double-star-power does not take --m"),
+        ("tree-power --k 3 --tree path:4 --t 1,1", "gen tree-power does not take --t"),
+        ("broom --k 3 --t 1,1,2 --m 5", "gen broom does not take --m"),
+        ("f-tree-power --k 3 --m 5 --tree star:3", "gen f-tree-power does not take --tree"),
+        ("path-power --k 3 --m 5 --t 1,2", "gen path-power does not take --t"),
+    ],
+)
+def test_gen_rejects_a_flag_its_family_does_not_read(tmp_path, capsys, args, message):
+    # these exited 0 and dropped the flag, even --m 40 for a 4-edge power
+    out = tmp_path / "h.json"
+    code, stdout, stderr = run_cli(capsys, "gen", *shlex.split(args), "--out", str(out))
+    assert code == 1 and stdout == "" and not out.exists()
+    assert stderr == f"error: {message}\n"
+
 def test_gen_f_tree_power_accepts_four_edges(capsys):
     code, _, stderr = run_cli(capsys, "gen", "f-tree-power", "--k", "3", "--m", "4")
     assert code == 0 and "m=4 k=3" in stderr

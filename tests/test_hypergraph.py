@@ -38,6 +38,7 @@ from supertrees.hypergraph import (
     _encode,
     _encode_grown,
     _grown_key,
+    _grow_level,
     _growth_context,
     _kept_tree,
     _tree_context,
@@ -435,11 +436,11 @@ def test_a_grown_key_survives_relabelling_and_a_moving_centre(k, m, seed, deepes
     rng = random.Random(seed)
     h = shuffled(random_supertree(m, k, rng), rng)
     ctx = _growth_context(h)
-    _, _, levels, depth, _, node, edge_of, _, _ = ctx
+    kind, _, levels, depth, _, at, _, _ = ctx
     if deepest:
         e = data.draw(hs.sampled_from(levels[-1]))
-        v = data.draw(hs.sampled_from([u for u in h.edges[e] if node[u] < 0]))
-        assert depth[edge_of[v]] + 2 >= len(levels)
+        v = data.draw(hs.sampled_from([u for u in h.edges[e] if kind[at[u]] == "E"]))
+        assert depth[at[v]] + 2 >= len(levels)
     else:
         v = data.draw(hs.integers(0, h.n - 1))
     cand = _attach_pendent_edge(h, v, _grown_key(k, ctx, v))
@@ -464,10 +465,10 @@ def test_the_deepest_level_holds_only_edge_leaves(k, m, seed, deepest, data):
     h = shuffled(random_supertree(m, k, rng), rng)
     assert_deepest_level_holds_e_leaves(_centred_tree(h), m)
     ctx = _growth_context(h)
-    _, _, levels, _, _, node, _, _, _ = ctx
+    kind, _, levels, _, _, at, _, _ = ctx
     if deepest:
         e = data.draw(hs.sampled_from(levels[-1]))
-        v = data.draw(hs.sampled_from([u for u in h.edges[e] if node[u] < 0]))
+        v = data.draw(hs.sampled_from([u for u in h.edges[e] if kind[at[u]] == "E"]))
     else:
         v = data.draw(hs.integers(0, h.n - 1))
     tree = _encode_grown(k, ctx, v)[1]
@@ -522,7 +523,7 @@ def assert_keys_like_the_edges(h: Hypergraph, ctx: tuple) -> None:
         key = _encode(built)
         assert _encode_grown(k, ctx, v)[0] == key
         assert canonical_key(_attach_pendent_edge(h, v, _grown_key(k, fresh, v))) == key
-    assert orbit_groups(ctx[7]) == attachment_orbits(h)
+    assert orbit_groups(ctx[6]) == attachment_orbits(h)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
@@ -560,7 +561,7 @@ def test_a_derived_context_follows_a_moving_centre(k):
         v = h.n - 1
         cand = _attach_pendent_edge(h, v, _grown_key(k, ctx, v))
         assert canonical_key(cand) == canonical_key(tree_power(path(m + 1), k))
-        child = _tree_context(_kept_tree(ctx, v))
+        child = _tree_context(_kept_tree(k, ctx, v))
         # the reduced path has 2m - 1 nodes and its centre in the middle
         assert len(child[2]) == len(ctx[2]) + 1 == m
         h, ctx = cand, child
@@ -573,15 +574,52 @@ def test_a_kept_tree_holds_nothing_the_collector_scans():
     firsts = {}
     for v in range(h.n):
         canonical_key(_attach_pendent_edge(h, v, _grown_key(h.k, ctx, v)))
-        firsts.setdefault(ctx[7][v], v)
-    trees = [_kept_tree(ctx, v) for v in firsts.values()]
+        firsts.setdefault(ctx[6][v], v)
+    trees = [_kept_tree(h.k, ctx, v) for v in firsts.values()]
     # a collection untracks a tuple once all it holds is untracked, so a
     # tree three tuples deep is untracked after at most three
     for _ in range(3):
         gc.collect()
-    assert len(trees) == len(ctx[8]) > 1
+    assert len(trees) == len(ctx[7]) > 1
     assert not any(gc.is_tracked(t) for t in trees)
 
+
+
+@settings(max_examples=200, deadline=None)
+@given(hs.integers(2, 6), hs.integers(1, 40), hs.integers(0, 2**32))
+def test_the_centred_tree_places_each_vertex_at_its_node_or_its_edge(k, m, seed):
+    # at[v]: a non-pendent vertex's own V node, adjacent to exactly its
+    # edges' nodes (edge i is node i); a pendent vertex's one edge
+    rng = random.Random(seed)
+    h = shuffled(random_supertree(m, k, rng), rng)
+    kind, adj, _, at = _centred_tree(h)
+    assert len(at) == h.n
+    for v, x in enumerate(at):
+        edges = [i for i, e in enumerate(h.edges) if v in e]
+        if len(edges) == 1:
+            assert x == edges[0] and kind[x] == "E"
+        else:
+            assert kind[x] == "V" and sorted(adj[x]) == edges
+    assert sorted(x for x in at if kind[x] == "V") == list(range(m, len(adj)))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_a_kept_tree_places_each_vertex_of_its_class(k):
+    # every class with 2 to 6 edges, as the engine keeps it: exactly the
+    # non-pendent vertices sit on V nodes, one each, and two pendent
+    # vertices share an entry exactly when they share an edge
+    seed = hyperstar(1, k)
+    level = {canonical_key(seed): (seed, None)}
+    for m in range(2, 7):
+        level = _grow_level(level, False)[0]
+        assert len(level) == supertree_counts(k, m)[m]
+        for h, (kind, _, _, _, at) in level.values():
+            pendent = vertex_stats(h).pendent_vertices
+            placed = [v for v in range(h.n) if kind[at[v]] == "V"]
+            assert set(placed) == set(range(h.n)) - pendent
+            assert len({at[v] for v in placed}) == len(placed)
+            for u, w in itertools.combinations(sorted(pendent), 2):
+                assert (at[u] == at[w]) == any(u in e and w in e for e in h.edges)
 
 def assert_reads_only_k_n_edges(h, built):
     """``==``, hashing, ``repr`` and ``to_interchange`` read nothing of ``h``

@@ -308,8 +308,8 @@ def test_no_class_keeps_its_growth_context_or_its_ancestors(monkeypatch):
             parents.append(weakref.ref(h))
         return attach(h, v, key)
 
-    def tracked_keep(ctx, v):
-        tree = WatchedTree(keep(ctx, v))
+    def tracked_keep(k, ctx, v):
+        tree = WatchedTree(keep(k, ctx, v))
         trees.append(weakref.ref(tree))
         return tree
 
