@@ -9,11 +9,12 @@ below.  On supertrees the normality conditions pin B down uniquely once
 alpha is fixed, which turns the spectral radius into the root of a scalar
 monotone function of alpha.  ``alpha_normal_bracket`` finds that root: it
 starts from the degree bounds max_degree^(1/k) <= rho <= (largest degree
-product over an edge)^(1/k), narrows them with Anderson-Bjorck regula falsi
-that bisects where rounding noise flattens the function, and returns the
-radius bracket certified by the strictly subnormal and strictly supernormal
-weights at its two ends; ``alpha_normal_radius`` returns the bracket's
-midpoint.
+product over an edge)^(1/k), with the longest loose path's radius,
+rho^k >= 4cos^2(pi/(diameter+2)), below instead wherever that is larger,
+narrows them with Anderson-Bjorck regula falsi that bisects where rounding
+noise flattens the function, and returns the radius bracket certified by
+the strictly subnormal and strictly supernormal weights at its two ends;
+``alpha_normal_radius`` returns the bracket's midpoint.
 """
 
 from __future__ import annotations
@@ -156,8 +157,10 @@ def classify(
 
     A slack within ``tol`` of zero counts as an equality; "strict" means at
     least one slack lies beyond ``tol`` on the permitted side.  ``tol = 0``
-    compares exactly; with ``Fraction`` weights and alpha the slacks are
-    exact too (sums start from the int 0, products from the int 1).  Raises
+    compares exactly.  Sums start from the int 0 and products from the int
+    1, and once any weight is not a float the edge slacks are formed
+    against ``Fraction(alpha)``: with int or ``Fraction`` weights they are
+    exact, even for an int product past float range.  Raises
     ValueError unless alpha (positive) and tol (non-negative) are finite
     reals other than bools.
     """
@@ -172,7 +175,12 @@ def classify(
         sums[v] += w
         prods[i] *= w
     vertex_slacks = tuple(1 - s for s in sums)
-    edge_slacks = tuple(p - alpha for p in prods)
+    a = alpha
+    if not {*map(type, b.entries.values())} <= {float}:
+        from fractions import Fraction  # for exact weights only; a cold start skips it
+
+        a = Fraction(alpha)
+    edge_slacks = tuple(p - a for p in prods)
     sub_ok = all(vs >= -tol for vs in vertex_slacks) and all(es >= -tol for es in edge_slacks)
     sup_ok = all(vs <= tol for vs in vertex_slacks) and all(es <= tol for es in edge_slacks)
     if sub_ok and sup_ok:
@@ -420,23 +428,54 @@ def propagate_certificate(h: Hypergraph, alpha: float) -> WeightedIncidence:
     return WeightedIncidence(host=h, entries=entries)
 
 
-def _strict_end(plan: _Plan, k: int, x: float, end: float) -> tuple[float, int]:
-    """The first radius, stepping from the zero-defect ``x`` toward ``end``
-    by doubling numbers of ulps, whose defect has the strict sign of that
-    side (> 0 below ``x``, < 0 above); ``end`` itself (already strict) once
-    the steps reach it.  Returned with the number of defects evaluated."""
+def _strict_end(plan: _Plan, k: int, x: float, end: float) -> tuple[float, float | None, int]:
+    """The first radius, stepping from ``x`` (whose defect lacks the sign)
+    toward ``end`` by doubling numbers of ulps, whose defect has the strict
+    sign of that side (> 0 below ``x``, < 0 above), with that defect; ``end``
+    itself and None, unevaluated here, once the steps reach it.  Returned
+    with the number of defects evaluated."""
     up = end > x
     step = math.ulp(x)
     evaluations = 0
     while True:
         y = x + step if up else x - step
         if (y >= end) if up else (y <= end):
-            return end, evaluations
+            return end, None, evaluations
         f = _propagate(plan, y**-k)
         evaluations += 1
         if (f < 0.0) if up else (f > 0.0):
-            return y, evaluations
+            return y, f, evaluations
         step *= 2.0
+
+
+def _diameter(plan: _Plan) -> int:
+    """The most edges on one loose path of the planned supertree.
+
+    One pass over the steps, deepest first: ``height[v]`` is the most edges
+    on a path down from ``v``, complete once ``v``'s own edge is reached.  A
+    step's edge reaches one edge further down than its tallest child, and
+    the longest path either joins two edges below a parent, through the
+    parent, or two children of one edge, through that edge.  Pendent
+    children reach no further down, so the steps leave them out harmlessly.
+    """
+    height = [0] * plan.n
+    diameter = 0
+    for _, p, c in plan.steps:
+        if c is None:
+            down = 1
+        elif c.__class__ is tuple:
+            *_, second, first = sorted([height[v] for v in c])
+            down = first + 1
+            if down + second > diameter:
+                diameter = down + second
+        else:
+            down = height[c] + 1
+        hp = height[p]
+        if hp + down > diameter:
+            diameter = hp + down
+        if down > hp:
+            height[p] = down
+    return diameter
 
 
 def _radius_bracket(h: Hypergraph, caller: str) -> tuple[float, float, int]:
@@ -455,32 +494,67 @@ def _radius_bracket(h: Hypergraph, caller: str) -> tuple[float, float, int]:
     is evaluated once.  Radius 1 fails below only on the one-edge
     supertree, where it is the lower bound itself, evaluated once, and the
     bracket is (1, 1).
+
+    A third bound comes first where it is larger.  The longest loose path,
+    of d edges (``_diameter``), is a sub-supertree whose radius is that of
+    a path power: rho^k >= 4cos^2(pi/(d+2)), with equality on path powers.
+    That beats max_degree exactly when max_degree is 2 and d >= 3, or 3
+    and d >= 5; it never does from max_degree 4 on, so only those hosts pay
+    for the diameter pass.  Its radius is the low end when its defect is
+    > 0.  Rounding can put it at or above rho instead, as on path powers:
+    then it is the high end if its defect is < 0, the low end is the first
+    radius stepping down from it by doubling numbers of ulps with a defect
+    > 0, and an exactly zero defect takes the first strict radius on each
+    side, as the search does.  A step that reaches a degree bound leaves
+    that end to the degree bound's rules above.
     """
     plan = _plan(h, caller)
     k = h.k
-    start = low = plan.max_degree ** (1.0 / k)
-    f_start = f_low = _propagate(plan, start**-k)
-    evaluations = 1
-    if not f_low > 0.0 and low != 1.0:
-        low, f_low = 1.0, _propagate(plan, 1.0)
+    start = plan.max_degree ** (1.0 / k)
+    upper = plan.max_edge_product ** (1.0 / k)
+    f_start = f_low = f_high = None
+    evaluations = 0
+    if plan.max_degree in (2, 3):
+        d = _diameter(plan)
+        # 4cos^2(pi/(d+2)) exceeds 2 from d = 3 on, and 3 from d = 5 on
+        if d >= 2 * plan.max_degree - 1:
+            x = (4.0 * math.cos(math.pi / (d + 2)) ** 2) ** (1.0 / k)
+            fx = _propagate(plan, x**-k)
+            evaluations += 1
+            if fx > 0.0:
+                low, f_low = x, fx
+            else:
+                low, f_low, below = _strict_end(plan, k, x, start)
+                if fx < 0.0:
+                    high, f_high, above = x, fx, 0
+                else:
+                    high, f_high, above = _strict_end(plan, k, x, upper)
+                evaluations += below + above
+    if f_low is None:
+        low = start
+        f_start = f_low = _propagate(plan, start**-k)
         evaluations += 1
+        if not f_low > 0.0 and low != 1.0:
+            low, f_low = 1.0, _propagate(plan, 1.0)
+            evaluations += 1
     if not f_low > 0.0:
         low = high = 1.0
     else:
-        high = plan.max_edge_product ** (1.0 / k)
-        if high == start:
-            f_high = f_start
-        else:
-            f_high = _propagate(plan, high**-k)
-            evaluations += 1
-        if not f_high < 0.0:
-            high = (plan.max_degree * h.m) ** (1.0 / k)
-            f_high = _propagate(plan, high**-k)
-            evaluations += 1
+        if f_high is None:
+            high = upper
+            if high == start:
+                f_high = f_start
+            else:
+                f_high = _propagate(plan, high**-k)
+                evaluations += 1
             if not f_high < 0.0:
-                raise BracketError(
-                    f"no sign change: defect {f_high:.3e} at radius {high}", bracket=(low, high)
-                )
+                high = (plan.max_degree * h.m) ** (1.0 / k)
+                f_high = _propagate(plan, high**-k)
+                evaluations += 1
+                if not f_high < 0.0:
+                    raise BracketError(
+                        f"no sign change: defect {f_high:.3e} at radius {high}", bracket=(low, high)
+                    )
         kept = 0  # +1 after low moved, -1 after high moved
         bisect = False
         for _ in range(ALPHA_MAX_EVALS):
@@ -521,8 +595,8 @@ def _radius_bracket(h: Hypergraph, caller: str) -> tuple[float, float, int]:
                 high, f_high = x, fx
                 kept = -1
             else:
-                low, below = _strict_end(plan, k, x, low)
-                high, above = _strict_end(plan, k, x, high)
+                low, _, below = _strict_end(plan, k, x, low)
+                high, _, above = _strict_end(plan, k, x, high)
                 evaluations += below + above
                 break
         else:
@@ -546,14 +620,15 @@ def alpha_normal_bracket(h: Hypergraph) -> tuple[float, float]:
     below the normal point and positive (or infeasible) above it, exactly the
     two directions in which strict sub/supernormality bound the radius.  The
     search, all in ``_radius_bracket``, starts from the plan's degree bounds,
-    each once its defect has the strict sign it needs.  Anderson-Bjorck
-    regula falsi on alpha then narrows a bracket with defect(low^(-k)) > 0 >
-    defect(high^(-k)), bisecting while the low end is infeasible and after
-    a step that left the defect almost unchanged, until the radius bracket
-    is ALPHA_BRACKET_ULPS ulps wide.  Every trial is a float radius r
-    evaluated at alpha = r^(-k), so both returned ends were evaluated:
-    ``propagate_certificate(h, low ** -k)`` puts the root's weight sum
-    strictly above 1 (or is infeasible) and
+    or below from the longest loose path's radius where that is larger (on
+    hosts of maximum degree 2 or 3), each once its defect has the strict
+    sign it needs.  Anderson-Bjorck regula falsi on alpha then narrows a
+    bracket with defect(low^(-k)) > 0 > defect(high^(-k)), bisecting while
+    the low end is infeasible and after a step that left the defect almost
+    unchanged, until the radius bracket is ALPHA_BRACKET_ULPS ulps wide.
+    Every trial is a float radius r evaluated at alpha = r^(-k), so both
+    returned ends were evaluated: ``propagate_certificate(h, low ** -k)``
+    puts the root's weight sum strictly above 1 (or is infeasible) and
     ``propagate_certificate(h, high ** -k)`` strictly below 1.  A radius
     whose defect rounds to exactly zero is normal to rounding; the nearest
     strict radii on either side of it become the ends.

@@ -7,6 +7,7 @@ over all edge subsets and from Otter's dissimilarity theorem on cycle-index
 series, the tensor and the power method from loops written
 one edge and one coordinate at a time, the certificate propagation from
 a loop that visits every child vertex, pendent ones included, the
+diameter from two breadth-first passes over the incidence graph, the
 propagation plan from incidence lists for every vertex and a scan of every
 edge's members, the canonical key from separate reduce, peel and encode
 stages, the constructor's edge validation from a loop over each vertex
@@ -688,6 +689,34 @@ def reference_plan(h: Hypergraph, caller: str) -> _Plan:
         max_edge_product=max_edge_product,
         steps=tuple(steps),
     )
+
+
+def reference_diameter(h: Hypergraph) -> int:
+    """The most edges on one loose path of the supertree ``h``, from two
+    breadth-first passes over its vertex-edge incidence graph: the vertex
+    farthest from vertex 0 ends a longest path, and the farthest vertex from
+    it lies twice that path's edge count away in the incidence graph."""
+    inc: list[list[int]] = [[] for _ in range(h.n)]
+    for i, e in enumerate(h.edges):
+        for v in e:
+            inc[v].append(i)
+
+    def farthest(start: int) -> tuple[int, int]:
+        dist = {("v", start): 0}
+        queue = [("v", start)]
+        for node in queue:
+            kind, x = node
+            nbrs = [("e", i) for i in inc[x]] if kind == "v" else [("v", w) for w in h.edges[x]]
+            for nbr in nbrs:
+                if nbr not in dist:
+                    dist[nbr] = dist[node] + 1
+                    queue.append(nbr)
+        far = max((d, x) for (kind, x), d in dist.items() if kind == "v")
+        return far[1], far[0]
+
+    end, _ = farthest(0)
+    _, twice = farthest(end)
+    return twice // 2
 
 
 # Each meets the supertree edge count m(k-1) = n-1, so only a later check

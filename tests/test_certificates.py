@@ -49,7 +49,13 @@ from supertrees import (
     vertex_stats,
 )
 
-from oracles import COUNT_ONLY_NON_SUPERTREES, edge_sets, reference_plan, reference_propagate
+from oracles import (
+    COUNT_ONLY_NON_SUPERTREES,
+    edge_sets,
+    reference_diameter,
+    reference_plan,
+    reference_propagate,
+)
 
 #: Float rounding allowed when testing that a bracket contains a closed form.
 ROUNDING_REL = 1e-15
@@ -189,6 +195,17 @@ def test_classify_takes_fraction_alpha_and_tol():
     cert = propagate_certificate(h, 0.3)
     verdict = classify(h, cert, Fraction(3, 10), tol=Fraction(0))
     assert verdict.classification == STRICTLY_SUBNORMAL
+
+
+def test_classify_forms_exact_slacks_for_weights_past_float_range():
+    # the int product 10**1200 once met the float alpha and overflowed
+    h = hyperstar(1, 3)
+    huge = uniform_certificate(h, 10**400)
+    for alpha in (1 / 27, Fraction(1, 27)):
+        verdict = classify(h, huge, alpha)
+        assert verdict.classification == NEITHER
+        assert verdict.edge_slacks == (10**1200 - Fraction(alpha),)
+        assert verdict.vertex_slacks == (1 - 10**400,) * 3
 
 
 def test_classify_requires_matching_host():
@@ -518,6 +535,32 @@ def seeded_random_supertrees(count: int, max_m: int, seed: int) -> list[Hypergra
     return hosts
 
 
+def path_powers() -> list[Hypergraph]:
+    """Powers of paths with 1 to 400 edges, for k = 2..5."""
+    sizes = (1, 2, 3, 4, 5, 6, 7, 10, 33, 101, 400)
+    return [tree_power(path(m + 1), k) for k in range(2, 6) for m in sizes]
+
+
+def low_degree_caterpillar(spine: int, legs, k: int) -> Hypergraph:
+    """The kth power of the path on ``spine`` vertices with one leaf edge at
+    each spine vertex in ``legs``: a caterpillar of maximum degree at most 3."""
+    edges = [(v, v + 1) for v in range(spine - 1)]
+    edges += [(v, spine + j) for j, v in enumerate(legs)]
+    return tree_power(Hypergraph(k=2, n=spine + len(legs), edges=tuple(edges)), k)
+
+
+def low_degree_caterpillars() -> list[Hypergraph]:
+    """Seeded caterpillars of maximum degree at most 3, for k = 2..4."""
+    rng = random.Random(3535)
+    hosts = []
+    for k in (2, 3, 4):
+        for spine in (3, 4, 5, 6, 7, 9, 12, 20, 50, 150):
+            for share in (0.1, 0.5):
+                legs = [v for v in range(spine) if rng.random() < share]
+                hosts.append(low_degree_caterpillar(spine, legs, k))
+    return hosts
+
+
 def test_plan_equals_the_reference_plan():
     hosts = small_classes() + radius_large_shapes() + seeded_random_supertrees(60, 300, 60)
     assert len(hosts) == 321 + 17 + 60
@@ -548,6 +591,23 @@ def oracle_defect(h: Hypergraph, r: float) -> float:
     return reference_propagate(h, r**-h.k)[0]
 
 
+def assert_strict_narrow_bracket(h: Hypergraph) -> None:
+    """Both ends of ``h``'s bracket have strict defect signs under the
+    oracle, and the bracket is at most ``ALPHA_BRACKET_ULPS`` ulps wide
+    unless the defect is exactly zero at a radius between its ends."""
+    low, high = alpha_normal_bracket(h)
+    if h.m == 1:
+        assert (low, high) == (1.0, 1.0)
+        return
+    assert oracle_defect(h, low) > 0.0 > oracle_defect(h, high)
+    if high - low > certificates.ALPHA_BRACKET_ULPS * math.ulp(high):
+        # only the strict ends around an exactly zero defect lie wider apart
+        r = math.nextafter(low, high)
+        while oracle_defect(h, r) != 0.0:
+            r = math.nextafter(r, high)
+            assert r < high
+
+
 def test_start_bounds_bracket_rho_and_bracket_ends_have_strict_signs():
     hosts = small_classes() + radius_large_shapes() + seeded_random_supertrees(60, 500, 500)
     for h in hosts:
@@ -559,17 +619,48 @@ def test_start_bounds_bracket_rho_and_bracket_ends_have_strict_signs():
             assert plan.max_degree == h.m
         else:
             assert oracle_defect(h, lower) > 0.0 > oracle_defect(h, upper)
-        low, high = alpha_normal_bracket(h)
-        if h.m == 1:
-            assert (low, high) == (1.0, 1.0)
-            continue
-        assert oracle_defect(h, low) > 0.0 > oracle_defect(h, high)
-        if high - low > certificates.ALPHA_BRACKET_ULPS * math.ulp(high):
-            # only the strict ends around an exactly zero defect lie wider apart
-            r = math.nextafter(low, high)
-            while oracle_defect(h, r) != 0.0:
-                r = math.nextafter(r, high)
-                assert r < high
+        assert_strict_narrow_bracket(h)
+
+
+def test_diameter_equals_the_reference_diameter():
+    paths = path_powers()
+    assert [certificates._diameter(certificates._plan(h, "test")) for h in paths] == [
+        h.m for h in paths
+    ]
+    for h in paths + low_degree_caterpillars():
+        assert certificates._diameter(certificates._plan(h, "test")) == reference_diameter(h)
+
+
+@settings(max_examples=150, deadline=None)
+@given(relabelled_supertrees())
+def test_diameter_matches_the_reference_on_relabelled_random_supertrees(h):
+    assert certificates._diameter(certificates._plan(h, "test")) == reference_diameter(h)
+
+
+def test_path_start_brackets_keep_strict_signs_under_the_oracle():
+    # the path start applies where max degree 2 meets a diameter of 3 or
+    # more, or max degree 3 one of 5 or more: there 4cos^2(pi/(d+2)) exceeds
+    # the degree, as it never does from max degree 4 on
+    classes = [
+        h
+        for k in (2, 3, 4)
+        for m in range(1, 10)
+        for h in enumerate_supertrees(m, k)
+        if max(vertex_stats(h).degrees) <= 3
+    ]
+    hosts = classes + path_powers() + low_degree_caterpillars()
+    hosts += seeded_random_supertrees(60, 300, 3535)
+    started = 0
+    for h in hosts:
+        degree = certificates._plan(h, "test").max_degree
+        d = reference_diameter(h)
+        if (degree == 2 and d >= 3) or (degree == 3 and d >= 5):
+            started += 1
+            # the longest loose path is a sub-supertree, so its radius bounds rho
+            _, high = alpha_normal_bracket(h)
+            assert path_power_radius(d, h.k) <= high * (1.0 + ROUNDING_REL)
+        assert_strict_narrow_bracket(h)
+    assert started > len(hosts) // 2
 
 
 @pytest.mark.parametrize(
@@ -597,7 +688,14 @@ def test_bracket_bits_are_pinned(h, low, high):
 @pytest.mark.parametrize(
     "h, evaluations",
     [
-        (tree_power(path(1001), 3), 30),
+        # the path start: exact on path powers, where rounding puts it at or
+        # above rho, so the search steps down from it to the low end
+        (tree_power(path(1001), 3), 3),
+        (path(101), 2),
+        # a path start whose defect is exactly zero: the strict ends around it
+        (path(4), 3),
+        # the path start below rho: one leg next to an end of a long spine
+        (low_degree_caterpillar(100, [1], 3), 15),
         (hyperstar(1000, 3), 6),
         (broom(1, 1, 997, 3), 10),
         (random_supertree(300, 5, random.Random(300)), 14),
@@ -611,8 +709,8 @@ def test_bracket_bits_are_pinned(h, low, high):
         (hyperstar(8, 3), 6),
     ],
     ids=[
-        "path-power", "hyperstar", "broom", "random-k5", "zero-defect", "one-edge",
-        "high-fails", "both-fail",
+        "path-power", "path-k2", "path-start-zero", "caterpillar", "hyperstar", "broom",
+        "random-k5", "zero-defect", "one-edge", "high-fails", "both-fail",
     ],
 )
 def test_defect_evaluations_per_solve_are_pinned(h, evaluations):
@@ -806,8 +904,11 @@ def test_single_edge_bracket_is_exact():
 
 
 def test_evaluation_cap_raises_with_last_bracket(monkeypatch):
+    # 14 evaluations without the cap; the path start finishes a path power in 2
+    h = random_supertree(300, 5, random.Random(300))
+    rho = alpha_normal_radius(h)
     monkeypatch.setattr(certificates, "ALPHA_MAX_EVALS", 3)
     with pytest.raises(BracketError) as info:
-        alpha_normal_bracket(tree_power(path(101), 3))
+        alpha_normal_bracket(h)
     low, high = info.value.bracket
-    assert 1.0 <= low < path_power_radius(100, 3) < high
+    assert 1.0 <= low < rho < high
